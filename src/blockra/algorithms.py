@@ -27,7 +27,10 @@ from .dependence import (
 from .matrix import (
     Partition,
     RearrangementMatrix,
-    _rearrange_block_inplace,
+    _block_move,
+    _block_sums,
+    _canonical_splits,
+    _column_splits,
     sample_variance,
 )
 
@@ -121,7 +124,7 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     cfg = config or BlockRaConfig()
     arr = _working_copy(X)
     m, n = arr.shape
-    all_cols = tuple(range(n))
+    splits = _column_splits(n)
     trace = [sample_variance(arr.sum(axis=1))]
     applied = 0
     sweeps = 0
@@ -129,9 +132,8 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     for _ in range(cfg.max_sweeps):
         sweeps += 1
         changed_any = False
-        for j in range(n):
-            pi_cols = all_cols[:j] + all_cols[j + 1:]
-            if _rearrange_block_inplace(arr, pi_cols, (j,)):
+        for pi, comp in splits:
+            if _block_move(arr, pi, comp):
                 applied += 1
                 changed_any = True
         trace.append(sample_variance(arr.sum(axis=1)))
@@ -146,6 +148,27 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         stop_reason=reason,
         objective_trace=tuple(trace),
     )
+
+
+def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
+    """``(pi, comp)`` index arrays of the canonical splits for one pass.
+
+    The full enumeration (cached, binary-counter order) when n_sim covers
+    it; otherwise n_sim distinct splits, each drawn as n-1 fair bits and
+    redrawn when empty or already seen.
+    """
+    if n_sim >= (1 << (n - 1)) - 1:
+        return _canonical_splits(n)
+    seen: set[bytes] = set()
+    out = []
+    while len(out) < n_sim:
+        bits = rng.integers(0, 2, size=n - 1)
+        key = bits.tobytes()
+        if not bits.any() or key in seen:
+            continue
+        seen.add(key)
+        out.append((np.flatnonzero(bits), np.append(np.flatnonzero(bits == 0), n - 1)))
+    return out
 
 
 def sample_partitions(
@@ -163,28 +186,8 @@ def sample_partitions(
         raise ValueError("need at least 2 columns")
     if n_sim < 1:
         raise ValueError("n_sim must be positive")
-    full = (1 << (n - 1)) - 1
-    if n_sim >= full:
-        return list(Partition.enumerate_canonical(n))
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    seen: set[int] = set()
-    out: list[Partition] = []
-    while len(out) < n_sim:
-        bits = rng.integers(0, 2, size=n - 1)
-        mask = 0
-        for j in np.flatnonzero(bits):
-            mask |= 1 << int(j)
-        if mask == 0 or mask in seen:
-            continue
-        seen.add(mask)
-        out.append(Partition.from_mask(mask, n))
-    return out
-
-
-def _block_sums(arr: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    if len(cols) == 1:
-        return arr[:, cols[0]]
-    return arr[:, cols].sum(axis=1)
+    return [Partition(tuple(pi.tolist()), n) for pi, _ in _pass_splits(n, n_sim, rng)]
 
 
 def _dependence_estimate(arr: np.ndarray, n_sim: int, rng: np.random.Generator) -> float:
@@ -219,17 +222,16 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     check_every = 10
     for it in range(1, cfg.max_sweeps + 1):
         sweeps = it
-        parts = sample_partitions(n, n_sim, rng)
         total = arr.sum(axis=1)
         best_phi = -np.inf
-        best_part = parts[0]
-        for part in parts:
-            s_pi = _block_sums(arr, part.pi)
+        best = None
+        for split in _pass_splits(n, n_sim, rng):
+            s_pi = _block_sums(arr, split[0])
             phi = spearman(s_pi, total - s_pi)
             if phi > best_phi:
                 best_phi = phi
-                best_part = part
-        changed = _rearrange_block_inplace(arr, best_part.pi, best_part.complement())
+                best = split
+        changed = _block_move(arr, *best)
         if changed:
             applied += 1
             stall = 0
@@ -274,9 +276,8 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     reason = "max-iterations"
     for _ in range(cfg.max_sweeps):
         sweeps += 1
-        parts = sample_partitions(n, n_sim, rng)
-        for part in parts:
-            if _rearrange_block_inplace(arr, part.pi, part.complement()):
+        for pi, comp in _pass_splits(n, n_sim, rng):
+            if _block_move(arr, pi, comp):
                 applied += 1
         var = sample_variance(arr.sum(axis=1))
         trace.append(var)

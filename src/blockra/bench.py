@@ -47,8 +47,8 @@ _DEFAULT_CELLS = {
     "t3b": ((10, 4), (10, 6), (10, 8)),
 }
 
-# brute_force_minimum scans (m!)^(n-2) arrangements; refuse t1b cells whose
-# per-replicate scan would blow past its default budget.
+# brute_force_minimum scores (m!)^(n-2) pairs of front and back arrangements;
+# refuse t1b cells whose per-replicate oracle would pass its default budget.
 _ORACLE_BUDGET = 100_000_000
 
 

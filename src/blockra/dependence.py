@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import Partition, RearrangementMatrix, _as_values, rank_vector
+from .matrix import Partition, _as_values, _block_sums, _canonical_splits, rank_vector
 
 __all__ = [
     "DependenceReport",
@@ -88,12 +88,6 @@ class DependenceReport:
         }
 
 
-def _block_spearman(arr: np.ndarray, pi_cols: tuple[int, ...]) -> float:
-    total = arr.sum(axis=1)
-    s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
-    return spearman(s_pi, total - s_pi)
-
-
 def multivariate_dependence_exact(X, cap: int = EXACT_PARTITION_CAP) -> DependenceReport:
     """Average block-sum Spearman over the full canonical partition enumeration.
 
@@ -107,15 +101,18 @@ def multivariate_dependence_exact(X, cap: int = EXACT_PARTITION_CAP) -> Dependen
             f"exact enumeration needs 2^{n - 1}-1 partitions for n={n} > cap={cap}; "
             "use multivariate_dependence_sampled"
         )
+    total = arr.sum(axis=1)
     per: dict[tuple[int, ...], float] = {}
     worst_pi: tuple[int, ...] = ()
     worst = -np.inf
-    for part in Partition.enumerate_canonical(n):
-        phi = _block_spearman(arr, part.pi)
-        per[part.pi] = phi
+    for pi, _ in _canonical_splits(n):
+        s_pi = _block_sums(arr, pi)
+        phi = spearman(s_pi, total - s_pi)
+        key = tuple(pi.tolist())
+        per[key] = phi
         if phi > worst:
             worst = phi
-            worst_pi = part.pi
+            worst_pi = key
     rho = math.fsum(per.values()) / len(per)
     return DependenceReport(
         rho=rho,
@@ -149,13 +146,13 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
             ones = int(indicator.sum())
             if 0 < ones < n:
                 break
-        pi_cols = tuple(int(j) for j in np.flatnonzero(indicator))
-        s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
+        pi = np.flatnonzero(indicator)
+        s_pi = _block_sums(arr, pi)
         phi = spearman(s_pi, total - s_pi)
         values[k] = phi
         if phi > worst:
             worst = phi
-            worst_pi = Partition(pi_cols, n).canonical().pi
+            worst_pi = Partition(tuple(pi.tolist()), n).canonical().pi
     return DependenceReport(
         rho=float(math.fsum(values) / n_samples),
         mode="sampled",

@@ -8,6 +8,7 @@ target-sum fitting workflow) is built on the handful of primitives here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Optional
 
@@ -46,8 +47,15 @@ class RearrangementMatrix:
             raise ValueError(f"need at least 2 rows, got m={m}")
         if n < 2:
             raise ValueError(f"need at least 2 columns, got n={n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        # A non-finite entry makes its row sum non-finite too, so one check
+        # on the row sums covers entries and overflowing sums alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = arr.sum(axis=1)
+        if not np.isfinite(sums).all():
+            row = int(np.flatnonzero(~np.isfinite(sums))[0])
+            if not np.isfinite(arr[row]).all():
+                raise ValueError("matrix entries must be finite")
+            raise ValueError(f"row {row} sums to {sums[row]}: row sums must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -233,34 +241,99 @@ def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarra
     already countermonotone (up to ties) maps to the identity.
     """
     target = np.asarray(target, dtype=np.float64)
-    block_sums = np.asarray(block_sums, dtype=np.float64)
-    m = target.size
-    # Positions sorted by target ascending; among tied targets, the position
-    # currently holding the larger block sum comes first so it keeps it.
-    order_pos = np.lexsort((-block_sums, target))
-    order_rows = np.argsort(-block_sums, kind="stable")
-    sigma = np.empty(m, dtype=np.intp)
+    neg = -np.asarray(block_sums, dtype=np.float64)
+    # Rows by block sum descending, ties by position.  A stable sort of the
+    # targets in that order puts positions in target order and, among tied
+    # targets, the position currently holding the larger block sum first,
+    # so it keeps it (the same order as lexsort((neg, target))).
+    order_rows = neg.argsort(kind="stable")
+    order_pos = order_rows.take(target.take(order_rows).argsort(kind="stable"))
+    sigma = np.empty(target.size, dtype=np.intp)
     sigma[order_pos] = order_rows
     return sigma
 
 
-def _rearrange_block_inplace(arr: np.ndarray, pi_cols: tuple[int, ...],
-                             comp_cols: tuple[int, ...]) -> bool:
+@functools.lru_cache(maxsize=8)
+def _identity_bytes(m: int) -> bytes:
+    return np.arange(m, dtype=np.intp).tobytes()
+
+
+# Every canonical split of up to this many columns is cached: n = 10 is the
+# widest matrix block_ra2 enumerates in full at the default n_sim, and its
+# 511 splits take under 0.2 MB (n = 14 would take 3 MB).  Wider matrices
+# build each split when it is asked for.
+_SPLIT_CACHE_MAX_N = 10
+
+
+def _index_pair(pi, comp) -> tuple[np.ndarray, np.ndarray]:
+    pair = (np.array(pi, dtype=np.intp), np.array(comp, dtype=np.intp))
+    for idx in pair:
+        idx.setflags(write=False)  # shared through the caches
+    return pair
+
+
+def _split_from_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _index_pair([j for j in range(n - 1) if mask >> j & 1],
+                       [j for j in range(n) if not mask >> j & 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple(_split_from_mask(mask, n) for mask in range(1, 1 << (n - 1)))
+
+
+def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(pi, comp)`` intp column indices of the canonical split with this bitmask.
+
+    Bit j of ``mask`` (j < n-1) puts column j in the first block; the last
+    column is always in the complement.  Same split as
+    ``Partition.from_mask(mask, n)``, without building a Partition.
+    """
+    if n <= _SPLIT_CACHE_MAX_N:
+        return _cached_splits(n)[mask - 1]
+    return _split_from_mask(mask, n)
+
+
+def _canonical_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """``(pi, comp)`` index arrays of all 2^(n-1) - 1 canonical splits, in mask order."""
+    if n <= _SPLIT_CACHE_MAX_N:
+        return _cached_splits(n)
+    return (_split_from_mask(mask, n) for mask in range(1, 1 << (n - 1)))
+
+
+@functools.lru_cache(maxsize=32)
+def _column_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``(rest, [j])`` index arrays moving column j against the others, j = 0..n-1."""
+    return tuple(_index_pair([i for i in range(n) if i != j], [j]) for j in range(n))
+
+
+def _block_sums(arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row sums over the columns ``cols`` (intp indices); one column is a view.
+
+    Fancy indexing gathers the block column-major, so the columns are added
+    left to right; a row-major gather (take) would sum eight or more columns
+    in another order and change the last bits.
+    """
+    return arr[:, cols].sum(axis=1) if cols.size > 1 else arr[:, cols[0]]
+
+
+def _block_move(arr: np.ndarray, pi: np.ndarray, comp: np.ndarray) -> bool:
     """Apply the countermonotone rearrangement to ``arr`` in place.
 
-    Rows of the complement block move jointly; the pi block is untouched.
-    Returns True when the matrix changed.
+    ``pi`` and ``comp`` are intp column indices of the two blocks.  Rows of
+    the complement block move jointly; the pi block is untouched.  Returns
+    True when the matrix changed.
     """
-    s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
-    block = arr[:, comp_cols]
-    s_bar = block.sum(axis=1) if len(comp_cols) > 1 else arr[:, comp_cols[0]]
+    s_pi = _block_sums(arr, pi)
+    block = arr[:, comp]
+    s_bar = block.sum(axis=1) if comp.size > 1 else block[:, 0]
     sigma = counter_permutation(s_pi, s_bar)
-    if np.array_equal(sigma, np.arange(arr.shape[0])):
+    if sigma.tobytes() == _identity_bytes(sigma.size):
         return False
-    new_block = arr[np.ix_(sigma, comp_cols)]
-    if np.array_equal(new_block, arr[:, comp_cols]):
+    moved = block.take(sigma, axis=0)
+    if (moved == block).all():
         return False
-    arr[:, comp_cols] = new_block
+    arr[:, comp] = moved
     return True
 
 
@@ -276,7 +349,7 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
     var_before = arr.sum(axis=1).var(ddof=1)
-    _rearrange_block_inplace(arr, pi.pi, pi.complement())
+    _block_move(arr, np.array(pi.pi, dtype=np.intp), np.array(pi.complement(), dtype=np.intp))
     var_after = arr.sum(axis=1).var(ddof=1)
     # Rearrangement inequality guarantees this up to roundoff.
     assert var_after <= var_before + 1e-12 * max(1.0, var_before), \

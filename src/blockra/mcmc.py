@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .matrix import ObjectiveSpec, Partition, RearrangementMatrix, rank_vector
+from .matrix import ObjectiveSpec, RearrangementMatrix, _block_sums, _split_of_mask, rank_vector
 
 __all__ = [
     "McmcConfig",
@@ -179,12 +179,9 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
             absorbed_at=0,
         )
 
-    rows = np.arange(m)
     for it in range(1, cfg.n_iter + 1):
-        part = Partition.from_mask(_draw_canonical_mask(n, rng), n)
-        pi_cols = list(part.pi)
-        comp_cols = list(part.complement())
-        s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]].copy()
+        pi, comp = _split_of_mask(_draw_canonical_mask(n, rng), n)
+        s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
         s_bar = s_cur - s_pi
         slots = propose_permutation(s_pi, rate, rng)
         order_block = np.argsort(s_bar, kind="stable")
@@ -194,7 +191,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         u = rng.random()
         accept = f_prop <= 0 or u * f_prop < f_cur  # min(1, f_cur/f_prop) Metropolis rule
         if accept:
-            arr[np.ix_(rows, comp_cols)] = arr[np.ix_(sigma, comp_cols)]
+            arr[:, comp] = arr[sigma][:, comp]
             s_cur = s_new
             f_cur = f_prop
             accepted[it - 1] = True

@@ -1,8 +1,11 @@
 """Exact minimum-variance oracles and benchmark matrix constructions.
 
-``brute_force_minimum`` scans every arrangement class of a small matrix; the
-other two give closed-form or by-construction minima at sizes the scan cannot
-reach, which is what the benchmark tables calibrate against.
+``brute_force_minimum`` finds the exact minimum of a small matrix by meet in
+the middle: the row sums of every arrangement of the front columns are
+paired, at their best relative row order, with those of every arrangement of
+the back columns.  The other two give closed-form or by-construction minima
+at sizes that search cannot reach, which is what the benchmark tables
+calibrate against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_values, counter_permutation
+from .matrix import RearrangementMatrix, counter_permutation
 
 __all__ = [
     "OracleResult",
@@ -23,8 +26,12 @@ __all__ = [
     "make_zero_sum_normal_matrix",
 ]
 
-# Rows of (chunk x m) processed per vectorized block in the scan.
-_CHUNK_TARGET = 1 << 17
+# A permutation table (m! rows of m indices) up to this size is built once
+# and gathered from; a larger one (only n = 3, m >= 10 fits the default
+# budget) is streamed from itertools instead.
+_MATERIALIZE_BYTES = 64 * 2**20
+# Entries per tile of the front-by-back pairing matrix (256 KB of float64).
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -34,115 +41,131 @@ class OracleResult:
     arrangements_scanned: int
 
 
-def _close_last_column(s_front: np.ndarray, last_col_sorted: np.ndarray) -> np.ndarray:
-    """Arrange the closing column countermonotonically against the partial sums."""
-    m = s_front.size
-    out = np.empty(m, dtype=np.float64)
-    sigma = counter_permutation(s_front, last_col_sorted)
-    out[:] = last_col_sorted[sigma]
+def _nth_permutation(index: int, m: int) -> list[int]:
+    """The index-th element of itertools.permutations(range(m)) (lexicographic)."""
+    pool = list(range(m))
+    out = []
+    for i in range(m - 1, -1, -1):
+        q, index = divmod(index, math.factorial(i))
+        out.append(pool.pop(q))
     return out
+
+
+def _orders_at(index: int, m: int, r: int) -> list[list[int]]:
+    """The index-th element of itertools.product(permutations(range(m)), repeat=r)."""
+    digits = []
+    for _ in range(r):
+        index, d = divmod(index, math.factorial(m))
+        digits.append(d)
+    return [_nth_permutation(d, m) for d in reversed(digits)]
+
+
+def _half_sum_chunks(anchor: np.ndarray, free: list, rows: int):
+    """Row-sum vectors of one half of the columns, ``rows`` vectors at a time.
+
+    ``anchor`` is the half's fixed column; each column in ``free`` runs over
+    all m! orders, in itertools.product order.  Yields (index of the first
+    vector, (k, m) array of row sums).
+    """
+    m = anchor.size
+    if not free:
+        yield 0, anchor[None, :].copy()
+        return
+    n_perms = math.factorial(m)
+    count = n_perms ** len(free)
+    if n_perms * m * 8 <= _MATERIALIZE_BYTES:
+        perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+        tables = [col[perms] for col in free]
+        for lo in range(0, count, rows):
+            digits = np.unravel_index(np.arange(lo, min(lo + rows, count)), (n_perms,) * len(free))
+            sums = anchor + tables[0][digits[0]]
+            for table, d in zip(tables[1:], digits[1:]):
+                sums += table[d]
+            yield lo, sums
+        return
+    orders = itertools.product(itertools.permutations(range(m)), repeat=len(free))
+    lo = 0
+    while True:
+        idx = np.array(list(itertools.islice(orders, rows)), dtype=np.intp)
+        if idx.size == 0:
+            return
+        sums = anchor + free[0][idx[:, 0]]
+        for j, col in enumerate(free[1:], start=1):
+            sums += col[idx[:, j]]
+        yield lo, sums
+        lo += idx.shape[0]
 
 
 def brute_force_minimum(X, max_arrangements: int = 100_000_000) -> OracleResult:
     """Global minimum of the row-sum variance over all column rearrangements.
 
-    Fixes the first column sorted (row relabeling is free), enumerates all
-    (m!)^(n-2) joint arrangements of the middle columns, and closes the last
-    column countermonotonically, which is optimal for any fixed front.  The
-    scan refuses to start when the arrangement count exceeds the budget.
+    Row relabelling is free, so the front columns 0..k-1 (k = 1 + (n-2)//2)
+    are taken with column 0 sorted and the back columns k..n-1 with the
+    last column sorted; the back block then still moves as a whole against
+    the front.  For a front with row sums a and a back with row sums b the
+    best such move pairs them countermonotonically, giving the sum of
+    squares |a|^2 + |b|^2 + 2 a(ascending).b(descending).  Every pair of
+    front and back arrangements, (m!)^(n-2) in all, is scored that way as
+    one tiled matrix product, and the argmin is rebuilt from the winning
+    pair.  Refuses to start when the pair count exceeds the budget.
     """
-    arr = _as_values(X)
+    arr = (X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)).values
     m, n = arr.shape
-    if m < 2 or n < 2:
-        raise ValueError("oracle needs at least a 2x2 matrix")
     n_arrangements = math.factorial(m) ** (n - 2)
     if n_arrangements > max_arrangements:
         raise ValueError(
             f"brute force needs {n_arrangements} arrangements for shape ({m},{n}), "
             f"over the budget of {max_arrangements}"
         )
-    first = np.sort(arr[:, 0])
-    closing_asc = np.sort(arr[:, -1])
-    closing_desc = closing_asc[::-1].copy()
-    total = float(arr.sum())
-    sum_closing_sq = float(np.dot(closing_asc, closing_asc))
+    k = 1 + (n - 2) // 2
+    # Centred columns keep the sums of squares small; the shift is the same
+    # for every arrangement, so each sum of squares is (m-1) * variance.
+    centred = arr - arr.mean(axis=0)
+    front_free = [centred[:, j] for j in range(1, k)]
+    back_free = [centred[:, j] for j in range(k, n - 1)]
 
-    def variance_from_q(q: float) -> float:
-        return (q + sum_closing_sq - total * total / m) / (m - 1)
-
-    if n == 2:
-        best_matrix = np.column_stack([first, _close_last_column(first, closing_asc)])
-        return OracleResult(
-            min_variance=float(best_matrix.sum(axis=1).var(ddof=1)),
-            argmin_matrix=RearrangementMatrix(best_matrix),
-            arrangements_scanned=1,
-        )
-
-    middles = [arr[:, j].copy() for j in range(1, n - 1)]
-    perm_count = math.factorial(m)
-    inner_chunk = max(1, _CHUNK_TARGET // m)
-    # Small permutation tables are gathered once and sliced; large ones (only
-    # reachable for n == 3 under the budget) are streamed to bound memory.
-    materialize = perm_count * m * 8 <= 64 * 2**20
-
-    def inner_value_chunks():
-        if materialize:
-            for lo in range(0, perm_count, inner_chunk):
-                yield lo, inner_vals[lo : lo + inner_chunk]
-        else:
-            it = itertools.permutations(range(m))
-            lo = 0
-            while True:
-                block = list(itertools.islice(it, inner_chunk))
-                if not block:
-                    return
-                idx = np.array(block, dtype=np.intp)
-                yield lo, middles[-1][idx]
-                lo += idx.shape[0]
-
-    if materialize:
-        perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-        inner_vals = middles[-1][perms]  # (m!, m) values of the last middle column
-
+    front = np.concatenate(
+        [s for _, s in _half_sum_chunks(np.sort(centred[:, 0]), front_free, max(1, _TILE // m))])
+    front.sort(axis=1)
+    # Rows [2 a(descending), |a|^2, 1] against [b(ascending), 1, |b|^2]: one
+    # product gives every pair's sum of squares.
+    lhs = np.column_stack([2.0 * front[:, ::-1], np.einsum("ij,ij->i", front, front),
+                           np.ones(len(front))])
+    # Near-square tiles suit the matrix product; a single front row (n = 3)
+    # takes long back chunks instead.
+    back_rows = max(1, _TILE // max(min(len(lhs), math.isqrt(_TILE)), m))
+    front_rows = max(1, _TILE // back_rows)
     best_q = np.inf
-    best_outer: tuple[tuple[int, ...], ...] = ()
-    best_inner = 0
+    best_front = best_back = 0
     scanned = 0
-    outer_space = (
-        itertools.product(itertools.permutations(range(m)), repeat=n - 3) if n > 3 else [()]
-    )
-    for outer in outer_space:
-        s_prefix = first.copy()
-        for col_vals, ptuple in zip(middles[:-1], outer):
-            s_prefix = s_prefix + col_vals[list(ptuple)]
-        for lo, vals in inner_value_chunks():
-            block = s_prefix[None, :] + vals
-            q_rows = np.einsum("ij,ij->i", block, block)
-            block.sort(axis=1)
-            q_rows += 2.0 * (block @ closing_desc)
-            scanned += block.shape[0]
-            k = int(np.argmin(q_rows))
-            if q_rows[k] < best_q:
-                best_q = float(q_rows[k])
-                best_outer = outer
-                best_inner = lo + k
+    for lo, back in _half_sum_chunks(np.sort(centred[:, -1]), back_free, back_rows):
+        back.sort(axis=1)
+        rhs = np.column_stack([back, np.ones(len(back)), np.einsum("ij,ij->i", back, back)])
+        for a0 in range(0, len(lhs), front_rows):
+            q = lhs[a0 : a0 + front_rows] @ rhs.T
+            scanned += q.size
+            i, j = divmod(int(np.argmin(q)), q.shape[1])
+            if q[i, j] < best_q:
+                best_q = float(q[i, j])
+                best_front, best_back = a0 + i, lo + j
 
-    front = np.empty((m, n), dtype=np.float64)
-    front[:, 0] = first
-    for j, ptuple in enumerate(best_outer):
-        front[:, 1 + j] = middles[j][list(ptuple)]
-    best_perm = next(itertools.islice(itertools.permutations(range(m)), best_inner, None))
-    front[:, n - 2] = middles[-1][list(best_perm)]
-    s_front = front[:, : n - 1].sum(axis=1)
-    front[:, n - 1] = _close_last_column(s_front, closing_asc)
-    # q ranks arrangements up to shared constants; the reported minimum is the
-    # direct variance of the reconstructed argmin, which is cleaner near zero.
-    direct = float(front.sum(axis=1).var(ddof=1))
-    assert abs(direct - variance_from_q(best_q)) <= 1e-9 * max(1.0, abs(direct)), \
+    out = np.empty((m, n), dtype=np.float64)
+    out[:, 0] = np.sort(arr[:, 0])
+    for j, order in enumerate(_orders_at(best_front, m, k - 1), start=1):
+        out[:, j] = arr[order, j]
+    out[:, n - 1] = np.sort(arr[:, n - 1])
+    for j, order in enumerate(_orders_at(best_back, m, n - k - 1), start=k):
+        out[:, j] = arr[order, j]
+    sigma = counter_permutation(out[:, :k].sum(axis=1), out[:, k:].sum(axis=1))
+    out[:, k:] = out[sigma, k:]
+    # q ranks arrangements; the reported minimum is the direct variance of
+    # the rebuilt argmin, which is cleaner near zero.
+    direct = float(out.sum(axis=1).var(ddof=1))
+    assert abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)), \
         "oracle bookkeeping drifted from the direct variance"
     return OracleResult(
         min_variance=direct,
-        argmin_matrix=RearrangementMatrix(front),
+        argmin_matrix=RearrangementMatrix(out),
         arrangements_scanned=scanned,
     )
 

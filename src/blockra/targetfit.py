@@ -17,7 +17,7 @@ import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, sample_partitions
 from .gof import TargetDistribution, Thresholds, default_thresholds, ks_distance, w2_distance
-from .matrix import RearrangementMatrix, _rearrange_block_inplace, sample_variance
+from .matrix import RearrangementMatrix, sample_variance
 
 __all__ = [
     "MarginSpec",

@@ -1,5 +1,8 @@
 """Tests for the column-wise and block rearrangement algorithms."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from blockra import (
     multivariate_dependence_exact,
     sample_partitions,
     sample_variance,
+    spearman,
     standard_ra,
 )
 
@@ -142,3 +146,151 @@ def test_partition_complement_roundtrip():
     assert p.pi == (1, 3)
     assert p.complement() == (0, 2, 4)
     assert Partition.from_mask(p.mask(), 5) == p
+
+
+# Reference drivers: the countermonotone move written out from
+# lexsort-based counter_permutation, with Partition objects and np.ix_,
+# and the bitmask partition draws.  The library kernel must match them bit
+# for bit.
+
+def _ref_counter_permutation(target, block_sums):
+    sigma = np.empty(target.size, dtype=np.intp)
+    sigma[np.lexsort((-block_sums, target))] = np.argsort(-block_sums, kind="stable")
+    return sigma
+
+
+def _ref_move(arr, pi_cols, comp_cols):
+    s_pi = arr[:, list(pi_cols)].sum(axis=1)
+    s_bar = arr[:, list(comp_cols)].sum(axis=1)
+    sigma = _ref_counter_permutation(s_pi, s_bar)
+    if np.array_equal(sigma, np.arange(arr.shape[0])):
+        return False
+    new_block = arr[np.ix_(sigma, comp_cols)]
+    if np.array_equal(new_block, arr[:, list(comp_cols)]):
+        return False
+    arr[:, list(comp_cols)] = new_block
+    return True
+
+
+def _ref_partitions(n, n_sim, rng):
+    full = (1 << (n - 1)) - 1
+    if n_sim >= full:
+        return [Partition.from_mask(mask, n) for mask in range(1, full + 1)]
+    seen, out = set(), []
+    while len(out) < n_sim:
+        bits = rng.integers(0, 2, size=n - 1)
+        mask = sum(1 << int(j) for j in np.flatnonzero(bits))
+        if mask == 0 or mask in seen:
+            continue
+        seen.add(mask)
+        out.append(Partition.from_mask(mask, n))
+    return out
+
+
+def _var(arr):
+    return float(arr.sum(axis=1).var(ddof=1))
+
+
+def _ref_standard_ra(X, cfg):
+    arr = np.array(X, dtype=float)
+    n = arr.shape[1]
+    trace, applied, sweeps = [_var(arr)], 0, 0
+    for _ in range(cfg.max_sweeps):
+        sweeps += 1
+        changed = False
+        for j in range(n):
+            if _ref_move(arr, [i for i in range(n) if i != j], [j]):
+                applied += 1
+                changed = True
+        trace.append(_var(arr))
+        if not changed:
+            break
+    return arr, tuple(trace), sweeps, applied
+
+
+def _ref_block_ra2(X, cfg):
+    arr = np.array(X, dtype=float)
+    n = arr.shape[1]
+    n_sim = cfg.resolve_n_sim(n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    trace, applied, sweeps = [_var(arr)], 0, 0
+    for _ in range(cfg.max_sweeps):
+        sweeps += 1
+        for part in _ref_partitions(n, n_sim, rng):
+            if _ref_move(arr, part.pi, part.complement()):
+                applied += 1
+        trace.append(_var(arr))
+        if trace[-2] - trace[-1] < max(cfg.improvement_tol * trace[-1], 1e-15):
+            break
+    return arr, tuple(trace), sweeps, applied
+
+
+def _ref_rho(arr):
+    n = arr.shape[1]
+    total = arr.sum(axis=1)
+    vals = []
+    for part in Partition.enumerate_canonical(n):
+        s_pi = arr[:, list(part.pi)].sum(axis=1)
+        vals.append(spearman(s_pi, total - s_pi))
+    return math.fsum(vals) / len(vals)
+
+
+def _ref_block_ra1(X, cfg):
+    arr = np.array(X, dtype=float)
+    n = arr.shape[1]
+    n_sim = cfg.resolve_n_sim(n)
+    full = n_sim >= (1 << (n - 1)) - 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    trace, applied, sweeps, stall = [_var(arr)], 0, 0, 0
+    for it in range(1, cfg.max_sweeps + 1):
+        sweeps = it
+        parts = _ref_partitions(n, n_sim, rng)
+        total = arr.sum(axis=1)
+        phis = [spearman(s, total - s) for s in (arr[:, list(p.pi)].sum(axis=1) for p in parts)]
+        best = parts[int(np.argmax(phis))]
+        changed = _ref_move(arr, best.pi, best.complement())
+        applied += changed
+        stall = 0 if changed else stall + 1
+        trace.append(_var(arr))
+        if it % 10 == 0 or not changed:
+            if _ref_rho(arr) <= cfg.rho_stop:
+                break
+            if not changed and (full or stall >= 10):
+                break
+    return arr, tuple(trace), sweeps, applied
+
+
+def _kernel_start(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal((m, n))
+    u = rng.uniform(size=m)
+    return np.column_stack([u] + [rng.permutation(u) for _ in range(n - 1)])
+
+
+@pytest.mark.parametrize("kind", ["shared-values", "normal"])
+@pytest.mark.parametrize("m, n, n_sim", [(8, 4, None), (10, 10, None), (10, 11, 40)])
+def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
+    X = _kernel_start(kind, m, n, seed=m * n)
+    cases = [
+        (standard_ra, _ref_standard_ra, BlockRaConfig()),
+        (block_ra2, _ref_block_ra2, BlockRaConfig(n_sim=n_sim, rng_seed=5)),
+        (block_ra1, _ref_block_ra1, BlockRaConfig(n_sim=n_sim, rng_seed=5, max_sweeps=12)),
+    ]
+    for algo, ref, cfg in cases:
+        res = algo(X, cfg)
+        arr, trace, sweeps, applied = ref(X, cfg)
+        assert np.array_equal(res.final_matrix.values, arr), algo.__name__
+        assert res.objective_trace == trace, algo.__name__
+        assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied), algo.__name__
+
+
+@pytest.mark.parametrize("algo", [standard_ra, block_ra1, block_ra2])
+def test_overflowing_row_sums_rejected_up_front(algo):
+    # Finite entries whose row sums overflow must fail up front, not run to
+    # the sweep budget or stop with a NaN objective.
+    X = np.full((3, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row 0 sums to inf"):
+            algo(X)

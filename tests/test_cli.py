@@ -141,3 +141,9 @@ def test_gof_verb_against_perfect_sample(tmp_path, capsys):
     assert code == 0
     assert doc["ks_ok"] is True
     assert doc["d_ks"] < 1e-3
+
+
+def test_overflowing_row_sums_exit_1(matrix_file, capsys):
+    path = matrix_file(np.full((3, 3), 1e308))
+    assert main(["bra2", "--input", path, "--seed", "0"]) == 1
+    assert "row 0 sums to inf" in capsys.readouterr().err

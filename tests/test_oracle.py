@@ -1,8 +1,14 @@
 """Tests for the exact-minimum oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from blockra import oracle
 from blockra import (
     brute_force_minimum,
     haus_integer_matrix,
@@ -70,6 +76,8 @@ def test_brute_force_shape_guard():
         brute_force_minimum(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         brute_force_minimum(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_minimum(np.array([[np.nan, 1.0], [0.0, 2.0]]))
 
 
 def test_zero_sum_matrix_construction():
@@ -84,3 +92,61 @@ def test_zero_sum_matrix_deterministic():
     a = make_zero_sum_normal_matrix(20, 5, rng_seed=9)
     b = make_zero_sum_normal_matrix(20, 5, rng_seed=9)
     assert np.array_equal(a.values, b.values)
+
+
+def _scan_minimum(X):
+    """Reference: direct variance of every one of the (m!)^(n-1) arrangements."""
+    m, n = X.shape
+    perms = [list(p) for p in itertools.permutations(range(m))]
+    best = np.inf
+    for orders in itertools.product(perms, repeat=n - 1):
+        s = X[:, 0].copy()
+        for j, order in enumerate(orders, start=1):
+            s = s + X[order, j]
+        best = min(best, float(s.var(ddof=1)))
+    return best
+
+
+def _oracle_start(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal((m, n))
+    if kind == "shared-values":
+        u = rng.uniform(size=m)
+        return np.column_stack([u] + [rng.permutation(u) for _ in range(n - 1)])
+    return rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+
+
+def _check_against_scan(X, res):
+    m, n = X.shape
+    # abs: an exact complete mix sums to 0 or a few 1e-32, by summation order
+    assert res.min_variance == pytest.approx(_scan_minimum(X), rel=1e-12, abs=1e-13)
+    assert np.array_equal(np.sort(res.argmin_matrix.values, axis=0), np.sort(X, axis=0))
+    assert sample_variance(res.argmin_matrix.values.sum(axis=1)) == res.min_variance
+    assert res.arrangements_scanned == math.factorial(m) ** (n - 2)
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.sampled_from(["normal", "shared-values", "integer"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_full_scan(m, n, kind, seed):
+    assume(math.factorial(m) ** (n - 1) <= 20_000)
+    X = _oracle_start(kind, m, n, seed)
+    _check_against_scan(X, brute_force_minimum(X))
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5)])
+def test_oracle_streamed_halves_and_small_tiles(monkeypatch, shape):
+    X = _oracle_start("shared-values", *shape, seed=sum(shape))
+    whole = brute_force_minimum(X)
+    monkeypatch.setattr(oracle, "_MATERIALIZE_BYTES", 0)
+    streamed = brute_force_minimum(X)
+    assert streamed.min_variance == whole.min_variance
+    assert np.array_equal(streamed.argmin_matrix.values, whole.argmin_matrix.values)
+    _check_against_scan(X, streamed)
+    monkeypatch.setattr(oracle, "_TILE", 7)
+    _check_against_scan(X, brute_force_minimum(X))
