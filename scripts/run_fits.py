@@ -4,8 +4,9 @@
 The two headline cases: two U[-a,a] margins whose sum is driven to N(0,1)
 (fitted half-width a settles near 2.09 at m=10^6), and two N(0,sigma)
 margins driven to U[-1,1] (sigma settles near 0.337).  Each case prints the
-fitted scale, both distances against their m=10^6 median thresholds, and
-the wall time.  Defaults reproduce both at m=10^6; expect a few minutes.
+fitted scale, the pass count and why the fit stopped (settled or out of
+passes), both distances against their m=10^6 median thresholds, and the
+wall time.  Defaults reproduce both at m=10^6; expect a few minutes.
 """
 
 import argparse
@@ -22,6 +23,7 @@ def run_case(name: str, margins: MarginSpec, target: TargetDistribution,
     report = fit_sum_to_target(margins, target, m, FitConfig(rng_seed=seed))
     dt = time.time() - t0
     print(f"{name}: scale={report.fitted_scale:.4f} passes={report.iterations} "
+          f"stop={report.stop_reason} "
           f"ks={report.ks:.2e} (<= {report.ks_threshold:.1e}) "
           f"w2={report.w2:.2e} (<= {report.w2_threshold:.1e}) "
           f"verdict={report.verdict} ({dt:.0f}s)")

@@ -219,17 +219,24 @@ def ks_distance(sum_values, target: TargetDistribution, grid_points: int = _DEFA
         raise ValueError("ks_distance needs at least one value")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    xs = np.sort(values)
+    xg = target.quantile(_midpoints(grid_points))
+    return _ks_sorted(np.sort(values), target, xg, target.cdf(xg))
+
+
+def _midpoints(grid_points: int) -> np.ndarray:
+    return (np.arange(grid_points) + 0.5) / grid_points
+
+
+def _ks_sorted(xs: np.ndarray, target: TargetDistribution, xg: np.ndarray,
+               f_xg: np.ndarray) -> float:
+    """KS distance of sorted values, given the target quantile grid and its cdf."""
     m = xs.size
     f_at = target.cdf(xs)
     upper = np.max(np.arange(1, m + 1) / m - f_at)
     lower = np.max(f_at - np.arange(0, m) / m)
     d = max(upper, lower)
-
-    u = (np.arange(grid_points) + 0.5) / grid_points
-    xg = target.quantile(u)
     g_at = np.searchsorted(xs, xg, side="right") / m
-    d_grid = float(np.max(np.abs(g_at - target.cdf(xg))))
+    d_grid = float(np.max(np.abs(g_at - f_xg)))
     return float(max(d, d_grid, 0.0))
 
 
@@ -249,10 +256,15 @@ def w2_distance(sum_values_sorted, target: TargetDistribution,
         raise ValueError("sum values must be sorted ascending")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
+    u = _midpoints(grid_points)
+    return _w2_sorted(xs, u, target.quantile(u))
+
+
+def _w2_sorted(xs: np.ndarray, u: np.ndarray, xg: np.ndarray) -> float:
+    """W2 distance of sorted values, given the midpoint nodes and their target quantiles."""
     m = xs.size
-    u = (np.arange(grid_points) + 0.5) / grid_points
     k = np.minimum(np.ceil(u * m).astype(np.intp), m)
-    gap = xs[k - 1] - target.quantile(u)
+    gap = xs[k - 1] - xg
     return float(np.mean(gap * gap))
 
 
@@ -266,20 +278,36 @@ def median_threshold(test: str, target: TargetDistribution, m: int,
     """
     if test not in ("ks", "w2"):
         raise ValueError("test must be 'ks' or 'w2'")
+    (med,) = _replicate_medians((test,), target, m, n_replicates, rng_seed, grid_points)
+    return med
+
+
+def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
+                       n_replicates: int, rng_seed: int, grid_points: int) -> list[float]:
+    """Medians of each statistic in ``tests`` over the same iid replicates.
+
+    Replicate ``rep`` draws from the child stream ``[rng_seed, rep]`` and is
+    sorted once for every statistic; the quantile grid is evaluated once.
+    """
     if n_replicates < 11:
         raise ValueError("n_replicates must be at least 11")
     if m < 1:
         raise ValueError("m must be positive")
-    stats = np.empty(n_replicates, dtype=np.float64)
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    u = _midpoints(grid_points)
+    xg = target.quantile(u)
+    f_xg = target.cdf(xg) if "ks" in tests else None
+    stats = np.empty((len(tests), n_replicates), dtype=np.float64)
     for rep in range(n_replicates):
         rng = np.random.default_rng([rng_seed, rep])
-        sample = target.sample(m, rng)
-        if test == "ks":
-            stats[rep] = ks_distance(sample, target, grid_points)
-        else:
-            sample.sort()
-            stats[rep] = w2_distance(sample, target, grid_points)
-    return float(np.median(stats))
+        xs = np.sort(target.sample(m, rng))
+        for i, test in enumerate(tests):
+            if test == "ks":
+                stats[i, rep] = _ks_sorted(xs, target, xg, f_xg)
+            else:
+                stats[i, rep] = _w2_sorted(xs, u, xg)
+    return [float(np.median(row)) for row in stats]
 
 
 def kolmogorov_asymptotic_cdf(t: float) -> float:
@@ -325,10 +353,9 @@ def default_thresholds(target: TargetDistribution, m: int, *,
             w2=median_threshold("w2", target, m, n_replicates, rng_seed),
         )
     if ks_asymptotic:
-        ks = _KS_MEDIAN_SQRT_M / math.sqrt(m)
-    else:
-        ks = median_threshold("ks", target, m, n_replicates, rng_seed)
-    w2 = median_threshold("w2", target, m, n_replicates, rng_seed)
+        return Thresholds(ks=_KS_MEDIAN_SQRT_M / math.sqrt(m),
+                          w2=median_threshold("w2", target, m, n_replicates, rng_seed))
+    ks, w2 = _replicate_medians(("ks", "w2"), target, m, n_replicates, rng_seed, _DEFAULT_GRID)
     return Thresholds(ks=ks, w2=w2)
 
 

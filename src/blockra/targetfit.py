@@ -6,6 +6,15 @@ sums toward zero forces margin-sum order statistics onto the target grid.
 Scalable margin families (symmetric uniform, centered normal) additionally
 recalibrate a single scale factor at the start of every pass so the margin
 sums keep the target's variance.
+
+The pass loop keeps the matrix column-major, so every column it sums, moves
+or rescales is contiguous, and it tracks an ascending argsort of every
+margin column across moves.  A single-column side of a split then needs no
+sort: a lone margin column reads its tracked order, and the target column,
+whose values never change, is written in descending order along the other
+side's order.  Only multi-column sides sort their row sums.  Where values
+tie exactly, the order within a tie class is whatever the tracked or fresh
+argsort gives, which cannot change any row-sum variance.
 """
 
 from __future__ import annotations
@@ -15,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import BlockRaConfig, block_ra2, sample_partitions
+from .algorithms import BlockRaConfig, _pass_splits, block_ra2
 from .gof import TargetDistribution, Thresholds, default_thresholds, ks_distance, w2_distance
-from .matrix import RearrangementMatrix, sample_variance
+from .matrix import RearrangementMatrix, _block_sums, sample_variance
 
 __all__ = [
     "MarginSpec",
@@ -125,6 +134,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
+    """Outcome of one fit.
+
+    ``stop_reason`` is ``settled`` when the row-sum variance and the scale
+    both stopped moving, ``max-passes`` when the pass budget ran out first.
+    """
+
     fitted_scale: float
     final_matrix: RearrangementMatrix
     ks: float
@@ -133,6 +148,7 @@ class FitReport:
     w2_threshold: float
     verdict: str
     iterations: int
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return {
@@ -143,6 +159,7 @@ class FitReport:
             "w2_threshold": self.w2_threshold,
             "verdict": self.verdict,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -162,22 +179,44 @@ _ACCEL_DAMPING = 0.75
 _ACCEL_MAX_LOG_STEP = float(np.log(1.05))
 
 
-def _fit_move(arr: np.ndarray, pi_cols, comp_cols) -> None:
-    """Countermonotone move used inside the fit loop.
+def _ordered_move(arr: np.ndarray, order: list, target_desc: np.ndarray,
+                  pi: np.ndarray, comp: np.ndarray) -> None:
+    """Countermonotone move of the fit loop on a column-major matrix.
 
-    Same map as the shared rearrangement kernel but with plain argsorts:
-    where sums tie exactly the order within the tie class is unspecified,
-    which cannot change any row-sum variance.  The quantile grids moved
-    here make exact ties rare, and the fit's stopping rule looks only at
-    the variance and the scale, so the cheaper kernel is safe.
+    ``order[j]`` is an ascending argsort of margin column j, kept current by
+    carrying it through the inverse row permutation whenever the column
+    moves, so a single-column pi side is read off its tracked order instead
+    of sorted.  Multi-column sides are sorted by plain argsort of their row
+    sums, negated on the moved side.  The negated-target column is last, so
+    it is always moved, and it is the only column ever moved alone: its
+    values never change, so it then takes ``target_desc``, its values in
+    descending order, along the pi side's order, with no sort and no order
+    to track.  Where values tie exactly, the order within the tie class is
+    whichever those argsorts give, which cannot change any row-sum variance.
     """
-    pi_cols = list(pi_cols)
-    comp_cols = list(comp_cols)
-    s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
-    s_bar = arr[:, comp_cols].sum(axis=1) if len(comp_cols) > 1 else arr[:, comp_cols[0]]
-    sigma = np.empty(arr.shape[0], dtype=np.intp)
-    sigma[np.argsort(s_pi)] = np.argsort(-s_bar)
-    arr[:, comp_cols] = arr[np.ix_(sigma, comp_cols)]
+    o_pi = order[pi[0]] if pi.size == 1 else np.argsort(_block_sums(arr, pi))
+    if comp.size == 1:
+        arr[:, comp[0]][o_pi] = target_desc
+        return
+    o_bar = np.argsort(-_block_sums(arr, comp))
+    sigma = np.empty_like(o_bar)
+    sigma[o_pi] = o_bar
+    inv = np.empty_like(o_bar)
+    inv[o_bar] = o_pi
+    for j in comp:
+        arr[:, j] = arr[:, j].take(sigma)
+    for j in comp[:-1]:
+        order[j] = inv.take(order[j])
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Row sums added in the order numpy adds the rows of a row-major array.
+
+    Rows of eight or more entries are added pairwise there, so such blocks
+    are summed from a row-major copy; shorter rows are added left to right
+    in either layout.
+    """
+    return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
 def _geometric_limit_factor(scale_log: Sequence[float], window: int) -> float:
@@ -256,10 +295,14 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     # variance the settled coupling makes the ratio exactly 1.
     var_target = sample_variance(target_grid)
 
-    arr = np.empty((m, n_cols), dtype=np.float64)
+    arr = np.empty((m, n_cols), dtype=np.float64, order="F")
     for j in range(n):
         arr[:, j] = scale * unit_grid
-    arr[:, n] = -target_grid
+    target_desc = -target_grid
+    arr[:, n] = target_desc
+    # Ascending argsort of every margin column, kept current by
+    # _ordered_move; rescaling by a positive ratio keeps it valid.
+    order = [np.argsort(arr[:, j], kind="stable") for j in range(n)]
 
     n_sim = cfg.n_sim if cfg.n_sim is not None else min(512, (1 << (n_cols - 1)) - 1)
 
@@ -269,19 +312,20 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         # making sorted column values exact.
         scaled = scale * unit_grid
         for j in range(n):
-            arr[np.argsort(arr[:, j], kind="stable"), j] = scaled
+            arr[order[j], j] = scaled
 
     prev_var = np.inf
     prev_scale = scale
     scale_log: list[float] = [scale]
     next_jump_pass = 3 * _ACCEL_WINDOW
     passes = 0
+    stop_reason = "max-passes"
     for _ in range(cfg.max_passes):
         passes += 1
-        for part in sample_partitions(n_cols, n_sim, rng):
-            _fit_move(arr, part.pi, part.complement())
+        for pi, comp in _pass_splits(n_cols, n_sim, rng):
+            _ordered_move(arr, order, target_desc, pi, comp)
         if recalibrate:
-            v = sample_variance(arr[:, :n].sum(axis=1))
+            v = sample_variance(_row_sums(arr[:, :n]))
             if v > 0:
                 ratio = float(np.sqrt(var_target / v))
                 scale *= ratio
@@ -295,17 +339,19 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
                     rebuild_margins()
                     scale_log = [scale]
                     next_jump_pass = passes + 3 * _ACCEL_WINDOW
-        var_all = sample_variance(arr.sum(axis=1))
-        var_settled = abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
+        var_all = sample_variance(_row_sums(arr))
+        # The first pass has no previous variance to settle against.
+        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
         scale_settled = abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18)
         if var_settled and scale_settled:
+            stop_reason = "settled"
             break
         prev_var = var_all
         prev_scale = scale
 
     if recalibrate:
         rebuild_margins()
-    margin_sums = arr[:, :n].sum(axis=1)
+    margin_sums = _row_sums(arr[:, :n])
     if thresholds is None:
         thresholds = default_thresholds(target, m)
     ks = ks_distance(margin_sums, target, cfg.grid_points)
@@ -321,6 +367,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         w2_threshold=thresholds.w2,
         verdict=_verdict_label(ks_ok, w2_ok),
         iterations=passes,
+        stop_reason=stop_reason,
     )
 
 

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from blockra import __version__, write_matrix_csv
+from blockra import (
+    TargetDistribution,
+    __version__,
+    discretize_quantiles,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 from blockra.cli import main
 
 from conftest import COMPLETE_MIX, SIGMA_CM_LOCAL_MIN
@@ -147,3 +153,26 @@ def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     path = matrix_file(np.full((3, 3), 1e308))
     assert main(["bra2", "--input", path, "--seed", "0"]) == 1
     assert "row 0 sums to inf" in capsys.readouterr().err
+
+
+def test_fit_sum_reruns_bit_identical_and_keeps_margins(tmp_path, capsys):
+    m = 500
+    outs = []
+    for k in range(2):
+        csv_path = tmp_path / "fit.csv"
+        code = main(["fit-sum", "--margins", "uniform", "--n", "2", "--target", "normal",
+                     "--m", str(m), "--seed", "5", "--matrix-out", str(csv_path)])
+        assert code == 0
+        outs.append((capsys.readouterr().out, csv_path.read_bytes()))
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0][0])
+    assert doc["verb"] == "fit-sum"
+    assert doc["stop_reason"] in ("settled", "max-passes")
+    assert 1 <= doc["iterations"] <= doc["config"]["max_passes"]
+    final = read_matrix_csv(tmp_path / "fit.csv").values
+    assert final.shape == (m, 3)
+    unit = discretize_quantiles(TargetDistribution.uniform(-1.0, 1.0), m)
+    for j in range(2):
+        assert np.array_equal(np.sort(final[:, j]), doc["fitted_scale"] * unit)
+    target = discretize_quantiles(TargetDistribution.normal(0.0, 1.0), m)
+    assert np.array_equal(np.sort(final[:, 2]), np.sort(-target))

@@ -120,6 +120,31 @@ def test_median_threshold_brackets_true_median():
         median_threshold("ks", target, 100, n_replicates=5)
 
 
+@pytest.mark.parametrize("target", [
+    TargetDistribution.normal(0.5, 2.0),
+    TargetDistribution.uniform(-1.0, 1.0),
+    TargetDistribution.empirical(np.repeat([-1.0, 0.0, 2.5], 40)),
+])
+def test_default_thresholds_match_per_statistic_replicates(target):
+    # Reference: every replicate drawn and measured separately per statistic.
+    m, reps, seed = 300, 13, 4
+
+    def median(stat):
+        vals = []
+        for rep in range(reps):
+            sample = target.sample(m, np.random.default_rng([seed, rep]))
+            vals.append(stat(sample))
+        return float(np.median(vals))
+
+    ks = median(lambda x: ks_distance(x, target))
+    w2 = median(lambda x: w2_distance(np.sort(x), target))
+    assert default_thresholds(target, m, n_replicates=reps, rng_seed=seed) == Thresholds(ks, w2)
+    assert median_threshold("ks", target, m, reps, seed) == ks
+    assert median_threshold("w2", target, m, reps, seed) == w2
+    asym = default_thresholds(target, m, ks_asymptotic=True, n_replicates=reps, rng_seed=seed)
+    assert asym.w2 == w2
+
+
 def test_verdict_composition():
     target = TargetDistribution.normal()
     xs = _midpoint_sample(target, 10_000)

@@ -5,6 +5,7 @@ import pytest
 
 from blockra import (
     FitConfig,
+    RearrangementMatrix,
     MarginSpec,
     TargetDistribution,
     Thresholds,
@@ -14,13 +15,155 @@ from blockra import (
     extend_with_countermonotone_pairs,
     fit_sum_to_target,
     ks_distance,
+    sample_partitions,
     sample_variance,
     spread_dependence,
     spearman,
     w2_distance,
 )
+from blockra.targetfit import _ACCEL_WINDOW, _geometric_limit_factor
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
+
+
+def _reference_move(arr, pi_cols, comp_cols):
+    # Row-major matrix, two argsorts and an np.ix_ gather per move.
+    pi_cols, comp_cols = list(pi_cols), list(comp_cols)
+    s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
+    s_bar = arr[:, comp_cols].sum(axis=1) if len(comp_cols) > 1 else arr[:, comp_cols[0]]
+    sigma = np.empty(arr.shape[0], dtype=np.intp)
+    sigma[np.argsort(s_pi)] = np.argsort(-s_bar)
+    arr[:, comp_cols] = arr[np.ix_(sigma, comp_cols)]
+
+
+def _reference_fit(margins, target, m, cfg):
+    """The fit loop written plainly: fresh argsorts everywhere, row-major storage.
+
+    Returns (scale, final matrix, passes, stop reason, scale jumps taken).
+    """
+    n, n_cols = margins.n, margins.n + 1
+    rng = np.random.default_rng(cfg.rng_seed)
+    unit_grid = discretize_quantiles(margins.unit_law(), m)
+    scale = margins.scale
+    target_grid = discretize_quantiles(target, m)
+    var_target = sample_variance(target_grid)
+    arr = np.empty((m, n_cols))
+    arr[:, :n] = (scale * unit_grid)[:, None]
+    arr[:, n] = -target_grid
+    n_sim = cfg.n_sim if cfg.n_sim is not None else min(512, (1 << (n_cols - 1)) - 1)
+
+    def rebuild_margins():
+        for j in range(n):
+            arr[np.argsort(arr[:, j], kind="stable"), j] = scale * unit_grid
+
+    prev_var, prev_scale = np.inf, scale
+    scale_log = [scale]
+    next_jump_pass = 3 * _ACCEL_WINDOW
+    passes = jumps = 0
+    reason = "max-passes"
+    for _ in range(cfg.max_passes):
+        passes += 1
+        for part in sample_partitions(n_cols, n_sim, rng):
+            _reference_move(arr, part.pi, part.complement())
+        v = sample_variance(arr[:, :n].sum(axis=1))
+        if v > 0:
+            ratio = float(np.sqrt(var_target / v))
+            scale *= ratio
+            arr[:, :n] *= ratio
+        scale_log.append(scale)
+        if passes >= next_jump_pass and len(scale_log) > 3 * _ACCEL_WINDOW:
+            factor = _geometric_limit_factor(scale_log, _ACCEL_WINDOW)
+            if factor != 1.0:
+                jumps += 1
+                scale *= factor
+                rebuild_margins()
+                scale_log = [scale]
+                next_jump_pass = passes + 3 * _ACCEL_WINDOW
+        var_all = sample_variance(arr.sum(axis=1))
+        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
+        if var_settled and abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18):
+            reason = "settled"
+            break
+        prev_var, prev_scale = var_all, scale
+    rebuild_margins()
+    return scale, arr, passes, reason, jumps
+
+
+_LAWS = {
+    "uniform": (MarginSpec.uniform_symmetric, TargetDistribution.uniform(-1.0, 1.0)),
+    "normal": (MarginSpec.normal, TargetDistribution.normal()),
+}
+
+
+@pytest.mark.parametrize("margin_law, target_law, n, m, max_passes", [
+    (margin_law, target_law, n, m, max_passes)
+    for margin_law, target_law in (("uniform", "normal"), ("normal", "uniform"))
+    for n, m, max_passes in ((2, 300, 200), (3, 200, 200), (8, 60, 40),
+                             (11, 40, 6))  # n = 11 samples its splits
+] + [
+    # m = 255 puts uniform grids on multiples of 2^-7, so block sums on
+    # both sides of a split tie exactly.
+    ("uniform", "uniform", 2, 255, 200),
+    ("uniform", "uniform", 3, 255, 200),
+    ("uniform", "normal", 2, 30_000, 150),  # out of passes after two scale jumps
+])
+def test_fit_matches_plain_reference_bit_for_bit(margin_law, target_law, n, m, max_passes):
+    margins, target = _LAWS[margin_law][0](n), _LAWS[target_law][1]
+    cfg = FitConfig(rng_seed=n + m, max_passes=max_passes)
+    rep = fit_sum_to_target(margins, target, m, cfg, thresholds=WIDE_THRESHOLDS)
+    scale, arr, passes, reason, jumps = _reference_fit(margins, target, m, cfg)
+    if m > 1000:
+        assert jumps == 2
+    sums = arr[:, :n].sum(axis=1)
+    assert rep.fitted_scale == scale
+    assert rep.iterations == passes
+    assert rep.stop_reason == reason
+    assert rep.ks == ks_distance(sums, target)
+    assert rep.w2 == w2_distance(np.sort(sums), target)
+    assert rep.final_matrix.values.tobytes() == RearrangementMatrix(arr).values.tobytes()
+
+
+def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
+    m = 600
+    tab = np.repeat([-2.0, -0.5, 0.0, 0.5, 3.0], m // 5)
+    margins = MarginSpec.empirical(3, tab)
+    target = TargetDistribution.empirical(np.repeat([-4.0, 0.0, 1.0, 3.0], m // 4))
+    cfg = FitConfig(rng_seed=3, max_passes=30)
+    r1 = fit_sum_to_target(margins, target, m, cfg, thresholds=WIDE_THRESHOLDS)
+    r2 = fit_sum_to_target(margins, target, m, cfg, thresholds=WIDE_THRESHOLDS)
+    assert r1.to_dict() == r2.to_dict()
+    assert r1.final_matrix.values.tobytes() == r2.final_matrix.values.tobytes()
+    final = r1.final_matrix.values
+    for j in range(3):
+        assert np.array_equal(np.sort(final[:, j]), tab)
+    assert np.array_equal(np.sort(final[:, 3]), np.sort(-discretize_quantiles(target, m)))
+
+
+def test_empirical_fit_runs_past_the_first_pass():
+    m = 2000
+    tab = discretize_quantiles(TargetDistribution.uniform(-2.0, 2.0), m)
+    margins = MarginSpec.empirical(2, tab)
+    target = TargetDistribution.normal()
+    one = fit_sum_to_target(margins, target, m, FitConfig(max_passes=1),
+                            thresholds=WIDE_THRESHOLDS)
+    many = fit_sum_to_target(margins, target, m, FitConfig(max_passes=50),
+                             thresholds=WIDE_THRESHOLDS)
+    assert one.iterations == 1 and one.stop_reason == "max-passes"
+    assert many.iterations > 1
+    var_one = sample_variance(one.final_matrix.values.sum(axis=1))
+    var_many = sample_variance(many.final_matrix.values.sum(axis=1))
+    assert var_many <= var_one
+
+
+def test_stop_reason_reports_settling_and_budget():
+    margins, target = MarginSpec.normal(2), TargetDistribution.uniform(-1.0, 1.0)
+    settled = fit_sum_to_target(margins, target, 300, thresholds=WIDE_THRESHOLDS)
+    assert settled.stop_reason == "settled"
+    assert settled.iterations < FitConfig().max_passes
+    assert settled.to_dict()["stop_reason"] == "settled"
+    capped = fit_sum_to_target(margins, target, 300, FitConfig(max_passes=2),
+                               thresholds=WIDE_THRESHOLDS)
+    assert (capped.iterations, capped.stop_reason) == (2, "max-passes")
 
 
 def test_discretize_uniform_small():
