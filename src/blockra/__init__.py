@@ -10,7 +10,6 @@ from .dependence import (
     DependenceReport,
     multivariate_dependence_exact,
     multivariate_dependence_sampled,
-    pearson_partition_correlations,
     spearman,
 )
 from .gof import (
@@ -21,24 +20,27 @@ from .gof import (
     kolmogorov_asymptotic_cdf,
     ks_distance,
     median_threshold,
-    normal_quantile,
     verdict,
     w2_distance,
 )
 from .matrix import (
-    ObjectiveSpec,
     Partition,
     RearrangementMatrix,
     countermonotone_rearrange,
-    objective,
-    permute_column,
     rank_vector,
     read_matrix_csv,
-    row_sums,
     sample_variance,
     write_matrix_csv,
 )
-from .mcmc import ChainTrace, McmcConfig, gumbel_sample, mcmc_block_ra, propose_permutation, resolve_rate
+from .mcmc import (
+    ChainTrace,
+    McmcConfig,
+    ObjectiveSpec,
+    gumbel_sample,
+    mcmc_block_ra,
+    propose_permutation,
+    resolve_rate,
+)
 from .oracle import (
     OracleResult,
     brute_force_minimum,
@@ -73,7 +75,6 @@ __all__ = [
     "DependenceReport",
     "multivariate_dependence_exact",
     "multivariate_dependence_sampled",
-    "pearson_partition_correlations",
     "spearman",
     "GofVerdict",
     "TargetDistribution",
@@ -82,18 +83,14 @@ __all__ = [
     "kolmogorov_asymptotic_cdf",
     "ks_distance",
     "median_threshold",
-    "normal_quantile",
     "verdict",
     "w2_distance",
     "ObjectiveSpec",
     "Partition",
     "RearrangementMatrix",
     "countermonotone_rearrange",
-    "objective",
-    "permute_column",
     "rank_vector",
     "read_matrix_csv",
-    "row_sums",
     "sample_variance",
     "write_matrix_csv",
     "ChainTrace",

@@ -14,7 +14,7 @@ rearrangement; they differ in which blocks they move and when they stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .matrix import (
     Partition,
     RearrangementMatrix,
     _block_move,
+    _as_matrix,
     _block_sums,
     _canonical_splits,
     _column_splits,
@@ -109,9 +110,38 @@ class RunResult:
         }
 
 
-def _working_copy(X) -> np.ndarray:
-    mat = X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
-    return np.array(mat.values, copy=True)
+def _run_result(arr: np.ndarray, sweeps: int, applied: int, reason: str,
+                trace: list) -> RunResult:
+    return RunResult(
+        final_matrix=RearrangementMatrix(arr),
+        final_objective=trace[-1],
+        sweeps=sweeps,
+        rearrangements_applied=applied,
+        stop_reason=reason,
+        objective_trace=tuple(trace),
+    )
+
+
+def _descend(mat: RearrangementMatrix, max_sweeps: int, pass_splits: Callable[[], Iterable],
+             settled: Callable[[int, float, float], bool]) -> RunResult:
+    """The countermonotone descent shared by standard_ra and block_ra2.
+
+    Each sweep applies the block move for every ``(pi, comp)`` split that
+    ``pass_splits()`` returns, in order, then records the row-sum variance.
+    The run stops with ``no-improvement`` once ``settled(moves applied in
+    the sweep, previous variance, new variance)`` holds, or with
+    ``max-iterations`` after ``max_sweeps`` sweeps.
+    """
+    arr = mat.values.copy()
+    trace = [sample_variance(arr.sum(axis=1))]
+    applied = 0
+    for sweep in range(1, max_sweeps + 1):
+        moved = sum(_block_move(arr, pi, comp) for pi, comp in pass_splits())
+        applied += moved
+        trace.append(sample_variance(arr.sum(axis=1)))
+        if settled(moved, trace[-2], trace[-1]):
+            return _run_result(arr, sweep, applied, "no-improvement", trace)
+    return _run_result(arr, max_sweeps, applied, "max-iterations", trace)
 
 
 def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -122,32 +152,9 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     sweep that changes no column, or when the sweep budget runs out.
     """
     cfg = config or BlockRaConfig()
-    arr = _working_copy(X)
-    m, n = arr.shape
-    splits = _column_splits(n)
-    trace = [sample_variance(arr.sum(axis=1))]
-    applied = 0
-    sweeps = 0
-    reason = "max-iterations"
-    for _ in range(cfg.max_sweeps):
-        sweeps += 1
-        changed_any = False
-        for pi, comp in splits:
-            if _block_move(arr, pi, comp):
-                applied += 1
-                changed_any = True
-        trace.append(sample_variance(arr.sum(axis=1)))
-        if not changed_any:
-            reason = "no-improvement"
-            break
-    return RunResult(
-        final_matrix=RearrangementMatrix(arr),
-        final_objective=trace[-1],
-        sweeps=sweeps,
-        rearrangements_applied=applied,
-        stop_reason=reason,
-        objective_trace=tuple(trace),
-    )
+    mat = _as_matrix(X)
+    splits = _column_splits(mat.n)
+    return _descend(mat, cfg.max_sweeps, lambda: splits, lambda moved, prev, var: moved == 0)
 
 
 def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
@@ -209,8 +216,8 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     the hot path.
     """
     cfg = config or BlockRaConfig()
-    arr = _working_copy(X)
-    m, n = arr.shape
+    arr = _as_matrix(X).values.copy()
+    n = arr.shape[1]
     n_sim = cfg.resolve_n_sim(n)
     full_enumeration = n_sim >= (1 << (n - 1)) - 1
     rng = np.random.default_rng(cfg.rng_seed)
@@ -246,14 +253,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
             if not changed and (full_enumeration or stall >= _STALL_LIMIT):
                 reason = "no-improvement"
                 break
-    return RunResult(
-        final_matrix=RearrangementMatrix(arr),
-        final_objective=trace[-1],
-        sweeps=sweeps,
-        rearrangements_applied=applied,
-        stop_reason=reason,
-        objective_trace=tuple(trace),
-    )
+    return _run_result(arr, sweeps, applied, reason, trace)
 
 
 def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -265,31 +265,8 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     (absolute floor 1e-15).
     """
     cfg = config or BlockRaConfig()
-    arr = _working_copy(X)
-    m, n = arr.shape
-    n_sim = cfg.resolve_n_sim(n)
+    mat = _as_matrix(X)
+    n_sim = cfg.resolve_n_sim(mat.n)
     rng = np.random.default_rng(cfg.rng_seed)
-    prev_var = sample_variance(arr.sum(axis=1))
-    trace = [prev_var]
-    applied = 0
-    sweeps = 0
-    reason = "max-iterations"
-    for _ in range(cfg.max_sweeps):
-        sweeps += 1
-        for pi, comp in _pass_splits(n, n_sim, rng):
-            if _block_move(arr, pi, comp):
-                applied += 1
-        var = sample_variance(arr.sum(axis=1))
-        trace.append(var)
-        if prev_var - var < max(cfg.improvement_tol * var, 1e-15):
-            reason = "no-improvement"
-            break
-        prev_var = var
-    return RunResult(
-        final_matrix=RearrangementMatrix(arr),
-        final_objective=trace[-1],
-        sweeps=sweeps,
-        rearrangements_applied=applied,
-        stop_reason=reason,
-        objective_trace=tuple(trace),
-    )
+    return _descend(mat, cfg.max_sweeps, lambda: _pass_splits(mat.n, n_sim, rng),
+                    lambda moved, prev, var: prev - var < max(cfg.improvement_tol * var, 1e-15))

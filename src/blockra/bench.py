@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, standard_ra
-from .matrix import _as_values
+from .matrix import _as_matrix
 from .oracle import brute_force_minimum, make_zero_sum_normal_matrix
 
 __all__ = [
@@ -204,7 +204,7 @@ def enumerate_starts(
     """
     import itertools
 
-    arr = _as_values(X)
+    arr = _as_matrix(X).values
     m, n = arr.shape
     total = math.factorial(m) ** (n - 1)
     if total > 200_000:

@@ -27,14 +27,8 @@ from .dependence import (
     multivariate_dependence_sampled,
     spearman,
 )
-from .gof import TargetDistribution, default_thresholds, median_threshold, verdict
-from .matrix import (
-    RearrangementMatrix,
-    read_matrix_csv,
-    row_sums,
-    sample_variance,
-    write_matrix_csv,
-)
+from .gof import _DEFAULT_GRID, TargetDistribution, default_thresholds, median_threshold, verdict
+from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
     brute_force_minimum,
@@ -173,7 +167,7 @@ def _cmd_mcmc(args: argparse.Namespace) -> dict:
         rng_seed=args.seed,
         absorb_tol=args.absorb_tol,
     )
-    start_objective = sample_variance(row_sums(mat))
+    start_objective = sample_variance(mat.values.sum(axis=1))
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
         write_matrix_csv(trace.best_matrix, args.matrix_out)
@@ -240,7 +234,7 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.seed)
     if args.matrix_out:
         write_matrix_csv(mat, args.matrix_out)
-    body = {"row_sum_variance": sample_variance(row_sums(mat)), "m": args.m, "n": args.n}
+    body = {"row_sum_variance": sample_variance(mat.values.sum(axis=1)), "m": args.m, "n": args.n}
     config["rng_seed"] = args.seed
     return _report(body, "oracle", config)
 
@@ -255,7 +249,7 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     else:
         report = multivariate_dependence_sampled(mat, args.n_samples, args.seed)
     body = report.to_dict()
-    body["row_sum_variance"] = sample_variance(row_sums(mat))
+    body["row_sum_variance"] = sample_variance(mat.values.sum(axis=1))
     body["m"], body["n"] = mat.m, mat.n
     config = {
         "input": args.input,
@@ -301,7 +295,7 @@ def _cmd_fit_sum(args: argparse.Namespace) -> dict:
         "n_sim": cfg.n_sim,
         "rel_tol": cfg.rel_tol,
         "max_passes": cfg.max_passes,
-        "grid_points": cfg.grid_points,
+        "grid_points": _DEFAULT_GRID,
         "matrix_out": args.matrix_out,
         "emit_joint": args.emit_joint,
     }

@@ -14,14 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import Partition, _as_values, _block_sums, _canonical_splits, rank_vector
+from .matrix import Partition, _as_matrix, _block_sums, _canonical_splits, rank_vector
 
 __all__ = [
     "DependenceReport",
     "spearman",
     "multivariate_dependence_exact",
     "multivariate_dependence_sampled",
-    "pearson_partition_correlations",
 ]
 
 EXACT_PARTITION_CAP = 20  # columns; 2^(cap-1) - 1 partitions is the real limit
@@ -94,7 +93,7 @@ def multivariate_dependence_exact(X, cap: int = EXACT_PARTITION_CAP) -> Dependen
     Walks all 2^(n-1) - 1 canonical splits (last column always in the
     complement).  Refuses n > cap; use the sampled estimator there.
     """
-    arr = _as_values(X)
+    arr = _as_matrix(X).values
     n = arr.shape[1]
     if n > cap:
         raise ValueError(
@@ -131,7 +130,7 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
     unless both blocks are nonempty; the estimator is unbiased because every
     unordered split is hit with equal probability.  Deterministic per seed.
     """
-    arr = _as_values(X)
+    arr = _as_matrix(X).values
     n = arr.shape[1]
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -161,32 +160,3 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
         worst_value=worst,
         per_partition=None,
     )
-
-
-def pearson_partition_correlations(X) -> dict[tuple[int, ...], Optional[float]]:
-    """Pearson correlation of block sums for every canonical split.
-
-    The n-by-n column covariance matrix is computed once; each split's block
-    variances and cross-covariance are quadratic forms in it.  A block with
-    (numerically) zero variance has no defined correlation and maps to None.
-    """
-    arr = _as_values(X)
-    n = arr.shape[1]
-    cov = np.cov(arr.T, ddof=1)
-    out: dict[tuple[int, ...], Optional[float]] = {}
-    for part in Partition.enumerate_canonical(n):
-        mask = np.zeros(n, dtype=np.float64)
-        mask[list(part.pi)] = 1.0
-        comp = 1.0 - mask
-        var_pi = float(mask @ cov @ mask)
-        var_bar = float(comp @ cov @ comp)
-        # Cancellation scale: if the quadratic form is this far below its
-        # constituent terms, the block sum is constant for practical purposes.
-        scale_pi = float(np.abs(np.outer(mask, mask) * cov).sum())
-        scale_bar = float(np.abs(np.outer(comp, comp) * cov).sum())
-        if var_pi <= 1e-12 * max(scale_pi, 1e-300) or var_bar <= 1e-12 * max(scale_bar, 1e-300):
-            out[part.pi] = None
-            continue
-        cross = float(mask @ cov @ comp)
-        out[part.pi] = cross / math.sqrt(var_pi * var_bar)
-    return out

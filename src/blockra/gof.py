@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr, ndtri
 
 __all__ = [
     "TargetDistribution",
     "GofVerdict",
     "Thresholds",
-    "normal_quantile",
     "ks_distance",
     "w2_distance",
     "median_threshold",
@@ -39,67 +38,6 @@ _KS_MEDIAN_1E6 = 8.2e-4
 _W2_MEDIAN_NORMAL_1E6 = 3.5e-6
 _W2_MEDIAN_UNIFORM_1E6 = 4.7e-7
 _KS_MEDIAN_SQRT_M = 0.8276  # asymptotic median of sqrt(m) * D_m
-
-# Rational approximation to the standard normal quantile (Acklam's
-# coefficients); one Halley step against ndtr pushes the error far below
-# the 1e-9 probability-scale contract.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_SPLIT = 0.02425
-
-
-def normal_quantile(p):
-    """Standard normal quantile, vectorized; valid for p strictly in (0,1).
-
-    Rational approximation refined by one Halley iteration on ndtr(x) - p.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("normal quantile requires probabilities strictly inside (0,1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    x = np.empty_like(p)
-
-    lo = p < _ACKLAM_SPLIT
-    hi = p > 1.0 - _ACKLAM_SPLIT
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    def _tail(q):
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return num / den
-
-    if np.any(lo):
-        x[lo] = _tail(np.sqrt(-2.0 * np.log(p[lo])))
-    if np.any(hi):
-        x[hi] = -_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
-
-    # Halley polish: e = Phi(x) - p, u = e / phi(x)
-    e = ndtr(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * np.exp(x * x / 2.0)
-    x = x - u / (1.0 + x * u / 2.0)
-    return x if x.ndim else float(x)
-
 
 @dataclass(frozen=True)
 class TargetDistribution:
@@ -151,7 +89,7 @@ class TargetDistribution:
             raise ValueError("quantile requires probabilities strictly inside (0,1)")
         if self.family == "normal":
             mu, sigma = self.params
-            return mu + sigma * np.asarray(normal_quantile(u))
+            return mu + sigma * ndtri(u)
         if self.family == "uniform":
             lo, hi = self.params
             return lo + u * (hi - lo)
@@ -313,21 +251,12 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
 def kolmogorov_asymptotic_cdf(t: float) -> float:
     """Limit law of sqrt(m) * D_m: H(t) = 1 - 2 sum (-1)^(k-1) exp(-2 k^2 t^2).
 
-    Series truncated once a term drops below 1e-16; nonpositive t maps to 0.
+    scipy's ``kolmogorov`` is the survival function 1 - H; nonpositive t
+    maps to 0.
     """
     if t <= 0.0:
         return 0.0
-    total = 0.0
-    sign = 1.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * t * t)
-        if term < 1e-16:
-            break
-        total += sign * term
-        sign = -sign
-        k += 1
-    return min(1.0, max(0.0, 1.0 - 2.0 * total))
+    return float(1.0 - kolmogorov(t))
 
 
 def default_thresholds(target: TargetDistribution, m: int, *,

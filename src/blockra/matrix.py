@@ -9,20 +9,16 @@ target-sum fitting workflow) is built on the handful of primitives here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Optional
+from dataclasses import dataclass
+from typing import Iterable, Literal
 
 import numpy as np
 
 __all__ = [
     "RearrangementMatrix",
     "Partition",
-    "ObjectiveSpec",
-    "row_sums",
-    "objective",
     "rank_vector",
     "countermonotone_rearrange",
-    "permute_column",
     "read_matrix_csv",
     "write_matrix_csv",
 ]
@@ -71,12 +67,10 @@ class RearrangementMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def sorted_columns(self) -> np.ndarray:
-        """Column-wise sorted copy; the invariant object every operation preserves."""
-        return np.sort(self.values, axis=0)
 
-    def with_values(self, values: np.ndarray) -> "RearrangementMatrix":
-        return RearrangementMatrix(values)
+def _as_matrix(X) -> RearrangementMatrix:
+    """``X`` itself if it is a RearrangementMatrix, else ``X`` validated into one."""
+    return X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
 
 
 @dataclass(frozen=True)
@@ -120,68 +114,6 @@ class Partition:
         pi = tuple(j for j in range(n_columns - 1) if mask >> j & 1)
         return cls(pi, n_columns)
 
-    def mask(self) -> int:
-        return sum(1 << j for j in self.pi)
-
-    @classmethod
-    def enumerate_canonical(cls, n_columns: int) -> Iterable["Partition"]:
-        """All 2^(n-1) - 1 canonical partitions, in binary-counter order."""
-        for mask in range(1, 1 << (n_columns - 1)):
-            yield cls.from_mask(mask, n_columns)
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """What the rearrangement algorithms minimize over the row sums.
-
-    ``variance`` is the sample variance (m-1 divisor) of the full row sums.
-    ``expected-convex`` averages a user-supplied convex function f over the
-    row sums; f must accept an ndarray and return one elementwise.
-    """
-
-    kind: Literal["variance", "expected-convex"] = "variance"
-    f: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("variance", "expected-convex"):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "expected-convex" and self.f is None:
-            raise ValueError("expected-convex objective needs a function f")
-
-    @classmethod
-    def variance(cls) -> "ObjectiveSpec":
-        return cls(kind="variance")
-
-    @classmethod
-    def expected_convex(cls, f: Callable[[np.ndarray], np.ndarray]) -> "ObjectiveSpec":
-        return cls(kind="expected-convex", f=f)
-
-
-def _as_values(X) -> np.ndarray:
-    if isinstance(X, RearrangementMatrix):
-        return X.values
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return arr
-
-
-def row_sums(X, pi: Partition | Iterable[int] | None = None) -> np.ndarray:
-    """Row sums over all columns, or over the columns of one block.
-
-    ``pi`` may be a Partition (its first block is summed), an iterable of
-    column indices, or None for the full matrix.
-    """
-    arr = _as_values(X)
-    if pi is None:
-        return arr.sum(axis=1)
-    cols = pi.pi if isinstance(pi, Partition) else tuple(int(j) for j in pi)
-    if len(cols) == 0:
-        raise ValueError("empty partition side")
-    if len(cols) == 1:
-        return arr[:, cols[0]].copy()
-    return arr[:, cols].sum(axis=1)
-
 
 def sample_variance(s: np.ndarray) -> float:
     """Sample variance with m-1 divisor, the objective convention package-wide."""
@@ -189,20 +121,6 @@ def sample_variance(s: np.ndarray) -> float:
     if s.size < 2:
         raise ValueError("sample variance needs at least 2 values")
     return float(s.var(ddof=1))
-
-
-def objective(X, spec: ObjectiveSpec | None = None) -> float:
-    """Evaluate an objective on the full row sums.  Non-finite entries are an error."""
-    arr = _as_values(X)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix has non-finite entries")
-    s = arr.sum(axis=1)
-    if spec is None or spec.kind == "variance":
-        return sample_variance(s)
-    vals = np.asarray(spec.f(s), dtype=np.float64)
-    if vals.shape != s.shape:
-        raise ValueError("objective function must map row sums elementwise")
-    return float(vals.mean())
 
 
 def rank_vector(v, ties: Literal["average", "stable-first"] = "average") -> np.ndarray:
@@ -344,7 +262,7 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
     jointly reordered so the complement sums are ordered opposite to the
     pi-block sums.  Never increases the variance of the full row sums.
     """
-    mat = X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
+    mat = _as_matrix(X)
     if pi.n_columns != mat.n:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
@@ -357,23 +275,9 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
     return RearrangementMatrix(arr)
 
 
-def permute_column(X, j: int, sigma) -> RearrangementMatrix:
-    """Reorder a single column by an explicit permutation; other columns fixed."""
-    mat = X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
-    sigma = np.asarray(sigma, dtype=np.intp)
-    m = mat.m
-    if not 0 <= j < mat.n:
-        raise ValueError(f"column index {j} out of range for n={mat.n}")
-    if sigma.shape != (m,) or not np.array_equal(np.sort(sigma), np.arange(m)):
-        raise ValueError("sigma is not a permutation of 0..m-1")
-    arr = np.array(mat.values, copy=True)
-    arr[:, j] = arr[sigma, j]
-    return RearrangementMatrix(arr)
-
-
 def write_matrix_csv(X, path) -> None:
     """Comma-separated rows, no header, 17 significant digits (lossless round-trip)."""
-    arr = _as_values(X)
+    arr = X.values if isinstance(X, RearrangementMatrix) else np.asarray(X, dtype=np.float64)
     with open(path, "w") as fh:
         for row in arr:
             fh.write(",".join("%.17g" % x for x in row) + "\n")

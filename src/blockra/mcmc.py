@@ -9,14 +9,15 @@ with objective at (numerical) zero absorb the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
-from .matrix import ObjectiveSpec, RearrangementMatrix, _block_sums, _split_of_mask, rank_vector
+from .matrix import RearrangementMatrix, _as_matrix, _block_sums, _split_of_mask, rank_vector
 
 __all__ = [
+    "ObjectiveSpec",
     "McmcConfig",
     "ChainTrace",
     "gumbel_sample",
@@ -27,6 +28,33 @@ __all__ = [
 
 # Default Gumbel rate: noise scale is this fraction of the starting row-sum spread.
 _RATE_OVER_SD = 5.0
+
+
+@dataclass(frozen=True)
+class ObjectiveSpec:
+    """What the chain minimizes over the row sums.
+
+    ``variance`` is the sample variance (m-1 divisor) of the full row sums.
+    ``expected-convex`` averages a user-supplied convex function f over the
+    row sums; f must accept an ndarray and return one elementwise.
+    """
+
+    kind: Literal["variance", "expected-convex"] = "variance"
+    f: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("variance", "expected-convex"):
+            raise ValueError(f"unknown objective kind {self.kind!r}")
+        if self.kind == "expected-convex" and self.f is None:
+            raise ValueError("expected-convex objective needs a function f")
+
+    @classmethod
+    def variance(cls) -> "ObjectiveSpec":
+        return cls(kind="variance")
+
+    @classmethod
+    def expected_convex(cls, f: Callable[[np.ndarray], np.ndarray]) -> "ObjectiveSpec":
+        return cls(kind="expected-convex", f=f)
 
 
 @dataclass(frozen=True)
@@ -140,7 +168,7 @@ def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
     cfg = config or McmcConfig()
     if cfg.r is not None:
         return cfg.r
-    mat = X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
+    mat = _as_matrix(X)
     sd = float(mat.values.sum(axis=1).std(ddof=1))
     return _RATE_OVER_SD / sd if sd > 0 else 1e12
 
@@ -152,7 +180,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     draw, m Gumbel variates, and one acceptance uniform, in that order.
     """
     cfg = config or McmcConfig()
-    mat = X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)
+    mat = _as_matrix(X)
     arr = np.array(mat.values, copy=True)
     m, n = arr.shape
     rng = np.random.default_rng(cfg.rng_seed)

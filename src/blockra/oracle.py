@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, counter_permutation
+from .matrix import RearrangementMatrix, _as_matrix, counter_permutation
 
 __all__ = [
     "OracleResult",
@@ -109,7 +109,7 @@ def brute_force_minimum(X, max_arrangements: int = 100_000_000) -> OracleResult:
     one tiled matrix product, and the argmin is rebuilt from the winning
     pair.  Refuses to start when the pair count exceeds the budget.
     """
-    arr = (X if isinstance(X, RearrangementMatrix) else RearrangementMatrix(X)).values
+    arr = _as_matrix(X).values
     m, n = arr.shape
     n_arrangements = math.factorial(m) ** (n - 2)
     if n_arrangements > max_arrangements:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algorithms import BlockRaConfig, _pass_splits, block_ra2
 from .gof import TargetDistribution, Thresholds, default_thresholds, ks_distance, w2_distance
-from .matrix import RearrangementMatrix, _block_sums, sample_variance
+from .matrix import RearrangementMatrix, _as_matrix, _block_sums, sample_variance
 
 __all__ = [
     "MarginSpec",
@@ -102,24 +102,16 @@ class MarginSpec:
 class FitConfig:
     """Fit loop settings.
 
-    One pass = a sweep over n_sim sampled canonical partitions followed by
-    scale recalibration.  The loop stops when the achieved row-sum variance
-    and the scale both move by less than rel_tol between passes.
-    recalibrate=None means automatic: on for scalable families, off for
-    empirical margins; an explicit True on empirical margins is an error.
-    accelerate_scale applies a clamped geometric-series extrapolation to
-    the scale iteration; it changes only how fast the same fixed point is
-    reached, and turning it off recovers the literal one-step-per-pass
-    recalibration.
+    One pass = a sweep over n_sim sampled canonical partitions followed, for
+    scalable margin families, by scale recalibration.  The loop stops when
+    the achieved row-sum variance and the scale both move by less than
+    rel_tol between passes.
     """
 
     n_sim: Optional[int] = None
     rel_tol: float = 1e-8
     max_passes: int = 500
     rng_seed: int = 0
-    grid_points: int = 50_000
-    recalibrate: Optional[bool] = None
-    accelerate_scale: bool = True
 
     def __post_init__(self) -> None:
         if self.n_sim is not None and self.n_sim < 1:
@@ -128,8 +120,6 @@ class FitConfig:
             raise ValueError("rel_tol must be positive")
         if self.max_passes < 1:
             raise ValueError("max_passes must be positive")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,10 @@ class FitReport:
     """Outcome of one fit.
 
     ``stop_reason`` is ``settled`` when the row-sum variance and the scale
-    both stopped moving, ``max-passes`` when the pass budget ran out first.
+    both stopped moving, ``max-passes`` when the pass budget ran out first,
+    and ``degenerate`` when the margin sums of a rescaling fit became
+    constant after a pass, which leaves no variance to recalibrate the
+    scale against; the scale is then left where that pass found it.
     """
 
     fitted_scale: float
@@ -271,11 +264,6 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     cfg = config or FitConfig()
     if m < 2:
         raise ValueError("m must be at least 2")
-    recalibrate = cfg.recalibrate
-    if recalibrate is None:
-        recalibrate = margins.scalable
-    elif recalibrate and not margins.scalable:
-        raise ValueError("empirical margins have no free scale to recalibrate")
     if margins.family == "empirical" and margins.table.size != m:
         raise ValueError(f"empirical margin table has {margins.table.size} rows, fit needs {m}")
 
@@ -324,15 +312,16 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         passes += 1
         for pi, comp in _pass_splits(n_cols, n_sim, rng):
             _ordered_move(arr, order, target_desc, pi, comp)
-        if recalibrate:
+        if margins.scalable:
             v = sample_variance(_row_sums(arr[:, :n]))
-            if v > 0:
-                ratio = float(np.sqrt(var_target / v))
-                scale *= ratio
-                arr[:, :n] *= ratio
+            if v == 0.0:
+                stop_reason = "degenerate"
+                break
+            ratio = float(np.sqrt(var_target / v))
+            scale *= ratio
+            arr[:, :n] *= ratio
             scale_log.append(scale)
-            if (cfg.accelerate_scale and passes >= next_jump_pass
-                    and len(scale_log) > 3 * _ACCEL_WINDOW):
+            if passes >= next_jump_pass and len(scale_log) > 3 * _ACCEL_WINDOW:
                 factor = _geometric_limit_factor(scale_log, _ACCEL_WINDOW)
                 if factor != 1.0:
                     scale *= factor
@@ -349,13 +338,13 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         prev_var = var_all
         prev_scale = scale
 
-    if recalibrate:
+    if margins.scalable:
         rebuild_margins()
     margin_sums = _row_sums(arr[:, :n])
     if thresholds is None:
         thresholds = default_thresholds(target, m)
-    ks = ks_distance(margin_sums, target, cfg.grid_points)
-    w2 = w2_distance(np.sort(margin_sums), target, cfg.grid_points)
+    ks = ks_distance(margin_sums, target)
+    w2 = w2_distance(np.sort(margin_sums), target)
     ks_ok = ks <= thresholds.ks
     w2_ok = w2 <= thresholds.w2
     return FitReport(
@@ -381,7 +370,7 @@ def extend_with_countermonotone_pairs(X_fit, n_target: int,
     sums, and hence every fit distance, is unchanged.  The negated-target
     column stays last.
     """
-    mat = X_fit if isinstance(X_fit, RearrangementMatrix) else RearrangementMatrix(X_fit)
+    mat = _as_matrix(X_fit)
     arr = np.array(mat.values, copy=True)
     m, n_cols = arr.shape
     n_base = n_cols - 1

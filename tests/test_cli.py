@@ -155,6 +155,16 @@ def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     assert "row 0 sums to inf" in capsys.readouterr().err
 
 
+def test_fit_sum_reports_degenerate_margin_sums(capsys):
+    # At m = 255 the two uniform margins pair off into constant sums, which
+    # leaves no margin-sum variance to recalibrate the scale against.
+    code, doc = _run(capsys, ["fit-sum", "--margins", "uniform", "--target", "uniform",
+                              "--m", "255", "--seed", "1"])
+    assert code == 0
+    assert doc["stop_reason"] == "degenerate"
+    assert doc["fitted_scale"] == 1.5
+
+
 def test_fit_sum_reruns_bit_identical_and_keeps_margins(tmp_path, capsys):
     m = 500
     outs = []

