@@ -1,6 +1,7 @@
 """End-to-end tests of the command line entry point, run in process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from blockra import (
 )
 from blockra.cli import main
 
-from conftest import COMPLETE_MIX, SIGMA_CM_LOCAL_MIN
+from conftest import (
+    COMPLETE_MIX,
+    RA_STUCK,
+    SIGMA_CM_LOCAL_MIN,
+    START_TO_GLOBAL_MIN,
+    START_TO_LOCAL_MIN,
+)
 
 
 @pytest.fixture
@@ -186,3 +193,93 @@ def test_fit_sum_reruns_bit_identical_and_keeps_margins(tmp_path, capsys):
         assert np.array_equal(np.sort(final[:, j]), doc["fitted_scale"] * unit)
     target = discretize_quantiles(TargetDistribution.normal(0.0, 1.0), m)
     assert np.array_equal(np.sort(final[:, 2]), np.sort(-target))
+
+
+# ------------------------------------------------------------ golden reports
+
+# Every verb on small fixed inputs, run in a directory holding the files
+# that _write_golden_inputs makes.  The reports recorded from them live in
+# tests/data/cli_reports.json.
+GOLDEN_CASES = {
+    "ra": ["ra", "--input", "stuck.csv", "--max-sweeps", "50",
+           "--matrix-out", "ra.csv", "--trace-out", "ra_trace.csv"],
+    "bra1": ["bra1", "--input", "local.csv", "--seed", "3", "--rho-stop", "-0.99"],
+    "bra2": ["bra2", "--input", "global.csv", "--seed", "5", "--n-sim", "3",
+             "--improvement-tol", "1e-10"],
+    "bra2-census": ["bra2", "--input", "small3.csv", "--enumerate-starts", "--seed", "1"],
+    "mcmc": ["mcmc", "--input", "local.csv", "--seed", "2", "--iterations", "300"],
+    "oracle-brute": ["oracle", "--mode", "brute", "--input", "global.csv"],
+    "oracle-haus": ["oracle", "--mode", "haus", "--m", "5", "--n", "3"],
+    "oracle-zerosum": ["oracle", "--mode", "zerosum", "--m", "5", "--n", "3", "--seed", "2"],
+    "measure-exact": ["measure", "--input", "stuck.csv", "--mode", "exact"],
+    "measure-sampled": ["measure", "--input", "wide.csv", "--mode", "sampled",
+                        "--n-samples", "40", "--seed", "4"],
+    "fit-sum": ["fit-sum", "--margins", "uniform", "--target", "normal", "--m", "500",
+                "--seed", "5"],
+    "spread": ["spread", "--fp", "fp.csv", "--fg", "fg.csv", "--fs", "fs.csv",
+               "--seed", "1", "--max-sweeps", "200"],
+    "gof": ["gof", "--input", "sums.csv", "--target", "normal", "--reps", "11", "--seed", "2"],
+    "thresholds": ["thresholds", "--test", "w2", "--target", "uniform", "--m", "200",
+                   "--reps", "11", "--seed", "1"],
+    "bench": ["bench", "--table", "t1b", "--replicates", "10", "--m", "4", "--n", "4"],
+}
+
+# The options of each verb under their JSON names: a report's config may
+# echo any of them on top of the keys recorded in the golden file.
+_REARRANGE_OPTIONS = {"input", "n_sim", "improvement_tol", "max_sweeps", "matrix_out", "trace_out"}
+VERB_OPTIONS = {
+    "ra": _REARRANGE_OPTIONS,
+    "bra1": _REARRANGE_OPTIONS | {"rho_stop", "rng_seed"},
+    "bra2": _REARRANGE_OPTIONS | {"rng_seed", "enumerate_starts"},
+    "mcmc": {"input", "rng_seed", "n_iter", "r", "absorb_tol", "matrix_out", "trace_out"},
+    "oracle": {"mode", "input", "max_arrangements", "m", "n", "rng_seed", "matrix_out"},
+    "measure": {"input", "mode", "n_samples", "rng_seed"},
+    "fit-sum": {"margins", "n", "target", "m", "rng_seed", "initial_scale", "n_sim",
+                "rel_tol", "max_passes", "matrix_out", "emit_joint"},
+    "spread": {"fp", "fg", "fs", "rng_seed", "max_sweeps", "emit_joint"},
+    "gof": {"input", "target", "m", "ks_asymptotic", "reps", "rng_seed"},
+    "thresholds": {"test", "target", "m", "reps", "rng_seed"},
+    "bench": {"table", "replicates", "rng_seed", "m", "n", "jobs"},
+}
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_reports.json"
+
+
+def _write_golden_inputs(directory: Path) -> None:
+    for name, values in (
+        ("stuck.csv", RA_STUCK),
+        ("local.csv", START_TO_LOCAL_MIN),
+        ("global.csv", START_TO_GLOBAL_MIN),
+        ("small3.csv", np.random.default_rng(0).normal(size=(3, 3))),
+        ("wide.csv", np.random.default_rng(1).normal(size=(10, 6))),
+    ):
+        write_matrix_csv(values, directory / name)
+    for name, sigma in (("fp.csv", 1.0), ("fg.csv", 0.5), ("fs.csv", 1.25 ** 0.5)):
+        np.savetxt(directory / name, discretize_quantiles(TargetDistribution.normal(0.0, sigma), 40))
+    np.savetxt(directory / "sums.csv", np.random.default_rng(2).normal(size=300))
+
+
+def golden_reports() -> dict:
+    """Run every golden case in the working directory; case id -> parsed JSON report."""
+    _write_golden_inputs(Path("."))
+    reports = {}
+    for case, argv in GOLDEN_CASES.items():
+        assert main(argv + ["--out", "report.json"]) == 0, case
+        reports[case] = json.loads(Path("report.json").read_text())
+    return reports
+
+
+def test_verb_reports_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = golden_reports()
+    assert sorted(got) == sorted(golden)
+    for case, expected in golden.items():
+        report = dict(got[case])
+        config = report.pop("config")
+        expected_config = expected["config"]
+        assert report == {k: v for k, v in expected.items() if k != "config"}, case
+        for key, value in expected_config.items():
+            assert key in config and config[key] == value, (case, key)
+        extra = set(config) - set(expected_config)
+        assert extra <= VERB_OPTIONS[report["verb"]], (case, sorted(extra))
