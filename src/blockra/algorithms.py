@@ -14,22 +14,20 @@ rearrangement; they differ in which blocks they move and when they stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .dependence import (
     EXACT_PARTITION_CAP,
+    _split_spearman,
     multivariate_dependence_exact,
     multivariate_dependence_sampled,
-    spearman,
 )
 from .matrix import (
-    Partition,
     RearrangementMatrix,
     _block_move,
     _as_matrix,
-    _block_sums,
     _canonical_splits,
     _column_splits,
     sample_variance,
@@ -39,7 +37,6 @@ __all__ = [
     "BlockRaConfig",
     "RunResult",
     "standard_ra",
-    "sample_partitions",
     "block_ra1",
     "block_ra2",
 ]
@@ -54,7 +51,8 @@ _STALL_LIMIT = 10
 class BlockRaConfig:
     """Knobs shared by the block algorithms.
 
-    ``n_sim=None`` resolves to min(512, 2^(n-1) - 1) at run time.  The
+    ``n_sim`` resolves at run time to at most the 2^(n-1) - 1 canonical
+    splits, and ``n_sim=None`` to min(512, 2^(n-1) - 1).  The
     dependence floor ``rho_stop`` only matters to block_ra1; the pass-level
     ``improvement_tol`` (relative, with a 1e-15 absolute floor) only to
     block_ra2.
@@ -77,10 +75,8 @@ class BlockRaConfig:
             raise ValueError("max_sweeps must be positive")
 
     def resolve_n_sim(self, n_columns: int) -> int:
-        full = (1 << (n_columns - 1)) - 1
-        if self.n_sim is None:
-            return min(512, full)
-        return self.n_sim
+        """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""
+        return min(512 if self.n_sim is None else self.n_sim, (1 << (n_columns - 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -178,25 +174,6 @@ def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
     return out
 
 
-def sample_partitions(
-    n: int,
-    n_sim: int,
-    rng_seed: Union[int, np.random.Generator] = 0,
-) -> list[Partition]:
-    """Canonical partitions for one algorithm pass.
-
-    Returns the full 2^(n-1) - 1 enumeration (binary-counter order) when
-    n_sim covers it, otherwise n_sim distinct canonical partitions drawn
-    uniformly without replacement.  Deterministic given the seed.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 columns")
-    if n_sim < 1:
-        raise ValueError("n_sim must be positive")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return [Partition(tuple(pi.tolist()), n) for pi, _ in _pass_splits(n, n_sim, rng)]
-
-
 def _dependence_estimate(arr: np.ndarray, n_sim: int, rng: np.random.Generator) -> float:
     """Exact measure when enumerable, sampled fallback for very wide matrices."""
     n = arr.shape[1]
@@ -229,16 +206,10 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     check_every = 10
     for it in range(1, cfg.max_sweeps + 1):
         sweeps = it
-        total = arr.sum(axis=1)
-        best_phi = -np.inf
-        best = None
-        for split in _pass_splits(n, n_sim, rng):
-            s_pi = _block_sums(arr, split[0])
-            phi = spearman(s_pi, total - s_pi)
-            if phi > best_phi:
-                best_phi = phi
-                best = split
-        changed = _block_move(arr, *best)
+        splits = list(_pass_splits(n, n_sim, rng))
+        scores = _split_spearman(arr, (pi for pi, _ in splits))
+        # Move the least opposed split; np.argmax keeps the first on ties.
+        changed = _block_move(arr, *splits[int(np.argmax(scores))])
         if changed:
             applied += 1
             stall = 0

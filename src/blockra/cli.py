@@ -27,7 +27,7 @@ from .dependence import (
     multivariate_dependence_sampled,
     spearman,
 )
-from .gof import _DEFAULT_GRID, TargetDistribution, default_thresholds, median_threshold, verdict
+from .gof import _GRID_POINTS, TargetDistribution, default_thresholds, median_threshold, verdict
 from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
@@ -55,11 +55,17 @@ def _uint64(text: str) -> int:
     return value
 
 
-def _report(body: dict, verb: str, config: dict) -> dict:
-    # Result keys first so the headline numbers lead the report.
-    out = dict(body)
-    out["verb"] = verb
+def _report(body: dict, args: argparse.Namespace, **resolved) -> dict:
+    """The verb's result keys, then the verb, the version and the config.
+
+    The config is every option of the verb under its JSON name, plus the
+    values the verb resolved from them (``resolved``).
+    """
+    out = dict(body)  # result keys first so the headline numbers lead the report
+    out["verb"] = args.verb
     out["version"] = __version__
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "verb", "out")}
+    config.update(resolved)
     out["config"] = config
     return out
 
@@ -108,31 +114,27 @@ def _target_from_name(name: str) -> TargetDistribution:
 
 
 def _cmd_rearrange(args: argparse.Namespace) -> dict:
+    census = getattr(args, "enumerate_starts", False)
+    if census and (args.matrix_out or args.trace_out):
+        raise UsageError("--enumerate-starts writes no matrix or trace; "
+                         "drop --matrix-out and --trace-out")
     mat = read_matrix_csv(args.input)
     cfg = BlockRaConfig(
         n_sim=args.n_sim,
         rho_stop=getattr(args, "rho_stop", -0.9999),
         improvement_tol=args.improvement_tol,
         max_sweeps=args.max_sweeps,
-        rng_seed=getattr(args, "seed", 0),
+        rng_seed=getattr(args, "rng_seed", 0),
     )
-    if getattr(args, "enumerate_starts", False):
-        census = enumerate_starts(mat, cfg)
+    if census:
+        result = enumerate_starts(mat, cfg)
         body = {
-            "starts": census.starts,
-            "limits": [{"objective": v, "starts": c} for v, c in census.limits],
+            "starts": result.starts,
+            "limits": [{"objective": v, "starts": c} for v, c in result.limits],
             "m": mat.m,
             "n": mat.n,
         }
-        config = {
-            "input": args.input,
-            "enumerate_starts": True,
-            "n_sim": cfg.n_sim,
-            "improvement_tol": cfg.improvement_tol,
-            "max_sweeps": cfg.max_sweeps,
-            "rng_seed": cfg.rng_seed,
-        }
-        return _report(body, args.verb, config)
+        return _report(body, args)
     runner = {"ra": standard_ra, "bra1": block_ra1, "bra2": block_ra2}[args.verb]
     result: RunResult = runner(mat, cfg)
     if args.matrix_out:
@@ -143,30 +145,13 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
     body.pop("objective_trace")
     body["start_objective"] = float(result.objective_trace[0])
     body["m"], body["n"] = mat.m, mat.n
-    config = {
-        "input": args.input,
-        "n_sim": cfg.n_sim,
-        "n_sim_resolved": cfg.resolve_n_sim(mat.n),
-        "improvement_tol": cfg.improvement_tol,
-        "max_sweeps": cfg.max_sweeps,
-        "matrix_out": args.matrix_out,
-        "trace_out": args.trace_out,
-    }
-    if args.verb == "bra1":
-        config["rho_stop"] = cfg.rho_stop
-    if args.verb in ("bra1", "bra2"):
-        config["rng_seed"] = cfg.rng_seed
-    return _report(body, args.verb, config)
+    return _report(body, args, n_sim_resolved=cfg.resolve_n_sim(mat.n))
 
 
 def _cmd_mcmc(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
-    cfg = McmcConfig(
-        r=args.rate,
-        n_iter=args.iterations,
-        rng_seed=args.seed,
-        absorb_tol=args.absorb_tol,
-    )
+    cfg = McmcConfig(r=args.r, n_iter=args.n_iter, rng_seed=args.rng_seed,
+                     absorb_tol=args.absorb_tol)
     start_objective = sample_variance(mat.values.sum(axis=1))
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
@@ -181,25 +166,10 @@ def _cmd_mcmc(args: argparse.Namespace) -> dict:
     body = trace.to_dict()
     body["start_objective"] = start_objective
     body["m"], body["n"] = mat.m, mat.n
-    config = {
-        "input": args.input,
-        "rng_seed": cfg.rng_seed,
-        "n_iter": cfg.n_iter,
-        "r": cfg.r,
-        "r_resolved": resolve_rate(mat, cfg),
-        "absorb_tol": cfg.absorb_tol,
-        "objective": cfg.objective.kind,
-        "matrix_out": args.matrix_out,
-        "trace_out": args.trace_out,
-    }
-    return _report(body, "mcmc", config)
+    return _report(body, args, r_resolved=resolve_rate(mat, cfg), objective=cfg.objective.kind)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> dict:
-    config = {
-        "mode": args.mode,
-        "matrix_out": args.matrix_out,
-    }
     if args.mode == "brute":
         if not args.input:
             raise UsageError("oracle --mode brute needs --input")
@@ -213,12 +183,10 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
             "m": mat.m,
             "n": mat.n,
         }
-        config.update(input=args.input, max_arrangements=args.max_arrangements)
-        return _report(body, "oracle", config)
+        return _report(body, args)
 
     if args.m is None or args.n is None:
         raise UsageError(f"oracle --mode {args.mode} needs --m and --n")
-    config.update(m=args.m, n=args.n)
     if args.mode == "haus":
         min_variance, lo_value, count_lo = haus_integer_minimum(args.m, args.n)
         if args.matrix_out:
@@ -228,15 +196,14 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
             "lo_value": lo_value,
             "count_lo": count_lo,
         }
-        return _report(body, "oracle", config)
+        return _report(body, args)
 
     # zerosum: emit the construction whose row sums vanish identically.
-    mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.seed)
+    mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.rng_seed)
     if args.matrix_out:
         write_matrix_csv(mat, args.matrix_out)
     body = {"row_sum_variance": sample_variance(mat.values.sum(axis=1)), "m": args.m, "n": args.n}
-    config["rng_seed"] = args.seed
-    return _report(body, "oracle", config)
+    return _report(body, args)
 
 
 def _cmd_measure(args: argparse.Namespace) -> dict:
@@ -247,18 +214,11 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     if mode == "exact":
         report = multivariate_dependence_exact(mat)
     else:
-        report = multivariate_dependence_sampled(mat, args.n_samples, args.seed)
+        report = multivariate_dependence_sampled(mat, args.n_samples, args.rng_seed)
     body = report.to_dict()
     body["row_sum_variance"] = sample_variance(mat.values.sum(axis=1))
     body["m"], body["n"] = mat.m, mat.n
-    config = {
-        "input": args.input,
-        "mode": args.mode,
-        "mode_resolved": mode,
-        "n_samples": args.n_samples,
-        "rng_seed": args.seed,
-    }
-    return _report(body, "measure", config)
+    return _report(body, args, mode_resolved=mode)
 
 
 def _cmd_fit_sum(args: argparse.Namespace) -> dict:
@@ -270,14 +230,9 @@ def _cmd_fit_sum(args: argparse.Namespace) -> dict:
     else:
         start = 0.4 if args.initial_scale is None else args.initial_scale
         margins = MarginSpec.normal(args.n, sigma=start)
-    target = _target_from_name(args.target)
-    cfg = FitConfig(
-        n_sim=args.n_sim,
-        rel_tol=args.rel_tol,
-        max_passes=args.max_passes,
-        rng_seed=args.seed,
-    )
-    report = fit_sum_to_target(margins, target, args.m, cfg)
+    cfg = FitConfig(n_sim=args.n_sim, rel_tol=args.rel_tol, max_passes=args.max_passes,
+                    rng_seed=args.rng_seed)
+    report = fit_sum_to_target(margins, _target_from_name(args.target), args.m, cfg)
     if args.matrix_out:
         write_matrix_csv(report.final_matrix, args.matrix_out)
     if args.emit_joint:
@@ -285,21 +240,7 @@ def _cmd_fit_sum(args: argparse.Namespace) -> dict:
         write_matrix_csv(report.final_matrix.values[:, :2], args.emit_joint)
     body = report.to_dict()
     body["m"] = args.m
-    config = {
-        "margins": args.margins,
-        "n": args.n,
-        "initial_scale": start,
-        "target": args.target,
-        "m": args.m,
-        "rng_seed": cfg.rng_seed,
-        "n_sim": cfg.n_sim,
-        "rel_tol": cfg.rel_tol,
-        "max_passes": cfg.max_passes,
-        "grid_points": _DEFAULT_GRID,
-        "matrix_out": args.matrix_out,
-        "emit_joint": args.emit_joint,
-    }
-    return _report(body, "fit-sum", config)
+    return _report(body, args, initial_scale=start, grid_points=_GRID_POINTS)
 
 
 def _cmd_spread(args: argparse.Namespace) -> dict:
@@ -310,81 +251,39 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"quantile tables disagree on length: fp={fp.size} fg={fg.size} fs={fs.size}"
         )
-    cfg = BlockRaConfig(rng_seed=args.seed, max_sweeps=args.max_sweeps)
+    cfg = BlockRaConfig(rng_seed=args.rng_seed, max_sweeps=args.max_sweeps)
     result = spread_dependence(fp, fg, fs, fp.size, cfg)
     if args.emit_joint:
         write_matrix_csv(result.copula, args.emit_joint)
     body = result.to_dict()
     body["rho_joint"] = spearman(result.copula.values[:, 0], result.copula.values[:, 1])
-    config = {
-        "fp": args.fp,
-        "fg": args.fg,
-        "fs": args.fs,
-        "m": int(fp.size),
-        "rng_seed": cfg.rng_seed,
-        "max_sweeps": cfg.max_sweeps,
-        "emit_joint": args.emit_joint,
-    }
-    return _report(body, "spread", config)
+    return _report(body, args, m=int(fp.size))
 
 
 def _cmd_gof(args: argparse.Namespace) -> dict:
     values = _read_column(args.input, "input")
     target = _target_from_name(args.target)
     m = args.m if args.m is not None else int(values.size)
-    thresholds = default_thresholds(
-        target, m, ks_asymptotic=args.ks_asymptotic, n_replicates=args.reps, rng_seed=args.seed
-    )
-    v = verdict(values, target, m, thresholds)
-    body = v.to_dict()
-    config = {
-        "input": args.input,
-        "target": args.target,
-        "m": m,
-        "ks_asymptotic": args.ks_asymptotic,
-        "reps": args.reps,
-        "rng_seed": args.seed,
-    }
-    return _report(body, "gof", config)
+    thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,
+                                    n_replicates=args.reps, rng_seed=args.rng_seed)
+    return _report(verdict(values, target, m, thresholds).to_dict(), args, m=m)
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> dict:
-    target = _target_from_name(args.target)
-    level = median_threshold(args.test, target, args.m, n_replicates=args.reps, rng_seed=args.seed)
-    body = {"test": args.test, "threshold": level}
-    config = {
-        "test": args.test,
-        "target": args.target,
-        "m": args.m,
-        "reps": args.reps,
-        "rng_seed": args.seed,
-    }
-    return _report(body, "thresholds", config)
+    level = median_threshold(args.test, _target_from_name(args.target), args.m,
+                             n_replicates=args.reps, rng_seed=args.rng_seed)
+    return _report({"test": args.test, "threshold": level}, args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> dict:
-    report = run_table_benchmark(
-        args.table,
-        replicates=args.replicates,
-        rng_seed=args.seed,
-        m=args.m,
-        n=args.n,
-        jobs=args.jobs,
-    )
+    report = run_table_benchmark(args.table, replicates=args.replicates, rng_seed=args.rng_seed,
+                                 m=args.m, n=args.n, jobs=args.jobs)
     body = {
         "table": report.table,
         "replicates": report.replicates,
         "cells": [asdict(cell) for cell in report.cells],
     }
-    config = {
-        "table": args.table,
-        "replicates": args.replicates,
-        "rng_seed": args.seed,
-        "m": args.m,
-        "n": args.n,
-        "jobs": args.jobs,
-    }
-    return _report(body, "bench", config)
+    return _report(body, args)
 
 
 # ---------------------------------------------------------------- parser
@@ -399,65 +298,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
+    # Option groups several verbs share.  Each option's dest is its key in
+    # the report's config.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", dest="rng_seed", type=_uint64, default=0)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", required=True, help="matrix CSV, no header")
+    io.add_argument("--matrix-out", help="write the final (mcmc: best visited) matrix CSV here")
+    io.add_argument("--trace-out", help="write the per-sweep (mcmc: per-iteration) trace CSV here")
+    rearrange = argparse.ArgumentParser(add_help=False)
+    rearrange.add_argument("--n-sim", type=int,
+                           help="partitions per pass (default: all up to 512)")
+    rearrange.add_argument("--improvement-tol", type=float, default=1e-12)
+    rearrange.add_argument("--max-sweeps", type=int, default=1000)
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--target", choices=("normal", "uniform"), required=True)
+    law.add_argument("--reps", type=int, default=41)
+
+    def add(name: str, func, help_text: str, parents=()) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text, parents=list(parents))
         sp.set_defaults(func=func)
         sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
         return sp
 
-    for name, help_text in (
-        ("ra", "column-cycling rearrangement to a sweep-stable point"),
-        ("bra1", "block rearrangement guided by the dependence measure"),
-        ("bra2", "block rearrangement over sampled partitions per pass"),
-    ):
-        sp = add(name, _cmd_rearrange, help_text)
-        sp.add_argument("--input", required=True, help="matrix CSV, no header")
-        sp.add_argument("--n-sim", type=int, help="partitions per pass (default: all up to 512)")
-        sp.add_argument("--improvement-tol", type=float, default=1e-12)
-        sp.add_argument("--max-sweeps", type=int, default=1000)
-        sp.add_argument("--matrix-out", help="write the final matrix CSV here")
-        sp.add_argument("--trace-out", help="write the per-sweep objective trace CSV here")
-        if name == "bra1":
-            sp.add_argument("--rho-stop", type=float, default=-0.9999)
-        if name in ("bra1", "bra2"):
-            sp.add_argument("--seed", type=_uint64, default=0)
-        if name == "bra2":
-            sp.add_argument(
-                "--enumerate-starts",
-                action="store_true",
-                help="census every canonical column-permuted start instead of one run",
-            )
+    add("ra", _cmd_rearrange, "column-cycling rearrangement to a sweep-stable point",
+        [io, rearrange])
+    sp = add("bra1", _cmd_rearrange, "block rearrangement guided by the dependence measure",
+             [io, rearrange, seed])
+    sp.add_argument("--rho-stop", type=float, default=-0.9999)
+    sp = add("bra2", _cmd_rearrange, "block rearrangement over sampled partitions per pass",
+             [io, rearrange, seed])
+    sp.add_argument("--enumerate-starts", action="store_true",
+                    help="census every canonical column-permuted start instead of one run")
 
-    sp = add("mcmc", _cmd_mcmc, "Metropolis search with Gumbel-ranked proposals")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--seed", type=_uint64, default=0)
-    sp.add_argument("--iterations", type=int, default=10_000)
-    sp.add_argument("--rate", type=float, help="Gumbel rate (default: set from the start)")
+    sp = add("mcmc", _cmd_mcmc, "Metropolis search with Gumbel-ranked proposals", [io, seed])
+    sp.add_argument("--iterations", dest="n_iter", type=int, default=10_000)
+    sp.add_argument("--rate", dest="r", type=float,
+                    help="Gumbel rate (default: set from the start)")
     sp.add_argument("--absorb-tol", type=float, default=1e-14)
-    sp.add_argument("--matrix-out", help="write the best visited matrix CSV here")
-    sp.add_argument("--trace-out", help="write the per-iteration trace CSV here")
 
-    sp = add("oracle", _cmd_oracle, "exact minimum-variance references")
+    sp = add("oracle", _cmd_oracle, "exact minimum-variance references", [seed])
     sp.add_argument("--mode", choices=("brute", "haus", "zerosum"), default="brute")
     sp.add_argument("--input", help="matrix CSV (brute mode)")
     sp.add_argument("--max-arrangements", type=int, default=100_000_000)
     sp.add_argument("--m", type=int, help="rows (haus and zerosum modes)")
     sp.add_argument("--n", type=int, help="columns (haus and zerosum modes)")
-    sp.add_argument("--seed", type=_uint64, default=0, help="zerosum column shuffle seed")
     sp.add_argument("--matrix-out", help="write the reference matrix CSV here")
 
-    sp = add("measure", _cmd_measure, "multivariate dependence measure of a matrix")
+    sp = add("measure", _cmd_measure, "multivariate dependence measure of a matrix", [seed])
     sp.add_argument("--input", required=True)
     sp.add_argument("--mode", choices=("auto", "exact", "sampled"), default="auto")
     sp.add_argument("--n-samples", type=int, default=512)
-    sp.add_argument("--seed", type=_uint64, default=0)
 
-    sp = add("fit-sum", _cmd_fit_sum, "fit margin dependence so row sums match a target law")
+    sp = add("fit-sum", _cmd_fit_sum, "fit margin dependence so row sums match a target law",
+             [seed])
     sp.add_argument("--margins", choices=("uniform", "normal"), required=True)
     sp.add_argument("--n", type=int, default=2, help="number of margin columns")
     sp.add_argument("--target", choices=("normal", "uniform"), required=True)
     sp.add_argument("--m", type=int, required=True, help="discretization rows")
-    sp.add_argument("--seed", type=_uint64, default=0)
     sp.add_argument("--initial-scale", type=float, help="starting half-width or sigma")
     sp.add_argument("--n-sim", type=int)
     sp.add_argument("--rel-tol", type=float, default=1e-8)
@@ -465,33 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix-out", help="write the fitted (n+1)-column matrix CSV here")
     sp.add_argument("--emit-joint", help="write the first two fitted columns as CSV here")
 
-    sp = add("spread", _cmd_spread, "two-asset dependence from three marginal quantile tables")
+    sp = add("spread", _cmd_spread, "two-asset dependence from three marginal quantile tables",
+             [seed])
     sp.add_argument("--fp", required=True, help="first asset quantile CSV")
     sp.add_argument("--fg", required=True, help="second asset quantile CSV")
     sp.add_argument("--fs", required=True, help="spread quantile CSV")
-    sp.add_argument("--seed", type=_uint64, default=0)
     sp.add_argument("--max-sweeps", type=int, default=1000)
     sp.add_argument("--emit-joint", help="write the recovered joint sample CSV here")
 
-    sp = add("gof", _cmd_gof, "distance verdict of a value sample against a target law")
+    sp = add("gof", _cmd_gof, "distance verdict of a value sample against a target law",
+             [law, seed])
     sp.add_argument("--input", required=True, help="single-column values CSV")
-    sp.add_argument("--target", choices=("normal", "uniform"), required=True)
     sp.add_argument("--m", type=int, help="threshold sample size (default: input length)")
     sp.add_argument("--ks-asymptotic", action="store_true")
-    sp.add_argument("--reps", type=int, default=41)
-    sp.add_argument("--seed", type=_uint64, default=0)
 
-    sp = add("thresholds", _cmd_thresholds, "simulated median threshold for one distance")
+    sp = add("thresholds", _cmd_thresholds, "simulated median threshold for one distance",
+             [law, seed])
     sp.add_argument("--test", choices=("ks", "w2"), required=True)
-    sp.add_argument("--target", choices=("normal", "uniform"), required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=41)
-    sp.add_argument("--seed", type=_uint64, default=0)
 
-    sp = add("bench", _cmd_bench, "re-run one comparison table at desk scale")
+    sp = add("bench", _cmd_bench, "re-run one comparison table at desk scale", [seed])
     sp.add_argument("--table", choices=("tcomp", "t1b", "t3b"), required=True)
     sp.add_argument("--replicates", type=int, default=200)
-    sp.add_argument("--seed", type=_uint64, default=0)
     sp.add_argument("--m", type=int, help="single-cell row count")
     sp.add_argument("--n", type=int, help="single-cell column count")
     sp.add_argument("--jobs", type=int, default=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -46,8 +46,8 @@ def spearman(x, y) -> float:
         raise ValueError("undefined Spearman: first input is constant")
     if uy == 1:
         raise ValueError("undefined Spearman: second input is constant")
-    rx = rank_vector(x, ties="average")
-    ry = rank_vector(y, ties="average")
+    rx = rank_vector(x)
+    ry = rank_vector(y)
     if ux == m and uy == m:
         d = rx.astype(np.int64) - ry.astype(np.int64)
         d2 = int(np.sum(d * d, dtype=np.int64))
@@ -60,6 +60,20 @@ def spearman(x, y) -> float:
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined Spearman: constant ranks")
     return float(np.dot(rx, ry) / (sx * sy))
+
+
+def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
+    """Spearman correlation between the two block sums of each split, in order.
+
+    ``pis`` holds the intp column indices of each split's first block.  The
+    one scoring loop of both measures and of block_ra1's choice of move.
+    """
+    total = arr.sum(axis=1)
+    values = []
+    for pi in pis:
+        s_pi = _block_sums(arr, pi)
+        values.append(spearman(s_pi, total - s_pi))
+    return np.array(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -87,39 +101,36 @@ class DependenceReport:
         }
 
 
-def multivariate_dependence_exact(X, cap: int = EXACT_PARTITION_CAP) -> DependenceReport:
+def multivariate_dependence_exact(X) -> DependenceReport:
     """Average block-sum Spearman over the full canonical partition enumeration.
 
     Walks all 2^(n-1) - 1 canonical splits (last column always in the
-    complement).  Refuses n > cap; use the sampled estimator there.
+    complement).  Refuses n > EXACT_PARTITION_CAP; use the sampled
+    estimator there.
     """
     arr = _as_matrix(X).values
     n = arr.shape[1]
-    if n > cap:
+    if n > EXACT_PARTITION_CAP:
         raise ValueError(
-            f"exact enumeration needs 2^{n - 1}-1 partitions for n={n} > cap={cap}; "
-            "use multivariate_dependence_sampled"
+            f"exact enumeration needs 2^{n - 1}-1 partitions for n={n} > "
+            f"cap={EXACT_PARTITION_CAP}; use multivariate_dependence_sampled"
         )
-    total = arr.sum(axis=1)
-    per: dict[tuple[int, ...], float] = {}
-    worst_pi: tuple[int, ...] = ()
-    worst = -np.inf
-    for pi, _ in _canonical_splits(n):
-        s_pi = _block_sums(arr, pi)
-        phi = spearman(s_pi, total - s_pi)
-        key = tuple(pi.tolist())
-        per[key] = phi
-        if phi > worst:
-            worst = phi
-            worst_pi = key
-    rho = math.fsum(per.values()) / len(per)
+    keys: list[tuple[int, ...]] = []
+
+    def first_blocks():
+        for pi, _ in _canonical_splits(n):
+            keys.append(tuple(pi.tolist()))
+            yield pi
+
+    values = _split_spearman(arr, first_blocks())
+    worst = int(np.argmax(values))
     return DependenceReport(
-        rho=rho,
+        rho=math.fsum(values) / len(keys),
         mode="exact",
-        partitions_evaluated=len(per),
-        worst_partition=worst_pi,
-        worst_value=worst,
-        per_partition=per,
+        partitions_evaluated=len(keys),
+        worst_partition=keys[worst],
+        worst_value=float(values[worst]),
+        per_partition=dict(zip(keys, values.tolist())),
     )
 
 
@@ -135,28 +146,18 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
-    total = arr.sum(axis=1)
-    values = np.empty(n_samples, dtype=np.float64)
-    worst_pi: tuple[int, ...] = ()
-    worst = -np.inf
-    for k in range(n_samples):
-        while True:
-            indicator = rng.integers(0, 2, size=n)
-            ones = int(indicator.sum())
-            if 0 < ones < n:
-                break
-        pi = np.flatnonzero(indicator)
-        s_pi = _block_sums(arr, pi)
-        phi = spearman(s_pi, total - s_pi)
-        values[k] = phi
-        if phi > worst:
-            worst = phi
-            worst_pi = Partition(tuple(pi.tolist()), n).canonical().pi
+    pis = []
+    while len(pis) < n_samples:
+        indicator = rng.integers(0, 2, size=n)
+        if 0 < int(indicator.sum()) < n:
+            pis.append(np.flatnonzero(indicator))
+    values = _split_spearman(arr, pis)
+    worst = int(np.argmax(values))
     return DependenceReport(
         rho=float(math.fsum(values) / n_samples),
         mode="sampled",
         partitions_evaluated=n_samples,
-        worst_partition=worst_pi,
-        worst_value=worst,
+        worst_partition=Partition(tuple(pis[worst].tolist()), n).canonical().pi,
+        worst_value=float(values[worst]),
         per_partition=None,
     )

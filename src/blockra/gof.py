@@ -28,7 +28,7 @@ __all__ = [
     "verdict",
 ]
 
-_DEFAULT_GRID = 50_000
+_GRID_POINTS = 50_000  # midpoint nodes of the distance grids
 
 # Medians of the two statistics on iid samples of size 10^6, used as default
 # acceptance thresholds at that size.  The KS median is distribution-free;
@@ -144,7 +144,7 @@ class GofVerdict:
         }
 
 
-def ks_distance(sum_values, target: TargetDistribution, grid_points: int = _DEFAULT_GRID) -> float:
+def ks_distance(sum_values, target: TargetDistribution) -> float:
     """sup_x |G_m(x) - F(x)| between the empirical cdf and the target.
 
     The supremum against a continuous target is attained at the empirical
@@ -155,14 +155,12 @@ def ks_distance(sum_values, target: TargetDistribution, grid_points: int = _DEFA
     values = np.asarray(sum_values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("ks_distance needs at least one value")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    xg = target.quantile(_midpoints(grid_points))
+    xg = target.quantile(_midpoints())
     return _ks_sorted(np.sort(values), target, xg, target.cdf(xg))
 
 
-def _midpoints(grid_points: int) -> np.ndarray:
-    return (np.arange(grid_points) + 0.5) / grid_points
+def _midpoints() -> np.ndarray:
+    return (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
 
 
 def _ks_sorted(xs: np.ndarray, target: TargetDistribution, xg: np.ndarray,
@@ -178,13 +176,12 @@ def _ks_sorted(xs: np.ndarray, target: TargetDistribution, xg: np.ndarray,
     return float(max(d, d_grid, 0.0))
 
 
-def w2_distance(sum_values_sorted, target: TargetDistribution,
-                grid_points: int = _DEFAULT_GRID) -> float:
+def w2_distance(sum_values_sorted, target: TargetDistribution) -> float:
     """Integral over (0,1) of the squared quantile gap, midpoint rule.
 
     The empirical quantile is the order-statistic step function.  Midpoint
     nodes keep the integration strictly inside (0,1): the range
-    [1/(2*grid_points), 1 - 1/(2*grid_points)] is covered and the unbounded
+    [1/(2G), 1 - 1/(2G)] with G = 50,000 nodes is covered and the unbounded
     tails of e.g. a normal target are truncated at those endpoints.
     """
     xs = np.asarray(sum_values_sorted, dtype=np.float64).ravel()
@@ -192,9 +189,7 @@ def w2_distance(sum_values_sorted, target: TargetDistribution,
         raise ValueError("w2_distance needs at least one value")
     if np.any(np.diff(xs) < 0):
         raise ValueError("sum values must be sorted ascending")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    u = _midpoints(grid_points)
+    u = _midpoints()
     return _w2_sorted(xs, u, target.quantile(u))
 
 
@@ -207,8 +202,7 @@ def _w2_sorted(xs: np.ndarray, u: np.ndarray, xg: np.ndarray) -> float:
 
 
 def median_threshold(test: str, target: TargetDistribution, m: int,
-                     n_replicates: int = 41, rng_seed: int = 0,
-                     grid_points: int = _DEFAULT_GRID) -> float:
+                     n_replicates: int = 41, rng_seed: int = 0) -> float:
     """Median of the chosen statistic over iid target samples of size m.
 
     Each replicate draws from its own child stream, so results do not
@@ -216,12 +210,12 @@ def median_threshold(test: str, target: TargetDistribution, m: int,
     """
     if test not in ("ks", "w2"):
         raise ValueError("test must be 'ks' or 'w2'")
-    (med,) = _replicate_medians((test,), target, m, n_replicates, rng_seed, grid_points)
+    (med,) = _replicate_medians((test,), target, m, n_replicates, rng_seed)
     return med
 
 
 def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
-                       n_replicates: int, rng_seed: int, grid_points: int) -> list[float]:
+                       n_replicates: int, rng_seed: int) -> list[float]:
     """Medians of each statistic in ``tests`` over the same iid replicates.
 
     Replicate ``rep`` draws from the child stream ``[rng_seed, rep]`` and is
@@ -231,9 +225,7 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
         raise ValueError("n_replicates must be at least 11")
     if m < 1:
         raise ValueError("m must be positive")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    u = _midpoints(grid_points)
+    u = _midpoints()
     xg = target.quantile(u)
     f_xg = target.cdf(xg) if "ks" in tests else None
     stats = np.empty((len(tests), n_replicates), dtype=np.float64)
@@ -284,13 +276,12 @@ def default_thresholds(target: TargetDistribution, m: int, *,
     if ks_asymptotic:
         return Thresholds(ks=_KS_MEDIAN_SQRT_M / math.sqrt(m),
                           w2=median_threshold("w2", target, m, n_replicates, rng_seed))
-    ks, w2 = _replicate_medians(("ks", "w2"), target, m, n_replicates, rng_seed, _DEFAULT_GRID)
+    ks, w2 = _replicate_medians(("ks", "w2"), target, m, n_replicates, rng_seed)
     return Thresholds(ks=ks, w2=w2)
 
 
 def verdict(sum_values, target: TargetDistribution, m: Optional[int] = None,
-            thresholds: Optional[Union[Thresholds, Tuple[float, float]]] = None,
-            grid_points: int = _DEFAULT_GRID) -> GofVerdict:
+            thresholds: Optional[Union[Thresholds, Tuple[float, float]]] = None) -> GofVerdict:
     """Evaluate both distances and compare each against its median level.
 
     m defaults to the number of values; it only drives threshold selection
@@ -303,8 +294,8 @@ def verdict(sum_values, target: TargetDistribution, m: Optional[int] = None,
         thresholds = default_thresholds(target, m)
     elif not isinstance(thresholds, Thresholds):
         thresholds = Thresholds(*thresholds)
-    d_ks = ks_distance(values, target, grid_points)
-    t_w2 = w2_distance(np.sort(values), target, grid_points)
+    d_ks = ks_distance(values, target)
+    t_w2 = w2_distance(np.sort(values), target)
     ks_ok = d_ks <= thresholds.ks
     w2_ok = t_w2 <= thresholds.w2
     return GofVerdict(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "RearrangementMatrix",
     "Partition",
     "rank_vector",
+    "sample_variance",
     "countermonotone_rearrange",
     "read_matrix_csv",
     "write_matrix_csv",
@@ -123,24 +124,14 @@ def sample_variance(s: np.ndarray) -> float:
     return float(s.var(ddof=1))
 
 
-def rank_vector(v, ties: Literal["average", "stable-first"] = "average") -> np.ndarray:
-    """1-based ranks of a vector.
-
-    ``average`` assigns tied values their midrank (the Spearman convention);
-    ``stable-first`` breaks ties by original position, always returning a
-    permutation of 1..m.
-    """
+def rank_vector(v) -> np.ndarray:
+    """1-based ranks of a vector; tied values get their midrank (the Spearman convention)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("rank_vector expects a 1-D vector")
     m = v.size
     order = np.argsort(v, kind="stable")
     ranks = np.empty(m, dtype=np.float64)
-    if ties == "stable-first":
-        ranks[order] = np.arange(1, m + 1, dtype=np.float64)
-        return ranks
-    if ties != "average":
-        raise ValueError(f"unknown tie mode {ties!r}")
     sorted_v = v[order]
     # Midranks: average the 1-based positions within each run of equal values.
     starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])

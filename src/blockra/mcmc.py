@@ -14,13 +14,12 @@ from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_matrix, _block_sums, _split_of_mask, rank_vector
+from .matrix import RearrangementMatrix, _as_matrix, _block_sums, _split_of_mask
 
 __all__ = [
     "ObjectiveSpec",
     "McmcConfig",
     "ChainTrace",
-    "gumbel_sample",
     "propose_permutation",
     "resolve_rate",
     "mcmc_block_ra",
@@ -108,7 +107,7 @@ class ChainTrace:
         }
 
 
-def gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float, np.ndarray]:
+def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float, np.ndarray]:
     """Inverse-CDF draw(s) from the Gumbel law with rate r (scale 1/r).
 
     z = -ln(-ln(u))/r, so u = exp(-1) maps to z = 0 and the median is
@@ -135,8 +134,10 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
     m = s_pi.size
     if m == 1:
         return np.zeros(1, dtype=np.intp)
-    w = gumbel_sample(r, rng, m) - s_pi
-    return rank_vector(w, ties="stable-first").astype(np.intp) - 1
+    w = _gumbel_sample(r, rng, m) - s_pi
+    slots = np.empty(m, dtype=np.intp)
+    slots[np.argsort(w, kind="stable")] = np.arange(m)  # ties broken by position
+    return slots
 
 
 def _objective_of_sums(s: np.ndarray, spec: ObjectiveSpec) -> float:

@@ -12,11 +12,12 @@ from blockra import (
     block_ra1,
     block_ra2,
     multivariate_dependence_exact,
-    sample_partitions,
     sample_variance,
     spearman,
     standard_ra,
 )
+
+from blockra.algorithms import _pass_splits
 
 from conftest import (
     KNOWN_LIMIT_VARIANCES,
@@ -74,29 +75,37 @@ def test_block_ra1_limit_depends_on_start():
     assert res_global.final_objective == pytest.approx(0.0, abs=1e-12)
 
 
+# The partitions sampled for a pass come from algorithms._pass_splits as
+# (pi, complement) column index arrays.
+def _pass_partitions(n, n_sim, seed=0):
+    splits = _pass_splits(n, n_sim, np.random.default_rng(seed))
+    for pi, comp in splits:
+        assert sorted(pi.tolist() + comp.tolist()) == list(range(n))
+    return [tuple(pi.tolist()) for pi, _ in splits]
+
+
 def test_sample_partitions_covering_order():
-    parts = sample_partitions(4, 7)
-    got = [p.pi for p in parts]
+    # n_sim covering all 2^(n-1) - 1 splits gives the full enumeration in
+    # binary-counter order, whatever the seed
+    got = _pass_partitions(4, 7)
     assert got == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+    assert _pass_partitions(4, 7, seed=5) == got
     # last column always stays in the complement block
-    for p in parts:
-        assert 3 not in p.pi
+    assert all(3 not in pi for pi in got)
 
 
 def test_sample_partitions_minimal_case():
-    (only,) = sample_partitions(2, 1)
-    assert only.pi == (0,)
+    assert _pass_partitions(2, 1) == [(0,)]
 
 
 def test_sample_partitions_random_regime_repeatable():
-    a = sample_partitions(11, 40, rng_seed=7)
-    b = sample_partitions(11, 40, rng_seed=7)
-    assert [p.pi for p in a] == [p.pi for p in b]
-    for p in a:
-        assert 0 < len(p.pi) < 11
-        assert 10 not in p.pi
-    # draws are with replacement, but a 40-draw run should still vary
-    assert len({p.pi for p in a}) > 1
+    a = _pass_partitions(11, 40, seed=7)
+    assert _pass_partitions(11, 40, seed=7) == a
+    for pi in a:
+        assert 0 < len(pi) < 11
+        assert 10 not in pi
+    # the splits of one pass are distinct
+    assert len(set(a)) == 40
 
 
 def test_objective_trace_is_monotone(uniform_8x3):
@@ -282,6 +291,31 @@ def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
         assert np.array_equal(res.final_matrix.values, arr), algo.__name__
         assert res.objective_trace == trace, algo.__name__
         assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied), algo.__name__
+
+
+def test_block_ra1_matches_reference_on_tie_heavy_input():
+    # Integer entries in 0..2: block sums and split scores tie all over.
+    X = np.random.default_rng(12).integers(0, 3, size=(30, 12)).astype(float)
+    cfg = BlockRaConfig(n_sim=64, rng_seed=5, max_sweeps=12)
+    res = block_ra1(X, cfg)
+    arr, trace, sweeps, applied = _ref_block_ra1(X, cfg)
+    assert np.array_equal(res.final_matrix.values, arr)
+    assert res.objective_trace == trace
+    assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied)
+
+
+def test_resolve_n_sim_counts_the_splits_a_pass_scores():
+    assert BlockRaConfig(n_sim=1000).resolve_n_sim(4) == 7
+    assert BlockRaConfig(n_sim=5).resolve_n_sim(4) == 5
+    assert BlockRaConfig().resolve_n_sim(4) == 7
+    assert BlockRaConfig().resolve_n_sim(12) == 512
+    # n_sim past the split count still runs every split once per pass
+    X = np.random.default_rng(6).normal(size=(6, 4))
+    for algo in (block_ra1, block_ra2):
+        a = algo(X, BlockRaConfig(n_sim=1000, rng_seed=2))
+        b = algo(X, BlockRaConfig(n_sim=7, rng_seed=2))
+        assert a.to_dict() == b.to_dict()
+        assert np.array_equal(a.final_matrix.values, b.final_matrix.values)
 
 
 @pytest.mark.parametrize("algo", [standard_ra, block_ra1, block_ra2])

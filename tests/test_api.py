@@ -2,7 +2,8 @@
 
 perfbench/ wraps module attributes by name (each workload's ``TARGETS``),
 so removing or renaming one breaks the benchmark without failing any other
-test.
+test.  The package's public names are pinned below, so adding or removing
+one is a deliberate edit here.
 """
 
 import importlib
@@ -43,3 +44,28 @@ def test_benchmark_targets_exist(workload):
 def test_package_exports_resolve():
     missing = [name for name in blockra.__all__ if not hasattr(blockra, name)]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "BenchCell", "BenchReport", "BlockRaConfig", "ChainTrace", "DependenceReport",
+    "FitConfig", "FitReport", "GofVerdict", "MarginSpec", "McmcConfig", "ObjectiveSpec",
+    "OracleResult", "Partition", "RearrangementMatrix", "RunResult", "SpreadResult",
+    "StartCensus", "TargetDistribution", "Thresholds", "__version__", "block_ra1",
+    "block_ra2", "brute_force_minimum", "countermonotone_rearrange", "default_thresholds",
+    "discretize_quantiles", "enumerate_starts", "extend_with_countermonotone_pairs",
+    "fit_sum_to_target", "haus_integer_matrix", "haus_integer_minimum",
+    "kolmogorov_asymptotic_cdf", "ks_distance", "make_zero_sum_normal_matrix",
+    "mcmc_block_ra", "median_threshold", "multivariate_dependence_exact",
+    "multivariate_dependence_sampled", "propose_permutation", "rank_vector",
+    "read_matrix_csv", "resolve_rate", "run_table_benchmark", "sample_variance", "spearman",
+    "spread_dependence", "standard_ra", "verdict", "w2_distance", "write_matrix_csv",
+]
+MODULES = ("algorithms", "bench", "dependence", "gof", "matrix", "mcmc", "oracle", "targetfit")
+
+
+def test_public_surface_is_pinned():
+    assert blockra.__all__ == PUBLIC_NAMES
+    module_names = [name for module in MODULES
+                    for name in importlib.import_module(f"blockra.{module}").__all__]
+    assert len(module_names) == len(set(module_names))  # no name exported twice
+    assert set(blockra.__all__) == set(module_names) | {"__version__"}

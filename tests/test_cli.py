@@ -114,6 +114,26 @@ def test_oracle_modes(capsys, matrix_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["bra1", "bra2"])
+def test_n_sim_resolved_counts_the_splits_that_ran(verb, matrix_file, capsys):
+    # A 6x4 matrix has 7 canonical splits; asking for 1000 runs those 7.
+    path = matrix_file(np.random.default_rng(6).normal(size=(6, 4)))
+    code, doc = _run(capsys, [verb, "--input", path, "--n-sim", "1000"])
+    assert code == 0
+    assert doc["config"]["n_sim"] == 1000
+    assert doc["config"]["n_sim_resolved"] == 7
+
+
+@pytest.mark.parametrize("flag", ["--matrix-out", "--trace-out"])
+def test_census_rejects_output_flags(flag, matrix_file, tmp_path, capsys):
+    # The census writes no matrix or trace, so asking for one is a usage error.
+    target = tmp_path / "out.csv"
+    path = matrix_file(np.random.default_rng(0).normal(size=(3, 3)))
+    assert main(["bra2", "--input", path, "--enumerate-starts", flag, str(target)]) == 2
+    assert "--enumerate-starts" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_thresholds_verb(capsys):
     code, doc = _run(capsys, [
         "thresholds", "--test", "ks", "--target", "normal",

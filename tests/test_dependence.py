@@ -1,5 +1,7 @@
 """Spearman correlation and the partition-minimum dependence measure."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,6 +12,7 @@ from blockra.dependence import (
     multivariate_dependence_sampled,
     spearman,
 )
+from blockra.matrix import Partition
 
 
 def test_spearman_monotone_extremes():
@@ -105,3 +108,46 @@ def test_hostile_input_is_rejected(measure, entries):
         np.fill_diagonal(X, np.nan if entries == "nan" else np.inf)
     with pytest.raises(ValueError, match="must be finite"):
         _MEASURES[measure](X)
+
+
+def _ref_split_values(arr, pis):
+    # Reference per-split loop: Spearman of each split's two block sums.
+    total = arr.sum(axis=1)
+    values = []
+    for pi in pis:
+        s_pi = arr[:, list(pi)].sum(axis=1)
+        values.append(spearman(s_pi, total - s_pi))
+    return values
+
+
+@pytest.mark.parametrize("kind", ["tie-heavy", "normal"])
+def test_split_scores_match_per_split_loop(kind):
+    n = 12
+    rng = np.random.default_rng(12)
+    if kind == "tie-heavy":
+        X = rng.integers(0, 3, size=(30, n)).astype(float)
+    else:
+        X = rng.normal(size=(30, n))
+
+    pis = [Partition.from_mask(mask, n).pi for mask in range(1, 1 << (n - 1))]
+    ref = _ref_split_values(X, pis)
+    exact = multivariate_dependence_exact(X)
+    assert list(exact.per_partition) == pis
+    assert list(exact.per_partition.values()) == ref  # bit for bit, in split order
+    assert exact.rho == math.fsum(ref) / len(ref)
+    first_max = ref.index(max(ref))
+    assert (exact.worst_partition, exact.worst_value) == (pis[first_max], ref[first_max])
+
+    # The sampled measure scores the splits its own draws give.
+    draws = np.random.default_rng(3)
+    drawn = []
+    while len(drawn) < 60:
+        indicator = draws.integers(0, 2, size=n)
+        if 0 < indicator.sum() < n:
+            drawn.append(tuple(np.flatnonzero(indicator).tolist()))
+    ref = _ref_split_values(X, drawn)
+    sampled = multivariate_dependence_sampled(X, 60, rng_seed=3)
+    assert sampled.rho == math.fsum(ref) / 60
+    first_max = ref.index(max(ref))
+    assert sampled.worst_value == ref[first_max]
+    assert sampled.worst_partition == Partition(drawn[first_max], n).canonical().pi

@@ -13,6 +13,7 @@ from blockra.matrix import (
     sample_variance,
     write_matrix_csv,
 )
+from blockra.mcmc import propose_permutation
 
 from conftest import SIGMA_CM_LOCAL_MIN, COMPLETE_MIX
 
@@ -32,14 +33,26 @@ def test_sample_variance_uses_m_minus_one():
     assert sample_variance(v) == pytest.approx(np.var(v, ddof=1))
 
 
+class _NoNoise:
+    """Generator stand-in whose uniforms are all exp(-1): every Gumbel draw is exactly 0."""
+
+    def random(self, size=None):
+        return np.full(size, np.exp(-1.0))
+
+
+def _stable_first_ranks(v):
+    # Without noise propose_permutation ranks -s_pi, here v, breaking ties by position.
+    return propose_permutation(-np.asarray(v, dtype=float), 1.0, _NoNoise()) + 1
+
+
 def test_rank_vector_tie_policies():
-    assert np.array_equal(rank_vector([3, 1, 3], ties="average"), [2.5, 1.0, 2.5])
-    assert np.array_equal(rank_vector([3, 1, 3], ties="stable-first"), [2.0, 1.0, 3.0])
+    assert np.array_equal(rank_vector([3, 1, 3]), [2.5, 1.0, 2.5])
+    assert np.array_equal(_stable_first_ranks([3, 1, 3]), [2, 1, 3])
 
 
 def test_rank_vector_distinct_values_agree():
     v = np.array([0.4, -1.2, 3.3, 0.0])
-    assert np.array_equal(rank_vector(v, ties="average"), rank_vector(v, ties="stable-first"))
+    assert np.array_equal(rank_vector(v), _stable_first_ranks(v))
 
 
 def test_counter_permutation_opposes_sums():

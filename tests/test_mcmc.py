@@ -7,12 +7,12 @@ from blockra import (
     McmcConfig,
     ObjectiveSpec,
     RearrangementMatrix,
-    gumbel_sample,
     mcmc_block_ra,
     propose_permutation,
     resolve_rate,
 )
 from blockra.matrix import counter_permutation
+from blockra.mcmc import _gumbel_sample
 
 from conftest import UNIFORM_8X3
 
@@ -22,16 +22,16 @@ def test_gumbel_inverse_cdf_formula():
         def random(self, size=None):
             return np.asarray(0.25) if size is None else np.full(size, 0.25)
 
-    z = gumbel_sample(2.0, FixedRng())
+    z = _gumbel_sample(2.0, FixedRng())
     assert z == pytest.approx(-np.log(-np.log(0.25)) / 2.0)
-    assert gumbel_sample(2.0, FixedRng(), 3).shape == (3,)
+    assert _gumbel_sample(2.0, FixedRng(), 3).shape == (3,)
     with pytest.raises(ValueError):
-        gumbel_sample(0.0, np.random.default_rng(0))
+        _gumbel_sample(0.0, np.random.default_rng(0))
 
 
 def test_gumbel_median_scaling():
     rng = np.random.default_rng(4)
-    draws = gumbel_sample(5.0, rng, 200_000)
+    draws = _gumbel_sample(5.0, rng, 200_000)
     assert np.median(draws) == pytest.approx(-np.log(np.log(2.0)) / 5.0, abs=5e-3)
 
 

@@ -15,12 +15,12 @@ from blockra import (
     extend_with_countermonotone_pairs,
     fit_sum_to_target,
     ks_distance,
-    sample_partitions,
     sample_variance,
     spread_dependence,
     spearman,
     w2_distance,
 )
+from blockra.algorithms import _pass_splits
 from blockra.targetfit import _ACCEL_WINDOW, _geometric_limit_factor
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
@@ -63,8 +63,8 @@ def _reference_fit(margins, target, m, cfg):
     reason = "max-passes"
     for _ in range(cfg.max_passes):
         passes += 1
-        for part in sample_partitions(n_cols, n_sim, rng):
-            _reference_move(arr, part.pi, part.complement())
+        for pi, comp in _pass_splits(n_cols, n_sim, rng):
+            _reference_move(arr, pi, comp)
         v = sample_variance(arr[:, :n].sum(axis=1))
         if v == 0:
             reason = "degenerate"
