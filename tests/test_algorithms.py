@@ -272,12 +272,14 @@ def _kernel_start(kind, m, n, seed):
     rng = np.random.default_rng(seed)
     if kind == "normal":
         return rng.standard_normal((m, n))
+    if kind == "tie-heavy":  # block sums and split scores tie all over
+        return rng.integers(0, 3, size=(m, n)).astype(float)
     u = rng.uniform(size=m)
     return np.column_stack([u] + [rng.permutation(u) for _ in range(n - 1)])
 
 
-@pytest.mark.parametrize("kind", ["shared-values", "normal"])
-@pytest.mark.parametrize("m, n, n_sim", [(8, 4, None), (10, 10, None), (10, 11, 40)])
+@pytest.mark.parametrize("kind", ["shared-values", "normal", "tie-heavy"])
+@pytest.mark.parametrize("m, n, n_sim", [(8, 4, None), (10, 10, None), (10, 11, 40), (30, 12, 64)])
 def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
     X = _kernel_start(kind, m, n, seed=m * n)
     cases = [
@@ -291,17 +293,6 @@ def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
         assert np.array_equal(res.final_matrix.values, arr), algo.__name__
         assert res.objective_trace == trace, algo.__name__
         assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied), algo.__name__
-
-
-def test_block_ra1_matches_reference_on_tie_heavy_input():
-    # Integer entries in 0..2: block sums and split scores tie all over.
-    X = np.random.default_rng(12).integers(0, 3, size=(30, 12)).astype(float)
-    cfg = BlockRaConfig(n_sim=64, rng_seed=5, max_sweeps=12)
-    res = block_ra1(X, cfg)
-    arr, trace, sweeps, applied = _ref_block_ra1(X, cfg)
-    assert np.array_equal(res.final_matrix.values, arr)
-    assert res.objective_trace == trace
-    assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied)
 
 
 def test_resolve_n_sim_counts_the_splits_a_pass_scores():
