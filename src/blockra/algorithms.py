@@ -76,7 +76,12 @@ class BlockRaConfig:
 
     def resolve_n_sim(self, n_columns: int) -> int:
         """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""
-        return min(512 if self.n_sim is None else self.n_sim, (1 << (n_columns - 1)) - 1)
+        return _resolve_n_sim(self.n_sim, n_columns)
+
+
+def _resolve_n_sim(n_sim: Optional[int], n_columns: int) -> int:
+    # The one n_sim rule, shared with the target-sum fit: None means up to 512.
+    return min(512 if n_sim is None else n_sim, (1 << (n_columns - 1)) - 1)
 
 
 @dataclass(frozen=True)

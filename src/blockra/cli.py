@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,13 +119,10 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
         raise UsageError("--enumerate-starts writes no matrix or trace; "
                          "drop --matrix-out and --trace-out")
     mat = read_matrix_csv(args.input)
-    cfg = BlockRaConfig(
-        n_sim=args.n_sim,
-        rho_stop=getattr(args, "rho_stop", -0.9999),
-        improvement_tol=args.improvement_tol,
-        max_sweeps=args.max_sweeps,
-        rng_seed=getattr(args, "rng_seed", 0),
-    )
+    # Each verb has only the options its algorithm reads; the rest keep
+    # their BlockRaConfig defaults.
+    knobs = {f.name for f in fields(BlockRaConfig)}
+    cfg = BlockRaConfig(**{k: v for k, v in vars(args).items() if k in knobs})
     if census:
         result = enumerate_starts(mat, cfg)
         body = {
@@ -145,6 +142,8 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
     body.pop("objective_trace")
     body["start_objective"] = float(result.objective_trace[0])
     body["m"], body["n"] = mat.m, mat.n
+    if args.verb == "ra":  # column moves: no splits to resolve
+        return _report(body, args)
     return _report(body, args, n_sim_resolved=cfg.resolve_n_sim(mat.n))
 
 
@@ -222,14 +221,10 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fit_sum(args: argparse.Namespace) -> dict:
-    if args.initial_scale is not None and not args.initial_scale > 0:
-        raise UsageError("--initial-scale must be positive")
     if args.margins == "uniform":
-        start = 1.5 if args.initial_scale is None else args.initial_scale
-        margins = MarginSpec.uniform_symmetric(args.n, a=start)
+        margins = MarginSpec.uniform_symmetric(args.n)
     else:
-        start = 0.4 if args.initial_scale is None else args.initial_scale
-        margins = MarginSpec.normal(args.n, sigma=start)
+        margins = MarginSpec.normal(args.n)
     cfg = FitConfig(n_sim=args.n_sim, rel_tol=args.rel_tol, max_passes=args.max_passes,
                     rng_seed=args.rng_seed)
     report = fit_sum_to_target(margins, _target_from_name(args.target), args.m, cfg)
@@ -240,7 +235,7 @@ def _cmd_fit_sum(args: argparse.Namespace) -> dict:
         write_matrix_csv(report.final_matrix.values[:, :2], args.emit_joint)
     body = report.to_dict()
     body["m"] = args.m
-    return _report(body, args, initial_scale=start, grid_points=_GRID_POINTS)
+    return _report(body, args, grid_points=_GRID_POINTS)
 
 
 def _cmd_spread(args: argparse.Namespace) -> dict:
@@ -307,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--matrix-out", help="write the final (mcmc: best visited) matrix CSV here")
     io.add_argument("--trace-out", help="write the per-sweep (mcmc: per-iteration) trace CSV here")
     rearrange = argparse.ArgumentParser(add_help=False)
-    rearrange.add_argument("--n-sim", type=int,
-                           help="partitions per pass (default: all up to 512)")
-    rearrange.add_argument("--improvement-tol", type=float, default=1e-12)
     rearrange.add_argument("--max-sweeps", type=int, default=1000)
+    blocks = argparse.ArgumentParser(add_help=False)
+    blocks.add_argument("--n-sim", type=int,
+                        help="partitions per pass (default: all up to 512)")
     law = argparse.ArgumentParser(add_help=False)
     law.add_argument("--target", choices=("normal", "uniform"), required=True)
     law.add_argument("--reps", type=int, default=41)
@@ -324,10 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("ra", _cmd_rearrange, "column-cycling rearrangement to a sweep-stable point",
         [io, rearrange])
     sp = add("bra1", _cmd_rearrange, "block rearrangement guided by the dependence measure",
-             [io, rearrange, seed])
+             [io, blocks, rearrange, seed])
     sp.add_argument("--rho-stop", type=float, default=-0.9999)
     sp = add("bra2", _cmd_rearrange, "block rearrangement over sampled partitions per pass",
-             [io, rearrange, seed])
+             [io, blocks, rearrange, seed])
+    sp.add_argument("--improvement-tol", type=float, default=1e-12)
     sp.add_argument("--enumerate-starts", action="store_true",
                     help="census every canonical column-permuted start instead of one run")
 
@@ -356,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2, help="number of margin columns")
     sp.add_argument("--target", choices=("normal", "uniform"), required=True)
     sp.add_argument("--m", type=int, required=True, help="discretization rows")
-    sp.add_argument("--initial-scale", type=float, help="starting half-width or sigma")
     sp.add_argument("--n-sim", type=int)
     sp.add_argument("--rel-tol", type=float, default=1e-8)
     sp.add_argument("--max-passes", type=int, default=500)

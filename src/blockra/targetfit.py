@@ -3,9 +3,10 @@
 The working object is an m x (n+1) matrix: n margin columns plus one column
 holding the negated target quantiles.  Driving the variance of the full row
 sums toward zero forces margin-sum order statistics onto the target grid.
-Scalable margin families (symmetric uniform, centered normal) additionally
-recalibrate a single scale factor at the start of every pass so the margin
-sums keep the target's variance.
+Symmetric uniform margins are fitted at their support bound, the smallest
+half-width whose margin sums can reach every target quantile.  Centered
+normal margins recalibrate sigma after every pass so the margin sums keep
+the target's variance.
 
 The pass loop keeps the matrix column-major, so every column it sums, moves
 or rescales is contiguous, and it tracks an ascending argsort of every
@@ -24,8 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import BlockRaConfig, _pass_splits, block_ra2
-from .gof import TargetDistribution, Thresholds, default_thresholds, ks_distance, w2_distance
+from .algorithms import BlockRaConfig, _pass_splits, _resolve_n_sim, block_ra2
+# perfbench/workloads.py patches ks_distance and w2_distance on this
+# module, so both names stay importable here.
+from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
 from .matrix import RearrangementMatrix, _as_matrix, _block_sums, sample_variance
 
 __all__ = [
@@ -44,9 +47,9 @@ __all__ = [
 class MarginSpec:
     """Common law of the n margin columns.
 
-    scale is the half-width a for the symmetric uniform family and sigma for
-    the centered normal family; empirical margins carry a fixed quantile
-    table instead and are never rescaled.
+    scale is the starting sigma of the centered normal family.  The fit sets
+    the symmetric uniform half-width itself, and empirical margins carry a
+    fixed quantile table instead and are never rescaled.
     """
 
     family: str
@@ -67,8 +70,8 @@ class MarginSpec:
             raise ValueError(f"unknown margin family: {self.family!r}")
 
     @classmethod
-    def uniform_symmetric(cls, n: int, a: float = 1.5) -> "MarginSpec":
-        return cls(family="uniform-symmetric", n=n, scale=float(a))
+    def uniform_symmetric(cls, n: int) -> "MarginSpec":
+        return cls(family="uniform-symmetric", n=n)
 
     @classmethod
     def normal(cls, n: int, sigma: float = 0.4) -> "MarginSpec":
@@ -85,10 +88,6 @@ class MarginSpec:
         tab.setflags(write=False)
         return cls(family="empirical", n=n, table=tab)
 
-    @property
-    def scalable(self) -> bool:
-        return self.family != "empirical"
-
     def unit_law(self) -> TargetDistribution:
         """The family member at scale 1 (the stored table for empirical)."""
         if self.family == "uniform-symmetric":
@@ -103,9 +102,9 @@ class FitConfig:
     """Fit loop settings.
 
     One pass = a sweep over n_sim sampled canonical partitions followed, for
-    scalable margin families, by scale recalibration.  The loop stops when
-    the achieved row-sum variance and the scale both move by less than
-    rel_tol between passes.
+    normal margins, by sigma recalibration.  The loop stops when the
+    achieved row-sum variance and the scale both move by less than rel_tol
+    between passes.
     """
 
     n_sim: Optional[int] = None
@@ -128,9 +127,9 @@ class FitReport:
 
     ``stop_reason`` is ``settled`` when the row-sum variance and the scale
     both stopped moving, ``max-passes`` when the pass budget ran out first,
-    and ``degenerate`` when the margin sums of a rescaling fit became
-    constant after a pass, which leaves no variance to recalibrate the
-    scale against; the scale is then left where that pass found it.
+    and ``degenerate`` when the margin sums of a normal-margin fit became
+    constant after a pass, which leaves no variance to recalibrate sigma
+    against; sigma is then left where that pass found it.
     """
 
     fitted_scale: float
@@ -162,14 +161,6 @@ def discretize_quantiles(dist: TargetDistribution, m: int) -> np.ndarray:
         raise ValueError("m must be positive")
     probs = np.arange(1, m + 1, dtype=np.float64) / (m + 1)
     return np.asarray(dist.quantile(probs), dtype=np.float64).reshape(m)
-
-
-# Scale-walk acceleration: window length for the geometric-series
-# extrapolation, damping on the extrapolated step, and the per-jump
-# clamp on the multiplicative step.
-_ACCEL_WINDOW = 25
-_ACCEL_DAMPING = 0.75
-_ACCEL_MAX_LOG_STEP = float(np.log(1.05))
 
 
 def _ordered_move(arr: np.ndarray, order: list, target_desc: np.ndarray,
@@ -212,35 +203,6 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
-def _geometric_limit_factor(scale_log: Sequence[float], window: int) -> float:
-    """Extrapolation factor from three consecutive windows of scale values.
-
-    The per-pass recalibration multiplies the scale by ratios whose logs
-    decay geometrically as the walk approaches its fixed point, so summing
-    the series predicts the limit.  Every scale at or past the fixed point
-    is absorbing: a jump that lands beyond it cannot be walked back.  The
-    step is therefore gated and damped.  The decay ratio is estimated on
-    two overlapping window pairs and a jump happens only when both are
-    contractive; the smaller implied step is used, damped, capped by a
-    multiple of the growth actually observed in the history (so jumps die
-    off as the walk settles), and clamped to a few percent per application.
-    """
-    s1 = np.log(scale_log[-1] / scale_log[-1 - window])
-    s2 = np.log(scale_log[-1 - window] / scale_log[-1 - 2 * window])
-    s3 = np.log(scale_log[-1 - 2 * window] / scale_log[-1 - 3 * window])
-    if s2 <= 0.0 or s3 <= 0.0:
-        return 1.0
-    r_new = s1 / s2
-    r_old = s2 / s3
-    if not (0.0 < r_new < 1.0 and 0.0 < r_old < 1.0):
-        return 1.0
-    step = _ACCEL_DAMPING * s1 * min(r_new / (1.0 - r_new), r_old / (1.0 - r_old))
-    step = min(step, 5.0 * (s1 + s2 + s3), _ACCEL_MAX_LOG_STEP)
-    if step <= 0.0:
-        return 1.0
-    return float(np.exp(step))
-
-
 def _verdict_label(ks_ok: bool, w2_ok: bool) -> str:
     if ks_ok and w2_ok:
         return "indistinguishable"
@@ -256,10 +218,14 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
                       thresholds: Optional[Thresholds] = None) -> FitReport:
     """Optimize the joint arrangement of n margins against a target law.
 
-    Builds [margin columns, -(target quantiles)], then alternates scale
-    recalibration with partition-sampled countermonotone passes until both
-    the variance of the full row sums and the scale settle.  Distances are
-    measured between the margin-column row sums and the target.
+    Builds [margin columns, -(target quantiles)] and runs partition-sampled
+    countermonotone passes until the variance of the full row sums settles.
+    Symmetric uniform margins take the support bound as their half-width:
+    the smallest a whose margin-sum support [-n a u, n a u], u the largest
+    unit-grid value, covers the target grid.  Normal margins recalibrate
+    sigma after every pass, and settle only once sigma also stops moving.
+    Distances are measured between the margin-column row sums and the
+    target.
     """
     cfg = config or FitConfig()
     if m < 2:
@@ -272,8 +238,12 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     rng = np.random.default_rng(cfg.rng_seed)
 
     unit_grid = discretize_quantiles(margins.unit_law(), m)
-    scale = margins.scale if margins.scalable else 1.0
     target_grid = discretize_quantiles(target, m)
+    walk = margins.family == "normal"
+    if margins.family == "uniform-symmetric":
+        scale = float(np.max(np.abs(target_grid)) / (n * unit_grid[-1]))
+    else:
+        scale = margins.scale if walk else 1.0
     # The recalibration constant aims at the sample variance of the
     # discretized target, not the law's analytic variance.  The sweep can
     # at best couple the margin sums to the target grid, whose variance
@@ -292,27 +262,16 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     # _ordered_move; rescaling by a positive ratio keeps it valid.
     order = [np.argsort(arr[:, j], kind="stable") for j in range(n)]
 
-    n_sim = cfg.n_sim if cfg.n_sim is not None else min(512, (1 << (n_cols - 1)) - 1)
-
-    def rebuild_margins() -> None:
-        # Each margin column becomes one multiply of the pristine unit grid,
-        # killing the drift accumulated by in-place ratio multiplies and
-        # making sorted column values exact.
-        scaled = scale * unit_grid
-        for j in range(n):
-            arr[order[j], j] = scaled
-
+    n_sim = _resolve_n_sim(cfg.n_sim, n_cols)
     prev_var = np.inf
     prev_scale = scale
-    scale_log: list[float] = [scale]
-    next_jump_pass = 3 * _ACCEL_WINDOW
     passes = 0
     stop_reason = "max-passes"
     for _ in range(cfg.max_passes):
         passes += 1
         for pi, comp in _pass_splits(n_cols, n_sim, rng):
             _ordered_move(arr, order, target_desc, pi, comp)
-        if margins.scalable:
+        if walk:
             v = sample_variance(_row_sums(arr[:, :n]))
             if v == 0.0:
                 stop_reason = "degenerate"
@@ -320,14 +279,6 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
             ratio = float(np.sqrt(var_target / v))
             scale *= ratio
             arr[:, :n] *= ratio
-            scale_log.append(scale)
-            if passes >= next_jump_pass and len(scale_log) > 3 * _ACCEL_WINDOW:
-                factor = _geometric_limit_factor(scale_log, _ACCEL_WINDOW)
-                if factor != 1.0:
-                    scale *= factor
-                    rebuild_margins()
-                    scale_log = [scale]
-                    next_jump_pass = passes + 3 * _ACCEL_WINDOW
         var_all = sample_variance(_row_sums(arr))
         # The first pass has no previous variance to settle against.
         var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
@@ -338,23 +289,22 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         prev_var = var_all
         prev_scale = scale
 
-    if margins.scalable:
-        rebuild_margins()
-    margin_sums = _row_sums(arr[:, :n])
-    if thresholds is None:
-        thresholds = default_thresholds(target, m)
-    ks = ks_distance(margin_sums, target)
-    w2 = w2_distance(np.sort(margin_sums), target)
-    ks_ok = ks <= thresholds.ks
-    w2_ok = w2 <= thresholds.w2
+    if walk:
+        # Each margin column becomes one multiply of the pristine unit grid,
+        # killing the drift accumulated by in-place ratio multiplies and
+        # making sorted column values exact.
+        scaled = scale * unit_grid
+        for j in range(n):
+            arr[order[j], j] = scaled
+    gof = verdict(_row_sums(arr[:, :n]), target, m, thresholds)
     return FitReport(
         fitted_scale=scale,
         final_matrix=RearrangementMatrix(arr),
-        ks=ks,
-        w2=w2,
-        ks_threshold=thresholds.ks,
-        w2_threshold=thresholds.w2,
-        verdict=_verdict_label(ks_ok, w2_ok),
+        ks=gof.d_ks,
+        w2=gof.t_w2,
+        ks_threshold=gof.med_ks,
+        w2_threshold=gof.med_w2,
+        verdict=_verdict_label(gof.ks_ok, gof.w2_ok),
         iterations=passes,
         stop_reason=stop_reason,
     )
