@@ -8,6 +8,7 @@ for the block rearrangement algorithms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -62,18 +63,50 @@ def spearman(x, y) -> float:
     return float(np.dot(rx, ry) / (sx * sy))
 
 
+# Block-sum cells a chunk of splits holds per side: k splits of m rows take
+# k = max(1, _CHUNK_CELLS // m), so a chunk's two sides and their ranks stay
+# within a few hundred kilobytes whatever m is.
+_CHUNK_CELLS = 1 << 14
+
+
 def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
     """Spearman correlation between the two block sums of each split, in order.
 
     ``pis`` holds the intp column indices of each split's first block.  The
     one scoring loop of both measures and of block_ra1's choice of move.
+    Splits are scored in chunks: one argsort ranks both sides of every
+    split in a chunk, tie-free pairs take spearman's integer formula, and
+    pairs with a tie go to :func:`spearman` itself, so every value is the one
+    it would return.  Constant block sums raise, naming the first such split.
     """
+    m = arr.shape[0]
     total = arr.sum(axis=1)
-    values = []
-    for pi in pis:
-        s_pi = _block_sums(arr, pi)
-        values.append(spearman(s_pi, total - s_pi))
-    return np.array(values, dtype=np.float64)
+    per_chunk = max(1, _CHUNK_CELLS // m)
+    pis = iter(pis)
+    values = [np.empty(0)]
+    while chunk := list(itertools.islice(pis, per_chunk)):
+        k = len(chunk)
+        # Row j holds split j's first-block sums and row k + j the rest: the
+        # chunk's m x 2k matrix of block sums, stored with one side per row.
+        first = np.array([_block_sums(arr, pi) for pi in chunk])
+        sums = np.concatenate((first, total - first))
+        # Ranks are used only where a row has no tie, and there every sort
+        # gives the same order, so the faster unstable default is safe.
+        order = sums.argsort(axis=1)
+        ranked = np.take_along_axis(sums, order, axis=1)
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(1, m + 1)[None, :], axis=1)
+        # Strictly increasing sorted sums: no tie (a signed zero pair counts).
+        distinct = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        d = ranks[:k] - ranks[k:]
+        rho = 1.0 - 6.0 * np.einsum("ij,ij->i", d, d) / (m * (m * m - 1))
+        for j in np.flatnonzero(~(distinct[:k] & distinct[k:])):
+            if (ranked[[j, k + j], 0] == ranked[[j, k + j], -1]).any():
+                raise ValueError(f"split {tuple(chunk[j].tolist())}: block sums are "
+                                 "constant, Spearman undefined")
+            rho[j] = spearman(sums[j], sums[k + j])
+        values.append(rho)
+    return np.concatenate(values)
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,15 @@ def _index_pair(pi, comp) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+def _mask_columns(mask: int, bits: int, offset: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Columns ``offset + j`` (j < bits) whose bit j in ``mask`` is set, then those clear."""
+    return (tuple(offset + j for j in range(bits) if mask >> j & 1),
+            tuple(offset + j for j in range(bits) if not mask >> j & 1))
+
+
 def _split_from_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _index_pair([j for j in range(n - 1) if mask >> j & 1],
-                       [j for j in range(n) if not mask >> j & 1])
+    pi, comp = _mask_columns(mask, n - 1)
+    return _index_pair(pi, comp + (n - 1,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,7 +213,20 @@ def _canonical_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """``(pi, comp)`` index arrays of all 2^(n-1) - 1 canonical splits, in mask order."""
     if n <= _SPLIT_CACHE_MAX_N:
         return _cached_splits(n)
-    return (_split_from_mask(mask, n) for mask in range(1, 1 << (n - 1)))
+    return _wide_splits(n)
+
+
+def _wide_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    # Masks in order are the high bits outer, the low bits inner, so each
+    # split joins a low pattern's column tuples to a high pattern's rather
+    # than scanning all n - 1 bits.
+    low_bits = _SPLIT_CACHE_MAX_N - 1
+    lows = [_mask_columns(low, low_bits) for low in range(1 << low_bits)]
+    for high in range(1 << (n - 1 - low_bits)):
+        high_pi, high_comp = _mask_columns(high, n - 1 - low_bits, low_bits)
+        high_comp += (n - 1,)
+        for pi, comp in lows[0 if high else 1:]:
+            yield np.array(pi + high_pi, dtype=np.intp), np.array(comp + high_comp, dtype=np.intp)
 
 
 @functools.lru_cache(maxsize=32)

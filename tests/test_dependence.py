@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from blockra import dependence
+from blockra.algorithms import BlockRaConfig, block_ra1
 from blockra.bench import enumerate_starts
 from blockra.dependence import (
+    _split_spearman,
     multivariate_dependence_exact,
     multivariate_dependence_sampled,
     spearman,
@@ -151,3 +154,68 @@ def test_split_scores_match_per_split_loop(kind):
     first_max = ref.index(max(ref))
     assert sampled.worst_value == ref[first_max]
     assert sampled.worst_partition == Partition(drawn[first_max], n).canonical().pi
+
+
+@pytest.mark.parametrize("source", ["list", "generator"])
+@pytest.mark.parametrize("per_chunk, count", [(4, 3), (4, 4), (4, 5), (4, 11), (1, 5)])
+def test_chunk_boundaries_match_per_split_loop(monkeypatch, per_chunk, count, source):
+    # Splits below, at and one above a chunk, several chunks, and chunks of
+    # one split; the tie-heavy rows send some pairs to spearman mid-chunk.
+    m, n = 10, 5
+    monkeypatch.setattr(dependence, "_CHUNK_CELLS", per_chunk * m)
+    rng = np.random.default_rng(per_chunk * 100 + count)
+    X = rng.normal(size=(m, n))
+    X[:4] = rng.integers(0, 3, size=(4, n))
+    pis = [np.flatnonzero(rng.integers(0, 2, size=n - 1)) for _ in range(4 * count)]
+    pis = [pi for pi in pis if pi.size][:count]
+    assert len(pis) == count
+    ref = np.array(_ref_split_values(X, pis))
+    got = _split_spearman(X, pis if source == "list" else (pi for pi in pis))
+    assert got.dtype == np.float64
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_exact_measure_is_chunk_size_independent(monkeypatch):
+    X = np.random.default_rng(6).integers(0, 4, size=(9, 6)).astype(float)
+    whole = multivariate_dependence_exact(X)
+    for cells in (9, 27, 31 * 9):  # one split a chunk, three, exactly all 31
+        monkeypatch.setattr(dependence, "_CHUNK_CELLS", cells)
+        assert multivariate_dependence_exact(X) == whole
+
+
+@pytest.mark.parametrize("measure", ["exact", "sampled", "block_ra1"])
+def test_constant_block_sums_name_the_split(measure):
+    # Columns 0 and 1 cancel, so split (0, 1) has constant block sums.
+    x = np.array([0.3, -1.2, 0.8, 2.0, -0.4, 1.1])
+    rng = np.random.default_rng(9)
+    X = np.column_stack([x, -x, rng.normal(size=6), rng.normal(size=6)])
+    run = {
+        "exact": lambda: multivariate_dependence_exact(X),
+        "sampled": lambda: multivariate_dependence_sampled(X, 200, rng_seed=0),
+        "block_ra1": lambda: block_ra1(X, BlockRaConfig(rng_seed=0)),
+    }[measure]
+    # The sampled draws may name the split by either block.
+    with pytest.raises(ValueError, match=r"^split \((0, 1|2, 3)\): block sums are constant, "
+                                         r"Spearman undefined$"):
+        run()
+
+
+def test_spearman_keeps_its_own_constant_message():
+    with pytest.raises(ValueError, match="undefined Spearman: first input is constant"):
+        spearman(np.ones(4), np.arange(4.0))
+
+
+def test_exact_measure_at_the_partition_cap():
+    n = dependence.EXACT_PARTITION_CAP
+    X = np.random.default_rng(20).normal(size=(6, n))
+    report = multivariate_dependence_exact(X)
+    assert report.partitions_evaluated == len(report.per_partition) == (1 << (n - 1)) - 1
+    keys = list(report.per_partition)
+    values = list(report.per_partition.values())
+    first_max = values.index(max(values))
+    assert values.count(max(values)) > 1  # m = 6 ties the maximum, so order decides
+    assert (report.worst_partition, report.worst_value) == (keys[first_max], values[first_max])
+    assert report.rho == math.fsum(values) / len(values)
+    # Spot-check splits across the enumeration against the per-split loop.
+    probe = keys[:: 4099] + [keys[-1]]
+    assert [report.per_partition[k] for k in probe] == _ref_split_values(X, probe)

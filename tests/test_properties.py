@@ -1,6 +1,10 @@
 """Property-based checks of the structural invariants."""
 
+import re
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,7 +27,8 @@ from blockra import (
     w2_distance,
     write_matrix_csv,
 )
-from blockra.matrix import counter_permutation
+from blockra import dependence
+from blockra.matrix import _canonical_splits, counter_permutation
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
 
@@ -101,6 +106,34 @@ def test_dependence_measure_bounds(X):
         assume(False)  # constant block sums, measure undefined by contract
     assert -1.0 - 1e-12 <= rep.rho <= 1.0 + 1e-12
     assert rep.rho <= rep.worst_value + 1e-12
+
+
+@given(
+    st.tuples(st.integers(2, 12), st.integers(2, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.integers(0, 2).map(float))),
+    st.integers(1, 9),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_scores_match_per_split_loop_on_tie_heavy_matrices(X, per_chunk):
+    # Entries 0..2 tie most block sums and make some constant; chunks of
+    # per_chunk splits put the ties and the first constant split anywhere.
+    pis = [pi for pi, _ in _canonical_splits(X.shape[1])]
+    total = X.sum(axis=1)
+    ref, first_bad = [], None
+    for pi in pis:
+        s_pi = X[:, list(pi)].sum(axis=1)
+        try:
+            ref.append(dependence.spearman(s_pi, total - s_pi))
+        except ValueError:
+            first_bad = pi
+            break
+    with mock.patch.object(dependence, "_CHUNK_CELLS", per_chunk * X.shape[0]):
+        if first_bad is None:
+            assert dependence._split_spearman(X, pis).tobytes() == np.array(ref).tobytes()
+        else:
+            named = re.escape(f"split {tuple(first_bad.tolist())}: block sums are constant")
+            with pytest.raises(ValueError, match=named):
+                dependence._split_spearman(X, pis)
 
 
 @given(matrices(max_m=8, max_n=4))
