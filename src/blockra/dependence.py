@@ -63,9 +63,10 @@ def spearman(x, y) -> float:
     return float(np.dot(rx, ry) / (sx * sy))
 
 
-# Block-sum cells a chunk of splits holds per side: k splits of m rows take
-# k = max(1, _CHUNK_CELLS // m), so a chunk's two sides and their ranks stay
-# within a few hundred kilobytes whatever m is.
+# Block-sum cells a chunk of splits holds per side: a chunk takes
+# max(1, _CHUNK_CELLS // m) splits, so each of its 2k-row arrays holds about
+# 2^15 numbers (256 KB) whatever m is.  A fixed 512 splits a chunk raised
+# the peak RSS of the `search` benchmark from 66 to 106 MB (its 1000 x 10 job).
 _CHUNK_CELLS = 1 << 14
 
 
@@ -87,7 +88,7 @@ def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
     while chunk := list(itertools.islice(pis, per_chunk)):
         k = len(chunk)
         # Row j holds split j's first-block sums and row k + j the rest: the
-        # chunk's m x 2k matrix of block sums, stored with one side per row.
+        # chunk's m x 2k block-sum matrix, transposed so each side is one row.
         first = np.array([_block_sums(arr, pi) for pi in chunk])
         sums = np.concatenate((first, total - first))
         # Ranks are used only where a row has no tie, and there every sort
@@ -102,8 +103,8 @@ def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
         rho = 1.0 - 6.0 * np.einsum("ij,ij->i", d, d) / (m * (m * m - 1))
         for j in np.flatnonzero(~(distinct[:k] & distinct[k:])):
             if (ranked[[j, k + j], 0] == ranked[[j, k + j], -1]).any():
-                raise ValueError(f"split {tuple(chunk[j].tolist())}: block sums are "
-                                 "constant, Spearman undefined")
+                split = Partition(chunk[j].tolist(), arr.shape[1]).canonical().pi
+                raise ValueError(f"split {split}: block sums are constant, Spearman undefined")
             rho[j] = spearman(sums[j], sums[k + j])
         values.append(rho)
     return np.concatenate(values)

@@ -191,11 +191,11 @@ def test_constant_block_sums_name_the_split(measure):
     X = np.column_stack([x, -x, rng.normal(size=6), rng.normal(size=6)])
     run = {
         "exact": lambda: multivariate_dependence_exact(X),
-        "sampled": lambda: multivariate_dependence_sampled(X, 200, rng_seed=0),
+        "sampled": lambda: multivariate_dependence_sampled(X, 200, rng_seed=1),
         "block_ra1": lambda: block_ra1(X, BlockRaConfig(rng_seed=0)),
     }[measure]
-    # The sampled draws may name the split by either block.
-    with pytest.raises(ValueError, match=r"^split \((0, 1|2, 3)\): block sums are constant, "
+    # Named canonically, as worst_partition is: seed 1 draws (2, 3) first.
+    with pytest.raises(ValueError, match=r"^split \(0, 1\): block sums are constant, "
                                          r"Spearman undefined$"):
         run()
 
