@@ -101,15 +101,6 @@ class RunResult:
     stop_reason: str
     objective_trace: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "final_objective": self.final_objective,
-            "sweeps": self.sweeps,
-            "rearrangements_applied": self.rearrangements_applied,
-            "stop_reason": self.stop_reason,
-            "objective_trace": list(self.objective_trace),
-        }
-
 
 def _run_result(arr: np.ndarray, sweeps: int, applied: int, reason: str,
                 trace: list) -> RunResult:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, standard_ra
 from .matrix import _as_matrix
-from .oracle import brute_force_minimum, make_zero_sum_normal_matrix
+from .oracle import _MAX_ARRANGEMENTS, brute_force_minimum, make_zero_sum_normal_matrix
 
 __all__ = [
     "BenchCell",
@@ -46,10 +46,6 @@ _DEFAULT_CELLS = {
     "t1b": ((4, 4), (5, 4), (6, 4), (7, 4)),
     "t3b": ((10, 4), (10, 6), (10, 8)),
 }
-
-# brute_force_minimum scores (m!)^(n-2) pairs of front and back arrangements;
-# refuse t1b cells whose per-replicate oracle would pass its default budget.
-_ORACLE_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,11 @@ def run_table_benchmark(
     for cm, cn in cells:
         if cm < 2 or cn < 2:
             raise ValueError(f"cell ({cm},{cn}) is degenerate")
-        if table == "t1b" and math.factorial(cm) ** (cn - 2) > _ORACLE_BUDGET:
+        # Refuse t1b cells whose per-replicate oracle would pass its budget.
+        if table == "t1b" and math.factorial(cm) ** (cn - 2) > _MAX_ARRANGEMENTS:
             raise ValueError(
                 f"t1b cell ({cm},{cn}) needs {math.factorial(cm) ** (cn - 2)} "
-                f"oracle arrangements, over the budget of {_ORACLE_BUDGET}"
+                f"oracle arrangements, over the budget of {_MAX_ARRANGEMENTS}"
             )
 
     out = []

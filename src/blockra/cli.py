@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .gof import _GRID_POINTS, TargetDistribution, default_thresholds, median_th
 from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
+    _MAX_ARRANGEMENTS,
     brute_force_minimum,
     haus_integer_matrix,
     haus_integer_minimum,
@@ -53,6 +54,15 @@ def _uint64(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
+
+
+def _fields(result, *skip: str) -> dict:
+    """The result's fields in declaration order, minus those named in skip.
+
+    Values are the result's own objects, not copies: the report leaves out
+    matrices and arrays rather than serializing them.
+    """
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in skip}
 
 
 def _report(body: dict, args: argparse.Namespace, **resolved) -> dict:
@@ -79,21 +89,12 @@ def _write_json(report: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _write_trace(path: str, rows: Sequence[tuple[int, float, int]]) -> None:
+def _write_trace(path: str, objectives: Sequence[float], accepted: Sequence[bool]) -> None:
+    # Row 0 is the starting objective, never accepted.
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iter,objective,accepted\n")
-        for it, obj, acc in rows:
-            fh.write(f"{it},{obj:.17g},{acc}\n")
-
-
-def _sweep_trace_rows(trace: Sequence[float]) -> list[tuple[int, float, int]]:
-    # Row 0 is the starting objective; accepted marks a strict decrease.
-    rows = []
-    prev = np.inf
-    for k, obj in enumerate(trace):
-        rows.append((k, float(obj), int(k > 0 and obj < prev)))
-        prev = obj
-    return rows
+        for k, (obj, acc) in enumerate(zip(objectives, accepted)):
+            fh.write(f"{k},{obj:.17g},{int(acc)}\n")
 
 
 def _read_column(path: str, name: str) -> np.ndarray:
@@ -136,11 +137,11 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
     result: RunResult = runner(mat, cfg)
     if args.matrix_out:
         write_matrix_csv(result.final_matrix, args.matrix_out)
-    if args.trace_out:
-        _write_trace(args.trace_out, _sweep_trace_rows(result.objective_trace))
-    body = result.to_dict()
-    body.pop("objective_trace")
-    body["start_objective"] = float(result.objective_trace[0])
+    trace = result.objective_trace
+    if args.trace_out:  # a sweep is accepted when it strictly lowered the objective
+        _write_trace(args.trace_out, trace, [False, *(b < a for a, b in zip(trace, trace[1:]))])
+    body = _fields(result, "final_matrix", "objective_trace")
+    body["start_objective"] = float(trace[0])
     body["m"], body["n"] = mat.m, mat.n
     if args.verb == "ra":  # column moves: no splits to resolve
         return _report(body, args)
@@ -156,15 +157,17 @@ def _cmd_mcmc(args: argparse.Namespace) -> dict:
     if args.matrix_out:
         write_matrix_csv(trace.best_matrix, args.matrix_out)
     if args.trace_out:
-        rows = [(0, start_objective, 0)]
-        rows += [
-            (k + 1, float(obj), int(acc))
-            for k, (obj, acc) in enumerate(zip(trace.objective_per_iter, trace.accepted))
-        ]
-        _write_trace(args.trace_out, rows)
-    body = trace.to_dict()
-    body["start_objective"] = start_objective
-    body["m"], body["n"] = mat.m, mat.n
+        _write_trace(args.trace_out, [start_objective, *trace.objective_per_iter],
+                     [False, *trace.accepted])
+    body = {
+        "iterations": int(trace.objective_per_iter.size),
+        "best_objective": trace.best_objective,
+        "acceptance_rate": float(trace.accepted.mean()) if trace.accepted.size else 0.0,
+        "absorbed_at": trace.absorbed_at,
+        "start_objective": start_objective,
+        "m": mat.m,
+        "n": mat.n,
+    }
     return _report(body, args, r_resolved=resolve_rate(mat, cfg), objective=cfg.objective.kind)
 
 
@@ -176,12 +179,8 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
         result = brute_force_minimum(mat, max_arrangements=args.max_arrangements)
         if args.matrix_out:
             write_matrix_csv(result.argmin_matrix, args.matrix_out)
-        body = {
-            "min_variance": result.min_variance,
-            "arrangements_scanned": result.arrangements_scanned,
-            "m": mat.m,
-            "n": mat.n,
-        }
+        body = _fields(result, "argmin_matrix")
+        body["m"], body["n"] = mat.m, mat.n
         return _report(body, args)
 
     if args.m is None or args.n is None:
@@ -214,7 +213,7 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
         report = multivariate_dependence_exact(mat)
     else:
         report = multivariate_dependence_sampled(mat, args.n_samples, args.rng_seed)
-    body = report.to_dict()
+    body = _fields(report, "per_partition")
     body["row_sum_variance"] = sample_variance(mat.values.sum(axis=1))
     body["m"], body["n"] = mat.m, mat.n
     return _report(body, args, mode_resolved=mode)
@@ -233,7 +232,7 @@ def _cmd_fit_sum(args: argparse.Namespace) -> dict:
     if args.emit_joint:
         # First two margin columns: the fitted dependence sample.
         write_matrix_csv(report.final_matrix.values[:, :2], args.emit_joint)
-    body = report.to_dict()
+    body = _fields(report, "final_matrix")
     body["m"] = args.m
     return _report(body, args, grid_points=_GRID_POINTS)
 
@@ -250,8 +249,11 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
     result = spread_dependence(fp, fg, fs, fp.size, cfg)
     if args.emit_joint:
         write_matrix_csv(result.copula, args.emit_joint)
-    body = result.to_dict()
-    body["rho_joint"] = spearman(result.copula.values[:, 0], result.copula.values[:, 1])
+    body = {
+        "residual_variance": result.residual_variance,
+        "rows": result.copula.m,
+        "rho_joint": spearman(result.copula.values[:, 0], result.copula.values[:, 1]),
+    }
     return _report(body, args, m=int(fp.size))
 
 
@@ -261,7 +263,7 @@ def _cmd_gof(args: argparse.Namespace) -> dict:
     m = args.m if args.m is not None else int(values.size)
     thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,
                                     n_replicates=args.reps, rng_seed=args.rng_seed)
-    return _report(verdict(values, target, m, thresholds).to_dict(), args, m=m)
+    return _report(_fields(verdict(values, target, m, thresholds)), args, m=m)
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> dict:
@@ -276,7 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
     body = {
         "table": report.table,
         "replicates": report.replicates,
-        "cells": [asdict(cell) for cell in report.cells],
+        "cells": [_fields(cell) for cell in report.cells],
     }
     return _report(body, args)
 
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--matrix-out", help="write the final (mcmc: best visited) matrix CSV here")
     io.add_argument("--trace-out", help="write the per-sweep (mcmc: per-iteration) trace CSV here")
     rearrange = argparse.ArgumentParser(add_help=False)
-    rearrange.add_argument("--max-sweeps", type=int, default=1000)
+    rearrange.add_argument("--max-sweeps", type=int, default=BlockRaConfig.max_sweeps)
     blocks = argparse.ArgumentParser(add_help=False)
     blocks.add_argument("--n-sim", type=int,
                         help="partitions per pass (default: all up to 512)")
@@ -320,23 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
         [io, rearrange])
     sp = add("bra1", _cmd_rearrange, "block rearrangement guided by the dependence measure",
              [io, blocks, rearrange, seed])
-    sp.add_argument("--rho-stop", type=float, default=-0.9999)
+    sp.add_argument("--rho-stop", type=float, default=BlockRaConfig.rho_stop)
     sp = add("bra2", _cmd_rearrange, "block rearrangement over sampled partitions per pass",
              [io, blocks, rearrange, seed])
-    sp.add_argument("--improvement-tol", type=float, default=1e-12)
+    sp.add_argument("--improvement-tol", type=float, default=BlockRaConfig.improvement_tol)
     sp.add_argument("--enumerate-starts", action="store_true",
                     help="census every canonical column-permuted start instead of one run")
 
     sp = add("mcmc", _cmd_mcmc, "Metropolis search with Gumbel-ranked proposals", [io, seed])
-    sp.add_argument("--iterations", dest="n_iter", type=int, default=10_000)
+    sp.add_argument("--iterations", dest="n_iter", type=int, default=McmcConfig.n_iter)
     sp.add_argument("--rate", dest="r", type=float,
                     help="Gumbel rate (default: set from the start)")
-    sp.add_argument("--absorb-tol", type=float, default=1e-14)
+    sp.add_argument("--absorb-tol", type=float, default=McmcConfig.absorb_tol)
 
     sp = add("oracle", _cmd_oracle, "exact minimum-variance references", [seed])
     sp.add_argument("--mode", choices=("brute", "haus", "zerosum"), default="brute")
     sp.add_argument("--input", help="matrix CSV (brute mode)")
-    sp.add_argument("--max-arrangements", type=int, default=100_000_000)
+    sp.add_argument("--max-arrangements", type=int, default=_MAX_ARRANGEMENTS)
     sp.add_argument("--m", type=int, help="rows (haus and zerosum modes)")
     sp.add_argument("--n", type=int, help="columns (haus and zerosum modes)")
     sp.add_argument("--matrix-out", help="write the reference matrix CSV here")
@@ -353,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", choices=("normal", "uniform"), required=True)
     sp.add_argument("--m", type=int, required=True, help="discretization rows")
     sp.add_argument("--n-sim", type=int)
-    sp.add_argument("--rel-tol", type=float, default=1e-8)
-    sp.add_argument("--max-passes", type=int, default=500)
+    sp.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
+    sp.add_argument("--max-passes", type=int, default=FitConfig.max_passes)
     sp.add_argument("--matrix-out", help="write the fitted (n+1)-column matrix CSV here")
     sp.add_argument("--emit-joint", help="write the first two fitted columns as CSV here")
 
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fp", required=True, help="first asset quantile CSV")
     sp.add_argument("--fg", required=True, help="second asset quantile CSV")
     sp.add_argument("--fs", required=True, help="spread quantile CSV")
-    sp.add_argument("--max-sweeps", type=int, default=1000)
+    sp.add_argument("--max-sweeps", type=int, default=BlockRaConfig.max_sweeps)
     sp.add_argument("--emit-joint", help="write the recovered joint sample CSV here")
 
     sp = add("gof", _cmd_gof, "distance verdict of a value sample against a target law",

@@ -125,15 +125,6 @@ class DependenceReport:
     worst_value: float
     per_partition: Optional[dict[tuple[int, ...], float]] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "mode": self.mode,
-            "partitions_evaluated": self.partitions_evaluated,
-            "worst_partition": list(self.worst_partition),
-            "worst_value": self.worst_value,
-        }
-
 
 def multivariate_dependence_exact(X) -> DependenceReport:
     """Average block-sum Spearman over the full canonical partition enumeration.

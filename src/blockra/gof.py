@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
@@ -131,17 +131,6 @@ class GofVerdict:
     ks_ok: bool
     w2_ok: bool
     both_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d_ks": self.d_ks,
-            "t_w2": self.t_w2,
-            "med_ks": self.med_ks,
-            "med_w2": self.med_w2,
-            "ks_ok": self.ks_ok,
-            "w2_ok": self.w2_ok,
-            "both_ok": self.both_ok,
-        }
 
 
 def ks_distance(sum_values, target: TargetDistribution) -> float:
@@ -281,7 +270,7 @@ def default_thresholds(target: TargetDistribution, m: int, *,
 
 
 def verdict(sum_values, target: TargetDistribution, m: Optional[int] = None,
-            thresholds: Optional[Union[Thresholds, Tuple[float, float]]] = None) -> GofVerdict:
+            thresholds: Optional[Thresholds] = None) -> GofVerdict:
     """Evaluate both distances and compare each against its median level.
 
     m defaults to the number of values; it only drives threshold selection
@@ -292,8 +281,6 @@ def verdict(sum_values, target: TargetDistribution, m: Optional[int] = None,
         m = values.size
     if thresholds is None:
         thresholds = default_thresholds(target, m)
-    elif not isinstance(thresholds, Thresholds):
-        thresholds = Thresholds(*thresholds)
     d_ks = ks_distance(values, target)
     t_w2 = w2_distance(np.sort(values), target)
     ks_ok = d_ks <= thresholds.ks

@@ -98,14 +98,6 @@ class ChainTrace:
     best_matrix: RearrangementMatrix
     absorbed_at: Optional[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": int(self.objective_per_iter.size),
-            "best_objective": self.best_objective,
-            "acceptance_rate": float(self.accepted.mean()) if self.accepted.size else 0.0,
-            "absorbed_at": self.absorbed_at,
-        }
-
 
 def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float, np.ndarray]:
     """Inverse-CDF draw(s) from the Gumbel law with rate r (scale 1/r).
@@ -197,18 +189,9 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     rate = resolve_rate(mat, cfg)
     objectives = np.empty(cfg.n_iter, dtype=np.float64)
     accepted = np.zeros(cfg.n_iter, dtype=bool)
-    absorbed_at: Optional[int] = None
-
-    if f_cur <= cfg.absorb_tol:
-        return ChainTrace(
-            objective_per_iter=objectives[:0],
-            accepted=accepted[:0],
-            best_objective=best_f,
-            best_matrix=RearrangementMatrix(best_arr),
-            absorbed_at=0,
-        )
-
-    for it in range(1, cfg.n_iter + 1):
+    # An absorbing start runs no iteration.
+    absorbed_at: Optional[int] = 0 if f_cur <= cfg.absorb_tol else None
+    for it in range(1, cfg.n_iter + 1 if absorbed_at is None else 1):
         pi, comp = _split_of_mask(_draw_canonical_mask(n, rng), n)
         s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
         s_bar = s_cur - s_pi

@@ -32,6 +32,8 @@ __all__ = [
 _MATERIALIZE_BYTES = 64 * 2**20
 # Entries per tile of the front-by-back pairing matrix (256 KB of float64).
 _TILE = 1 << 15
+# Default budget of front-by-back arrangement pairs brute_force_minimum scores.
+_MAX_ARRANGEMENTS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def _half_sum_chunks(anchor: np.ndarray, free: list, rows: int):
         lo += idx.shape[0]
 
 
-def brute_force_minimum(X, max_arrangements: int = 100_000_000) -> OracleResult:
+def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleResult:
     """Global minimum of the row-sum variance over all column rearrangements.
 
     Row relabelling is free, so the front columns 0..k-1 (k = 1 + (n-2)//2)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_resolve_n_sim_counts_the_splits_a_pass_scores():
     for algo in (block_ra1, block_ra2):
         a = algo(X, BlockRaConfig(n_sim=1000, rng_seed=2))
         b = algo(X, BlockRaConfig(n_sim=7, rng_seed=2))
-        assert a.to_dict() == b.to_dict()
+        assert replace(a, final_matrix=None) == replace(b, final_matrix=None)
         assert np.array_equal(a.final_matrix.values, b.final_matrix.values)
 
 

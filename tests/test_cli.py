@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from blockra import (
+    BlockRaConfig,
+    McmcConfig,
     TargetDistribution,
     __version__,
+    block_ra2,
     discretize_quantiles,
+    mcmc_block_ra,
     read_matrix_csv,
+    sample_variance,
     write_matrix_csv,
 )
 from blockra.cli import main
@@ -87,6 +92,40 @@ def test_out_file_and_trace(matrix_file, tmp_path, capsys):
     assert lines[0] == "iter,objective,accepted"
     assert lines[1].startswith("0,")
     assert len(lines) == doc["iterations"] + 2  # header + start row
+
+
+@pytest.mark.parametrize("verb", ["bra2", "mcmc"])
+def test_trace_csv_matches_the_result(verb, matrix_file, tmp_path, capsys):
+    path = matrix_file(START_TO_LOCAL_MIN)
+    trace = tmp_path / "trace.csv"
+    code, doc = _run(capsys, [verb, "--input", path, "--seed", "5", "--trace-out", str(trace)])
+    assert code == 0
+    mat = read_matrix_csv(path)
+    if verb == "bra2":
+        objectives = list(block_ra2(mat, BlockRaConfig(rng_seed=5)).objective_trace)
+        accepted = [0] + [int(b < a) for a, b in zip(objectives, objectives[1:])]
+    else:
+        chain = mcmc_block_ra(mat, McmcConfig(rng_seed=5))
+        objectives = [sample_variance(mat.values.sum(axis=1)), *chain.objective_per_iter]
+        accepted = [0, *chain.accepted.astype(int)]
+    assert 0 in accepted[1:] and 1 in accepted[1:]  # the case tells the two apart
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "iter,objective,accepted"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(objectives)))
+    assert [float(r[1]) for r in rows] == objectives
+    assert [int(r[2]) for r in rows] == accepted
+    assert float(rows[0][1]) == doc["start_objective"]
+
+
+def test_mcmc_absorbing_start_runs_no_iteration(matrix_file, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, doc = _run(capsys, ["mcmc", "--input", matrix_file(COMPLETE_MIX),
+                              "--trace-out", str(trace)])
+    assert code == 0
+    assert (doc["iterations"], doc["acceptance_rate"], doc["absorbed_at"]) == (0, 0.0, 0)
+    assert trace.read_text().splitlines() == [
+        "iter,objective,accepted", f"0,{doc['start_objective']:.17g},0"]
 
 
 def test_census_mode(matrix_file, capsys):
@@ -297,6 +336,7 @@ def test_verb_reports_golden(tmp_path, monkeypatch):
         config = report.pop("config")
         expected_config = expected["config"]
         assert report == {k: v for k, v in expected.items() if k != "config"}, case
+        assert list(report) == [k for k in expected if k != "config"], case  # key order too
         for key, value in expected_config.items():
             assert key in config and config[key] == value, (case, key)
         extra = set(config) - set(expected_config)

@@ -157,8 +157,8 @@ def test_verdict_composition():
     assert v.ks_ok and v.w2_ok and v.both_ok
     v_bad = verdict(xs + 0.5, target, thresholds=Thresholds(ks=1e-3, w2=1e-5))
     assert not v_bad.ks_ok and not v_bad.w2_ok and not v_bad.both_ok
-    # tuple thresholds accepted; both_ok is the conjunction
-    v_mixed = verdict(xs, target, thresholds=(1e-9, 1e6))
+    # both_ok is the conjunction
+    v_mixed = verdict(xs, target, thresholds=Thresholds(ks=1e-9, w2=1e6))
     assert (not v_mixed.ks_ok) and v_mixed.w2_ok and not v_mixed.both_ok
 
 

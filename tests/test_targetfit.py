@@ -1,5 +1,7 @@
 """Tests for margin fitting toward a target sum law."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from blockra import (
     w2_distance,
 )
 from blockra.algorithms import _pass_splits
+from blockra.targetfit import _NORMAL_START_SIGMA
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
 
@@ -46,7 +49,7 @@ def _reference_fit(margins, target, m, cfg):
     unit_grid = discretize_quantiles(margins.unit_law(), m)
     target_grid = discretize_quantiles(target, m)
     walk = margins.family == "normal"
-    scale = margins.scale if walk else np.max(np.abs(target_grid)) / (n * unit_grid[-1])
+    scale = _NORMAL_START_SIGMA if walk else np.max(np.abs(target_grid)) / (n * unit_grid[-1])
     var_target = sample_variance(target_grid)
     arr = np.empty((m, n_cols))
     arr[:, :n] = (scale * unit_grid)[:, None]
@@ -119,7 +122,7 @@ def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
     cfg = FitConfig(rng_seed=3, max_passes=30)
     r1 = fit_sum_to_target(margins, target, m, cfg, thresholds=WIDE_THRESHOLDS)
     r2 = fit_sum_to_target(margins, target, m, cfg, thresholds=WIDE_THRESHOLDS)
-    assert r1.to_dict() == r2.to_dict()
+    assert replace(r1, final_matrix=None) == replace(r2, final_matrix=None)
     assert r1.final_matrix.values.tobytes() == r2.final_matrix.values.tobytes()
     final = r1.final_matrix.values
     for j in range(3):
@@ -148,7 +151,6 @@ def test_stop_reason_reports_settling_and_budget():
     settled = fit_sum_to_target(margins, target, 300, thresholds=WIDE_THRESHOLDS)
     assert settled.stop_reason == "settled"
     assert settled.iterations < FitConfig().max_passes
-    assert settled.to_dict()["stop_reason"] == "settled"
     capped = fit_sum_to_target(margins, target, 300, FitConfig(max_passes=2),
                                thresholds=WIDE_THRESHOLDS)
     assert (capped.iterations, capped.stop_reason) == (2, "max-passes")
@@ -169,8 +171,6 @@ def test_discretize_normal_grid_variance():
 def test_margin_spec_validation():
     with pytest.raises(ValueError):
         MarginSpec.uniform_symmetric(1)
-    with pytest.raises(ValueError):
-        MarginSpec.normal(3, sigma=0.0)
     with pytest.raises(ValueError):
         MarginSpec(family="gamma", n=3)
     with pytest.raises(ValueError):
