@@ -6,7 +6,8 @@ rearrangement; they differ in which blocks they move and when they stop.
 * ``standard_ra``: cycles columns, each made countermonotone with the sum of
   the others; stops when a full sweep changes nothing.
 * ``block_ra1``: repeatedly rearranges the sampled partition whose block sums
-  are least opposed, stopping once the dependence measure reaches a floor.
+  are least opposed, stopping once the dependence measure reaches a floor
+  or the variance stalls.
 * ``block_ra2``: applies every sampled partition each pass, stopping when a
   pass no longer improves the variance materially.
 """
@@ -41,9 +42,9 @@ __all__ = [
     "block_ra2",
 ]
 
-# Consecutive argmax-rearrangement no-ops tolerated under partition
-# subsampling before block_ra1 gives up; with full enumeration the first
-# confirmed no-op already proves the algorithm is stuck.
+# Iterations in a row that do not lower the variance (a no-op, or a move
+# that only reorders rows whose block sums tie) before block_ra1 gives up;
+# with full enumeration the first no-op already proves it is stuck.
 _STALL_LIMIT = 10
 
 
@@ -102,38 +103,29 @@ class RunResult:
     objective_trace: tuple[float, ...]
 
 
-def _run_result(arr: np.ndarray, sweeps: int, applied: int, reason: str,
-                trace: list) -> RunResult:
-    return RunResult(
-        final_matrix=RearrangementMatrix(arr),
-        final_objective=trace[-1],
-        sweeps=sweeps,
-        rearrangements_applied=applied,
-        stop_reason=reason,
-        objective_trace=tuple(trace),
-    )
+def _descend(arr: np.ndarray, max_sweeps: int, pass_splits: Callable[[], Iterable],
+             stop: Callable[[int, int, float, float], Optional[str]]) -> RunResult:
+    """The countermonotone descent loop of all three algorithms.
 
-
-def _descend(mat: RearrangementMatrix, max_sweeps: int, pass_splits: Callable[[], Iterable],
-             settled: Callable[[int, float, float], bool]) -> RunResult:
-    """The countermonotone descent shared by standard_ra and block_ra2.
-
-    Each sweep applies the block move for every ``(pi, comp)`` split that
-    ``pass_splits()`` returns, in order, then records the row-sum variance.
-    The run stops with ``no-improvement`` once ``settled(moves applied in
-    the sweep, previous variance, new variance)`` holds, or with
-    ``max-iterations`` after ``max_sweeps`` sweeps.
+    Each sweep applies the block move to ``arr``, in place, for every
+    ``(pi, comp)`` split that ``pass_splits()`` returns, in order, then
+    records the row-sum variance.  ``stop(sweep, moves applied in the sweep,
+    previous variance, new variance)`` returns the stop reason, or None to
+    go on; the run stops with ``max-iterations`` after ``max_sweeps``
+    sweeps.
     """
-    arr = mat.values.copy()
     trace = [sample_variance(arr.sum(axis=1))]
     applied = 0
     for sweep in range(1, max_sweeps + 1):
         moved = sum(_block_move(arr, pi, comp) for pi, comp in pass_splits())
         applied += moved
         trace.append(sample_variance(arr.sum(axis=1)))
-        if settled(moved, trace[-2], trace[-1]):
-            return _run_result(arr, sweep, applied, "no-improvement", trace)
-    return _run_result(arr, max_sweeps, applied, "max-iterations", trace)
+        reason = stop(sweep, moved, trace[-2], trace[-1])
+        if reason:
+            break
+    else:
+        reason = "max-iterations"
+    return RunResult(RearrangementMatrix(arr), trace[-1], sweep, applied, reason, tuple(trace))
 
 
 def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -144,9 +136,10 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     sweep that changes no column, or when the sweep budget runs out.
     """
     cfg = config or BlockRaConfig()
-    mat = _as_matrix(X)
-    splits = _column_splits(mat.n)
-    return _descend(mat, cfg.max_sweeps, lambda: splits, lambda moved, prev, var: moved == 0)
+    arr = _as_matrix(X).values.copy()
+    splits = _column_splits(arr.shape[1])
+    return _descend(arr, cfg.max_sweeps, lambda: splits,
+                    lambda sweep, moved, prev, var: None if moved else "no-improvement")
 
 
 def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
@@ -170,23 +163,16 @@ def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
     return out
 
 
-def _dependence_estimate(arr: np.ndarray, n_sim: int, rng: np.random.Generator) -> float:
-    """Exact measure when enumerable, sampled fallback for very wide matrices."""
-    n = arr.shape[1]
-    if n <= EXACT_PARTITION_CAP:
-        return multivariate_dependence_exact(arr).rho
-    seed = int(rng.integers(0, 2**63 - 1))
-    return multivariate_dependence_sampled(arr, n_samples=n_sim, rng_seed=seed).rho
-
-
 def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     """Greedy block rearrangement guided by the dependence measure.
 
     Each iteration samples partitions, finds the one whose block sums are
     least opposed (largest Spearman), and rearranges its complement block.
-    The dependence measure is recomputed exactly every 10 iterations, and
-    always before a stop is declared, to keep the exact-enumeration cost off
-    the hot path.
+    The dependence measure is rechecked every 10 iterations and before a
+    stall is declared, exactly up to EXACT_PARTITION_CAP columns and sampled
+    beyond, and the run stops once it reaches ``rho_stop``.  It stalls at
+    the first no-op under full enumeration, or after _STALL_LIMIT iterations
+    in a row that do not lower the variance.
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
@@ -194,33 +180,30 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     n_sim = cfg.resolve_n_sim(n)
     full_enumeration = n_sim >= (1 << (n - 1)) - 1
     rng = np.random.default_rng(cfg.rng_seed)
-    trace = [sample_variance(arr.sum(axis=1))]
-    applied = 0
-    sweeps = 0
-    stall = 0
-    reason = "max-iterations"
-    check_every = 10
-    for it in range(1, cfg.max_sweeps + 1):
-        sweeps = it
+    flat = 0
+
+    def least_opposed():
         splits = list(_pass_splits(n, n_sim, rng))
         scores = _split_spearman(arr, (pi for pi, _ in splits))
-        # Move the least opposed split; np.argmax keeps the first on ties.
-        changed = _block_move(arr, *splits[int(np.argmax(scores))])
-        if changed:
-            applied += 1
-            stall = 0
+        # np.argmax keeps the first split on ties.
+        return [splits[int(np.argmax(scores))]]
+
+    def stop(sweep, moved, prev, var):
+        nonlocal flat
+        flat = flat + 1 if var >= prev else 0
+        stalled = flat >= _STALL_LIMIT or (full_enumeration and not moved)
+        if sweep % 10 and moved and not stalled:
+            return None
+        if n <= EXACT_PARTITION_CAP:
+            rho = multivariate_dependence_exact(arr).rho
         else:
-            stall += 1
-        trace.append(sample_variance(arr.sum(axis=1)))
-        if it % check_every == 0 or not changed:
-            rho = _dependence_estimate(arr, n_sim, rng)
-            if rho <= cfg.rho_stop:
-                reason = "dependence-threshold"
-                break
-            if not changed and (full_enumeration or stall >= _STALL_LIMIT):
-                reason = "no-improvement"
-                break
-    return _run_result(arr, sweeps, applied, reason, trace)
+            seed = int(rng.integers(0, 2**63 - 1))
+            rho = multivariate_dependence_sampled(arr, n_samples=n_sim, rng_seed=seed).rho
+        if rho <= cfg.rho_stop:
+            return "dependence-threshold"
+        return "no-improvement" if stalled else None
+
+    return _descend(arr, cfg.max_sweeps, least_opposed, stop)
 
 
 def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -232,8 +215,12 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     (absolute floor 1e-15).
     """
     cfg = config or BlockRaConfig()
-    mat = _as_matrix(X)
-    n_sim = cfg.resolve_n_sim(mat.n)
+    arr = _as_matrix(X).values.copy()
+    n = arr.shape[1]
+    n_sim = cfg.resolve_n_sim(n)
     rng = np.random.default_rng(cfg.rng_seed)
-    return _descend(mat, cfg.max_sweeps, lambda: _pass_splits(mat.n, n_sim, rng),
-                    lambda moved, prev, var: prev - var < max(cfg.improvement_tol * var, 1e-15))
+
+    def stop(sweep, moved, prev, var):
+        return "no-improvement" if prev - var < max(cfg.improvement_tol * var, 1e-15) else None
+
+    return _descend(arr, cfg.max_sweeps, lambda: _pass_splits(n, n_sim, rng), stop)

@@ -30,9 +30,10 @@ EXACT_PARTITION_CAP = 20  # columns; 2^(cap-1) - 1 partitions is the real limit
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks.
 
-    Constant input is an error (rank variance vanishes and the coefficient
-    is undefined).  Tie-free inputs take an exact integer path so perfectly
-    opposite orderings return -1.0 exactly.
+    NaN and constant input are errors (NaN has no rank; constant input has
+    no rank variance, so the coefficient is undefined).  Tie-free inputs
+    take an exact integer path so perfectly opposite orderings return -1.0
+    exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -41,14 +42,14 @@ def spearman(x, y) -> float:
     m = x.size
     if m < 2:
         raise ValueError("spearman needs at least 2 observations")
+    rx = rank_vector(x)
+    ry = rank_vector(y)
     ux = np.unique(x).size
     uy = np.unique(y).size
     if ux == 1:
         raise ValueError("undefined Spearman: first input is constant")
     if uy == 1:
         raise ValueError("undefined Spearman: second input is constant")
-    rx = rank_vector(x)
-    ry = rank_vector(y)
     if ux == m and uy == m:
         d = rx.astype(np.int64) - ry.astype(np.int64)
         d2 = int(np.sum(d * d, dtype=np.int64))

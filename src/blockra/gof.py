@@ -41,7 +41,7 @@ _KS_MEDIAN_SQRT_M = 0.8276  # asymptotic median of sqrt(m) * D_m
 
 @dataclass(frozen=True)
 class TargetDistribution:
-    """A law to compare row sums against: cdf, quantile, variance, sampler.
+    """A law to compare row sums against: cdf, quantile, sampler.
 
     Three families: normal(mu, sigma), uniform(lo, hi), and empirical (the
     discrete uniform law on a fixed table of values).
@@ -95,14 +95,6 @@ class TargetDistribution:
             return lo + u * (hi - lo)
         k = np.ceil(u * self.table.size).astype(np.intp)  # step inverse
         return self.table[k - 1]
-
-    def variance(self) -> float:
-        if self.family == "normal":
-            return self.params[1] ** 2
-        if self.family == "uniform":
-            lo, hi = self.params
-            return (hi - lo) ** 2 / 12.0
-        return float(self.table.var())
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         if self.family == "normal":
@@ -253,7 +245,7 @@ def default_thresholds(target: TargetDistribution, m: int, *,
     if m == 10**6:
         ks = _KS_MEDIAN_1E6
         if target.family == "normal":
-            return Thresholds(ks=ks, w2=_W2_MEDIAN_NORMAL_1E6 * target.variance())
+            return Thresholds(ks=ks, w2=_W2_MEDIAN_NORMAL_1E6 * target.params[1] ** 2)
         if target.family == "uniform":
             lo, hi = target.params
             half = (hi - lo) / 2.0

@@ -129,6 +129,8 @@ def rank_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("rank_vector expects a 1-D vector")
+    if np.isnan(v).any():
+        raise ValueError("rank_vector: NaN has no rank")
     m = v.size
     order = np.argsort(v, kind="stable")
     ranks = np.empty(m, dtype=np.float64)

@@ -205,6 +205,15 @@ def test_spearman_keeps_its_own_constant_message():
         spearman(np.ones(4), np.arange(4.0))
 
 
+@pytest.mark.parametrize("x, y", [([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                                  ([1.0, 2.0, 3.0], [3.0, np.nan, 1.0]),
+                                  ([np.nan] * 3, [1.0, 2.0, 3.0])])
+def test_spearman_rejects_nan(x, y):
+    # NaN used to rank as the largest value: the first case returned -0.5.
+    with pytest.raises(ValueError, match="NaN"):
+        spearman(x, y)
+
+
 def test_exact_measure_at_the_partition_cap():
     n = dependence.EXACT_PARTITION_CAP
     X = np.random.default_rng(20).normal(size=(6, n))

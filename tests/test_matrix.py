@@ -55,6 +55,11 @@ def test_rank_vector_distinct_values_agree():
     assert np.array_equal(rank_vector(v), _stable_first_ranks(v))
 
 
+def test_rank_vector_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        rank_vector([0.5, np.nan, 0.1])
+
+
 def test_counter_permutation_opposes_sums():
     rng = np.random.default_rng(7)
     s_pi = rng.normal(size=30)
