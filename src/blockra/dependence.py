@@ -2,8 +2,8 @@
 
 The headline quantity is the average, over every unordered two-block split of
 the columns, of the Spearman correlation between the two block sums.  It is
--1 exactly when every split is countermonotone, which is the stopping target
-for the block rearrangement algorithms.
+-1 exactly when every split is countermonotone or has a constant block sum,
+which is the stopping target for the block rearrangement algorithms.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def spearman(x, y) -> float:
     ry -= ry.mean()
     sx = float(np.sqrt(np.sum(rx * rx)))
     sy = float(np.sqrt(np.sum(ry * ry)))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("undefined Spearman: constant ranks")
     return float(np.dot(rx, ry) / (sx * sy))
 
 
@@ -71,7 +69,7 @@ def spearman(x, y) -> float:
 _CHUNK_CELLS = 1 << 14
 
 
-def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
+def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
     """Spearman correlation between the two block sums of each split, in order.
 
     ``pis`` holds the intp column indices of each split's first block.  The
@@ -79,13 +77,16 @@ def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
     Splits are scored in chunks: one argsort ranks both sides of every
     split in a chunk, tie-free pairs take spearman's integer formula, and
     pairs with a tie go to :func:`spearman` itself, so every value is the one
-    it would return.  Constant block sums raise, naming the first such split.
+    it would return.  A split with a constant block sum scores -1, as no
+    reordering can change its row-sum variance; returns the scores and the
+    count of such splits.
     """
     m = arr.shape[0]
     total = arr.sum(axis=1)
     per_chunk = max(1, _CHUNK_CELLS // m)
     pis = iter(pis)
     values = [np.empty(0)]
+    constant = 0
     while chunk := list(itertools.islice(pis, per_chunk)):
         k = len(chunk)
         # Row j holds split j's first-block sums and row k + j the rest: the
@@ -104,11 +105,11 @@ def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> np.ndarray:
         rho = 1.0 - 6.0 * np.einsum("ij,ij->i", d, d) / (m * (m * m - 1))
         for j in np.flatnonzero(~(distinct[:k] & distinct[k:])):
             if (ranked[[j, k + j], 0] == ranked[[j, k + j], -1]).any():
-                split = Partition(chunk[j].tolist(), arr.shape[1]).canonical().pi
-                raise ValueError(f"split {split}: block sums are constant, Spearman undefined")
-            rho[j] = spearman(sums[j], sums[k + j])
+                rho[j], constant = -1.0, constant + 1
+            else:
+                rho[j] = spearman(sums[j], sums[k + j])
         values.append(rho)
-    return np.concatenate(values)
+    return np.concatenate(values), constant
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,13 @@ class DependenceReport:
 
     ``worst_partition`` is the split whose block sums are least opposed
     (largest Spearman value), the natural next rearrangement target.
+    ``constant_splits`` counts the splits scored -1 for a constant block sum.
     """
 
     rho: float
     mode: str
     partitions_evaluated: int
+    constant_splits: int
     worst_partition: tuple[int, ...]
     worst_value: float
     per_partition: Optional[dict[tuple[int, ...], float]] = None
@@ -148,12 +151,13 @@ def multivariate_dependence_exact(X) -> DependenceReport:
             keys.append(tuple(pi.tolist()))
             yield pi
 
-    values = _split_spearman(arr, first_blocks())
+    values, constant = _split_spearman(arr, first_blocks())
     worst = int(np.argmax(values))
     return DependenceReport(
         rho=math.fsum(values) / len(keys),
         mode="exact",
         partitions_evaluated=len(keys),
+        constant_splits=constant,
         worst_partition=keys[worst],
         worst_value=float(values[worst]),
         per_partition=dict(zip(keys, values.tolist())),
@@ -177,12 +181,13 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
         indicator = rng.integers(0, 2, size=n)
         if 0 < int(indicator.sum()) < n:
             pis.append(np.flatnonzero(indicator))
-    values = _split_spearman(arr, pis)
+    values, constant = _split_spearman(arr, pis)
     worst = int(np.argmax(values))
     return DependenceReport(
         rho=float(math.fsum(values) / n_samples),
         mode="sampled",
         partitions_evaluated=n_samples,
+        constant_splits=constant,
         worst_partition=Partition(tuple(pis[worst].tolist()), n).canonical().pi,
         worst_value=float(values[worst]),
         per_partition=None,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr, ndtri
 
 __all__ = [
     "TargetDistribution",
@@ -76,6 +75,7 @@ class TargetDistribution:
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.family == "normal":
+            from scipy.special import ndtr
             mu, sigma = self.params
             return ndtr((x - mu) / sigma)
         if self.family == "uniform":
@@ -88,6 +88,7 @@ class TargetDistribution:
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("quantile requires probabilities strictly inside (0,1)")
         if self.family == "normal":
+            from scipy.special import ndtri
             mu, sigma = self.params
             return mu + sigma * ndtri(u)
         if self.family == "uniform":
@@ -227,6 +228,7 @@ def kolmogorov_asymptotic_cdf(t: float) -> float:
     scipy's ``kolmogorov`` is the survival function 1 - H; nonpositive t
     maps to 0.
     """
+    from scipy.special import kolmogorov
     if t <= 0.0:
         return 0.0
     return float(1.0 - kolmogorov(t))

@@ -112,8 +112,7 @@ class Partition:
     @classmethod
     def from_mask(cls, mask: int, n_columns: int) -> "Partition":
         """Canonical partition from a nonzero bitmask over the first n-1 columns."""
-        pi = tuple(j for j in range(n_columns - 1) if mask >> j & 1)
-        return cls(pi, n_columns)
+        return cls(_mask_columns(mask, n_columns - 1)[0], n_columns)
 
 
 def sample_variance(s: np.ndarray) -> float:
@@ -197,6 +196,14 @@ def _split_from_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _cached_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(_split_from_mask(mask, n) for mask in range(1, 1 << (n - 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _split_masks(n: int) -> np.ndarray:
+    """Row k is 1.0 on the first block of ``_cached_splits(n)[k]``, 0.0 elsewhere."""
+    masks = np.array([np.isin(np.arange(n), pi) for pi, _ in _cached_splits(n)], dtype=np.float64)
+    masks.setflags(write=False)  # shared through the cache
+    return masks
 
 
 def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:

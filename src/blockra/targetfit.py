@@ -38,7 +38,6 @@ __all__ = [
     "SpreadResult",
     "discretize_quantiles",
     "fit_sum_to_target",
-    "extend_with_countermonotone_pairs",
     "spread_dependence",
 ]
 
@@ -47,6 +46,10 @@ __all__ = [
 # m = 10^4 (seed 3) settle at 0.3137 from 0.2 and at 0.3372 from 0.4, while
 # a start of 0.8 runs away to max_passes.
 _NORMAL_START_SIGMA = 0.4
+
+# FitReport.verdict by which of the KS and W2 distances beat their thresholds.
+_VERDICTS = {(True, True): "indistinguishable", (True, False): "ks-only",
+             (False, True): "w2-only", (False, False): "neither"}
 
 
 @dataclass(frozen=True)
@@ -193,16 +196,6 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
-def _verdict_label(ks_ok: bool, w2_ok: bool) -> str:
-    if ks_ok and w2_ok:
-        return "indistinguishable"
-    if ks_ok:
-        return "ks-only"
-    if w2_ok:
-        return "w2-only"
-    return "neither"
-
-
 def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
                       config: Optional[FitConfig] = None,
                       thresholds: Optional[Thresholds] = None) -> FitReport:
@@ -294,43 +287,10 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         w2=gof.t_w2,
         ks_threshold=gof.med_ks,
         w2_threshold=gof.med_w2,
-        verdict=_verdict_label(gof.ks_ok, gof.w2_ok),
+        verdict=_VERDICTS[gof.ks_ok, gof.w2_ok],
         iterations=passes,
         stop_reason=stop_reason,
     )
-
-
-def extend_with_countermonotone_pairs(X_fit, n_target: int,
-                                      rng_seed: int = 0) -> RearrangementMatrix:
-    """Widen a fitted matrix to n_target margin columns with zero-sum pairs.
-
-    Appends (n_target - n_base)/2 column pairs (V, -V) sharing one random
-    row order, where V carries the base margin's quantile values; each
-    pair's row sums vanish identically, so the distribution of the margin
-    sums, and hence every fit distance, is unchanged.  The negated-target
-    column stays last.
-    """
-    mat = _as_matrix(X_fit)
-    arr = np.array(mat.values, copy=True)
-    m, n_cols = arr.shape
-    n_base = n_cols - 1
-    extra = n_target - n_base
-    if extra < 0:
-        raise ValueError(f"fit already has {n_base} margin columns, cannot shrink to {n_target}")
-    if extra % 2 != 0:
-        raise ValueError("extension must add an even number of margin columns")
-    base_sorted = np.sort(arr[:, 0])
-    if np.max(np.abs(base_sorted + base_sorted[::-1])) > 1e-9 * max(1.0, np.max(np.abs(base_sorted))):
-        raise ValueError("countermonotone-pair extension needs margins symmetric about 0")
-    if extra == 0:
-        return mat
-    rng = np.random.default_rng(rng_seed)
-    pairs = []
-    for _ in range(extra // 2):
-        v = base_sorted[rng.permutation(m)]
-        pairs.extend([v, -v])
-    new_arr = np.column_stack([arr[:, :n_base], *pairs, arr[:, n_base]])
-    return RearrangementMatrix(new_arr)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from blockra import (
     Partition,
     block_ra1,
     block_ra2,
+    make_zero_sum_normal_matrix,
     multivariate_dependence_exact,
     sample_variance,
     spearman,
@@ -249,13 +250,18 @@ def _ref_block_ra2(X, cfg):
     return arr, tuple(trace), cfg.max_sweeps, applied, "max-iterations"
 
 
+def _ref_score(s_pi, total):
+    # A split with a constant block sum scores -1: no reordering changes its variance.
+    s_bar = total - s_pi
+    return -1.0 if np.ptp(s_pi) == 0 or np.ptp(s_bar) == 0 else spearman(s_pi, s_bar)
+
+
 def _ref_rho(arr):
     n = arr.shape[1]
     total = arr.sum(axis=1)
     vals = []
     for mask in range(1, 1 << (n - 1)):
-        s_pi = arr[:, list(Partition.from_mask(mask, n).pi)].sum(axis=1)
-        vals.append(spearman(s_pi, total - s_pi))
+        vals.append(_ref_score(arr[:, list(Partition.from_mask(mask, n).pi)].sum(axis=1), total))
     return math.fsum(vals) / len(vals)
 
 
@@ -268,8 +274,7 @@ def _ref_rho_sampled(arr, n_samples, seed):
     while len(vals) < n_samples:
         indicator = rng.integers(0, 2, size=n)
         if 0 < indicator.sum() < n:
-            s_pi = arr[:, np.flatnonzero(indicator)].sum(axis=1)
-            vals.append(spearman(s_pi, total - s_pi))
+            vals.append(_ref_score(arr[:, np.flatnonzero(indicator)].sum(axis=1), total))
     return math.fsum(vals) / n_samples
 
 
@@ -283,7 +288,7 @@ def _ref_block_ra1(X, cfg):
     for it in range(1, cfg.max_sweeps + 1):
         parts = _ref_partitions(n, n_sim, rng)
         total = arr.sum(axis=1)
-        phis = [spearman(s, total - s) for s in (arr[:, list(p.pi)].sum(axis=1) for p in parts)]
+        phis = [_ref_score(arr[:, list(p.pi)].sum(axis=1), total) for p in parts]
         best = parts[int(np.argmax(phis))]
         changed = _ref_move(arr, best.pi, best.complement())
         applied += changed
@@ -310,15 +315,18 @@ def _kernel_start(kind, m, n, seed):
         return rng.standard_normal((m, n))
     if kind == "tie-heavy":  # block sums and split scores tie all over
         return rng.integers(0, 3, size=(m, n)).astype(float)
+    if kind == "zero-sum":  # t3b's start: rows summing to zero, columns shuffled
+        base = make_zero_sum_normal_matrix(m, n, rng_seed=seed).values
+        return np.column_stack([rng.permutation(base[:, j]) for j in range(n)])
     u = rng.uniform(size=m)
     return np.column_stack([u] + [rng.permutation(u) for _ in range(n - 1)])
 
 
-@pytest.mark.parametrize("kind", ["shared-values", "normal", "tie-heavy"])
-# n = 21 is past the exact-enumeration cap: block_ra1 rechecks with the
-# sampled measure there.
-@pytest.mark.parametrize("m, n, n_sim", [(8, 4, None), (10, 10, None), (10, 11, 40), (30, 12, 64),
-                                         (16, 21, 32)])
+@pytest.mark.parametrize("kind", ["shared-values", "normal", "tie-heavy", "zero-sum"])
+# block_ra2 screens the full passes of (10, 8) and (10, 10).  n = 21 is past
+# the exact-enumeration cap: block_ra1 rechecks with the sampled measure there.
+@pytest.mark.parametrize("m, n, n_sim", [(8, 4, None), (10, 8, None), (10, 10, None), (10, 11, 40),
+                                         (30, 12, 64), (16, 21, 32)])
 def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
     X = _kernel_start(kind, m, n, seed=m * n)
     cases = [
@@ -333,6 +341,21 @@ def test_split_kernel_matches_reference_move(kind, m, n, n_sim):
         assert res.objective_trace == trace, algo.__name__
         assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied), algo.__name__
         assert res.stop_reason == reason, algo.__name__
+
+
+@pytest.mark.parametrize("s, n_sim", [(29, None), (12, 4)])
+def test_block_ra1_scores_constant_block_sums_as_finished(s, n_sim):
+    # These runs reach splits whose block sums are constant.  Such a split
+    # scores -1, as a countermonotone one does, where it used to end the run
+    # in an error with no stop reason.
+    X = np.random.default_rng(s).integers(0, 3, size=(8, 6)).astype(float)
+    cfg = BlockRaConfig(n_sim=n_sim, rng_seed=s)
+    res = block_ra1(X, cfg)
+    arr, trace, sweeps, applied, reason = _ref_block_ra1(X, cfg)
+    assert np.array_equal(res.final_matrix.values, arr)
+    assert res.objective_trace == trace
+    assert (res.sweeps, res.rearrangements_applied) == (sweeps, applied)
+    assert res.stop_reason == reason in ("dependence-threshold", "no-improvement")
 
 
 def test_resolve_n_sim_counts_the_splits_a_pass_scores():

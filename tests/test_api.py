@@ -52,7 +52,7 @@ PUBLIC_NAMES = [
     "OracleResult", "Partition", "RearrangementMatrix", "RunResult", "SpreadResult",
     "StartCensus", "TargetDistribution", "Thresholds", "__version__", "block_ra1",
     "block_ra2", "brute_force_minimum", "countermonotone_rearrange", "default_thresholds",
-    "discretize_quantiles", "enumerate_starts", "extend_with_countermonotone_pairs",
+    "discretize_quantiles", "enumerate_starts",
     "fit_sum_to_target", "haus_integer_matrix", "haus_integer_minimum",
     "kolmogorov_asymptotic_cdf", "ks_distance", "make_zero_sum_normal_matrix",
     "mcmc_block_ra", "median_threshold", "multivariate_dependence_exact",

@@ -114,12 +114,15 @@ def test_hostile_input_is_rejected(measure, entries):
 
 
 def _ref_split_values(arr, pis):
-    # Reference per-split loop: Spearman of each split's two block sums.
+    # Reference per-split loop: Spearman of each split's two block sums, or
+    # -1 where one of them is constant.
     total = arr.sum(axis=1)
     values = []
     for pi in pis:
         s_pi = arr[:, list(pi)].sum(axis=1)
-        values.append(spearman(s_pi, total - s_pi))
+        s_bar = total - s_pi
+        constant = np.ptp(s_pi) == 0 or np.ptp(s_bar) == 0
+        values.append(-1.0 if constant else spearman(s_pi, s_bar))
     return values
 
 
@@ -170,7 +173,8 @@ def test_chunk_boundaries_match_per_split_loop(monkeypatch, per_chunk, count, so
     pis = [pi for pi in pis if pi.size][:count]
     assert len(pis) == count
     ref = np.array(_ref_split_values(X, pis))
-    got = _split_spearman(X, pis if source == "list" else (pi for pi in pis))
+    got, constant = _split_spearman(X, pis if source == "list" else (pi for pi in pis))
+    assert constant == 0
     assert got.dtype == np.float64
     assert got.tobytes() == ref.tobytes()
 
@@ -185,19 +189,28 @@ def test_exact_measure_is_chunk_size_independent(monkeypatch):
 
 @pytest.mark.parametrize("measure", ["exact", "sampled", "block_ra1"])
 def test_constant_block_sums_name_the_split(measure):
-    # Columns 0 and 1 cancel, so split (0, 1) has constant block sums.
+    # Columns 0 and 1 cancel, so split (0, 1) has constant block sums.  No
+    # reordering of its complement rows can change the row-sum variance, so
+    # it scores -1, as a countermonotone split does, and is counted.
     x = np.array([0.3, -1.2, 0.8, 2.0, -0.4, 1.1])
     rng = np.random.default_rng(9)
     X = np.column_stack([x, -x, rng.normal(size=6), rng.normal(size=6)])
-    run = {
-        "exact": lambda: multivariate_dependence_exact(X),
-        "sampled": lambda: multivariate_dependence_sampled(X, 200, rng_seed=1),
-        "block_ra1": lambda: block_ra1(X, BlockRaConfig(rng_seed=0)),
-    }[measure]
-    # Named canonically, as worst_partition is: seed 1 draws (2, 3) first.
-    with pytest.raises(ValueError, match=r"^split \(0, 1\): block sums are constant, "
-                                         r"Spearman undefined$"):
-        run()
+    if measure == "block_ra1":  # used to end in an error, with no stop reason
+        assert block_ra1(X, BlockRaConfig(rng_seed=0)).stop_reason == "dependence-threshold"
+        return
+    if measure == "exact":
+        report = multivariate_dependence_exact(X)
+        pis = list(report.per_partition)
+    else:
+        report = multivariate_dependence_sampled(X, 200, rng_seed=1)
+        draws, pis = np.random.default_rng(1), []
+        while len(pis) < 200:
+            indicator = draws.integers(0, 2, size=4)
+            if 0 < indicator.sum() < 4:
+                pis.append(Partition(np.flatnonzero(indicator).tolist(), 4).canonical().pi)
+    ref = _ref_split_values(X, pis)
+    assert report.constant_splits == pis.count((0, 1)) > 0
+    assert report.rho == math.fsum(ref) / len(ref)
 
 
 def test_spearman_keeps_its_own_constant_message():

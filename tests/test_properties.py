@@ -1,11 +1,9 @@
 """Property-based checks of the structural invariants."""
 
-import re
 from unittest import mock
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,8 +25,9 @@ from blockra import (
     w2_distance,
     write_matrix_csv,
 )
-from blockra import dependence
-from blockra.matrix import _canonical_splits, counter_permutation
+from blockra import algorithms, dependence
+from blockra.algorithms import _screened
+from blockra.matrix import _block_move, _canonical_splits, counter_permutation
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
 
@@ -44,12 +43,7 @@ def matrices(max_m=8, max_n=4):
 def test_rearrangers_preserve_margins_and_never_worsen(X):
     start = sample_variance(X.sum(axis=1))
     for algo in (standard_ra, block_ra1, block_ra2):
-        try:
-            res = algo(X, BlockRaConfig(rng_seed=1, max_sweeps=20))
-        except ValueError:
-            # constant block sums make the dependence measure undefined
-            assume(algo is not block_ra1)
-            raise
+        res = algo(X, BlockRaConfig(rng_seed=1, max_sweeps=20))
         assert np.array_equal(np.sort(res.final_matrix.values, axis=0), np.sort(X, axis=0))
         assert res.final_objective <= start + 1e-12
         trace = np.asarray(res.objective_trace)
@@ -100,10 +94,7 @@ def test_block_move_never_increases_variance(X, seed):
 @given(matrices(max_m=7, max_n=4))
 @settings(max_examples=30, deadline=None)
 def test_dependence_measure_bounds(X):
-    try:
-        rep = multivariate_dependence_exact(X)
-    except ValueError:
-        assume(False)  # constant block sums, measure undefined by contract
+    rep = multivariate_dependence_exact(X)
     assert -1.0 - 1e-12 <= rep.rho <= 1.0 + 1e-12
     assert rep.rho <= rep.worst_value + 1e-12
 
@@ -115,25 +106,53 @@ def test_dependence_measure_bounds(X):
 )
 @settings(max_examples=80, deadline=None)
 def test_split_scores_match_per_split_loop_on_tie_heavy_matrices(X, per_chunk):
-    # Entries 0..2 tie most block sums and make some constant; chunks of
-    # per_chunk splits put the ties and the first constant split anywhere.
+    # Entries 0..2 tie most block sums and make some constant, which score
+    # -1; chunks of per_chunk splits put the ties and those splits anywhere.
     pis = [pi for pi, _ in _canonical_splits(X.shape[1])]
     total = X.sum(axis=1)
-    ref, first_bad = [], None
+    ref, n_constant = [], 0
     for pi in pis:
         s_pi = X[:, list(pi)].sum(axis=1)
-        try:
-            ref.append(dependence.spearman(s_pi, total - s_pi))
-        except ValueError:
-            first_bad = pi
-            break
+        constant = np.ptp(s_pi) == 0 or np.ptp(total - s_pi) == 0
+        n_constant += constant
+        ref.append(-1.0 if constant else dependence.spearman(s_pi, total - s_pi))
     with mock.patch.object(dependence, "_CHUNK_CELLS", per_chunk * X.shape[0]):
-        if first_bad is None:
-            assert dependence._split_spearman(X, pis).tobytes() == np.array(ref).tobytes()
-        else:
-            named = re.escape(f"split {tuple(first_bad.tolist())}: block sums are constant")
-            with pytest.raises(ValueError, match=named):
-                dependence._split_spearman(X, pis)
+        scores, constant_splits = dependence._split_spearman(X, pis)
+    assert scores.tobytes() == np.array(ref).tobytes()
+    assert constant_splits == n_constant
+
+
+def _adversarial(draw):
+    # n = 8..10 columns whose block sums sit near the screen's rounding bound.
+    m, n = draw(st.integers(2, 12)), draw(st.integers(8, 10))
+    kinds = ["ties", "near-ties", "cancelling", "mixed-scale", "signed-zeros"]
+    kind = draw(st.sampled_from(kinds))
+
+    def ints(lo, hi):  # every entry drawn on its own, not from a shared fill value
+        return draw(arrays(np.int64, (m, n), elements=st.integers(lo, hi), fill=st.nothing()))
+
+    if kind == "ties":
+        return ints(0, 2).astype(float)
+    if kind == "near-ties":  # 1e8 + k (1 + j 2^-20): sums near 1e9 that differ by 2^-20 steps
+        return 1e8 + ints(-3, 3) * (1.0 + np.arange(n) * 2.0**-20)
+    if kind == "cancelling":  # +-2^53 terms: the rounding depends on the order of addition
+        return ints(-2, 2) * 2.0**53 + ints(-3, 3)
+    if kind == "mixed-scale":
+        scales = 10.0 ** draw(arrays(np.int64, n, elements=st.integers(-8, 8)))
+        return ints(-50, 50) / 7.0 * scales
+    return draw(arrays(np.float64, (m, n), elements=st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+
+
+@given(st.data(), st.sampled_from([1, 5, 32]))
+@settings(max_examples=300, deadline=None)
+def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
+    X = _adversarial(data.draw)
+    splits = _canonical_splits(X.shape[1])
+    # Nothing moves between yields, so every chunk is screened against X.
+    with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
+        offered = {id(split) for split in _screened(X.copy())}
+    for pi, comp in (split for split in splits if id(split) not in offered):
+        assert not _block_move(X.copy(), pi, comp), (pi.tolist(), comp.tolist())
 
 
 @given(matrices(max_m=8, max_n=4))

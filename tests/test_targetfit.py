@@ -14,7 +14,6 @@ from blockra import (
     block_ra2,
     brute_force_minimum,
     discretize_quantiles,
-    extend_with_countermonotone_pairs,
     fit_sum_to_target,
     ks_distance,
     sample_variance,
@@ -269,38 +268,6 @@ def test_empirical_margins_fit_without_rescaling():
     with pytest.raises(ValueError):
         fit_sum_to_target(MarginSpec.empirical(2, tab[: m // 2]),
                           TargetDistribution.normal(), m)
-
-
-def test_extension_preserves_sum_distribution():
-    margins = MarginSpec.uniform_symmetric(2)
-    m = 800
-    target = TargetDistribution.normal()
-    rep = fit_sum_to_target(margins, target, m, thresholds=WIDE_THRESHOLDS)
-    wide = extend_with_countermonotone_pairs(rep.final_matrix, 6, rng_seed=4)
-    assert wide.values.shape == (m, 7)
-    pair_sums = wide.values[:, 2:6].sum(axis=1)
-    assert np.max(np.abs(pair_sums)) < 1e-12
-    old = ks_distance(rep.final_matrix.values[:, :2].sum(axis=1), target)
-    new = ks_distance(wide.values[:, :6].sum(axis=1), target)
-    assert new == pytest.approx(old, abs=1e-12)
-
-
-def test_extension_rejects_bad_requests():
-    margins = MarginSpec.uniform_symmetric(2)
-    rep = fit_sum_to_target(margins, TargetDistribution.normal(), 200,
-                            thresholds=WIDE_THRESHOLDS)
-    with pytest.raises(ValueError, match="even"):
-        extend_with_countermonotone_pairs(rep.final_matrix, 5)
-    with pytest.raises(ValueError, match="shrink"):
-        extend_with_countermonotone_pairs(rep.final_matrix, 0)
-    # asymmetric base margins cannot form cancelling pairs
-    skew = np.column_stack([
-        np.array([0.0, 1.0, 3.0]),
-        np.array([1.0, 2.0, 0.0]),
-        np.array([-1.0, 0.0, 1.0]),
-    ])
-    with pytest.raises(ValueError, match="symmetric"):
-        extend_with_countermonotone_pairs(skew, 4)
 
 
 def test_spread_recovers_comonotone_join():
