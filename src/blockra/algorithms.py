@@ -32,7 +32,9 @@ from .matrix import (
     _SPLIT_CACHE_MAX_N,
     _canonical_splits,
     _column_splits,
+    _row_masks,
     _split_masks,
+    _split_of_mask,
     sample_variance,
 )
 
@@ -148,25 +150,25 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
                     lambda sweep, moved, prev, var: None if moved else "no-improvement")
 
 
-def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
-    """``(pi, comp)`` index arrays of the canonical splits for one pass.
+def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
+    """Canonical split bitmasks of one pass (see ``_split_of_mask``).
 
-    The full enumeration (cached, binary-counter order) when n_sim covers
-    it; otherwise n_sim distinct splits, each drawn as n-1 fair bits and
-    redrawn when empty or already seen.
-    """
+    All, in order, when n_sim covers them; else n_sim distinct nonzero draws of n-1
+    fair bits, in blocks of the rows still missing (as many as a row loop draws)."""
+    if n_sim >= (1 << (n - 1)) - 1:
+        return range(1, 1 << (n - 1))
+    seen = {0: None}  # an insertion-ordered set; the empty mask counts as seen
+    while len(seen) <= n_sim:
+        rows = rng.integers(0, 2, size=(n_sim + 1 - len(seen), n - 1))
+        seen.update(dict.fromkeys(_row_masks(rows)))
+    return list(seen)[1:]
+
+
+def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
+    """``(pi, comp)`` index arrays of the split bitmasks :func:`_pass_masks` gives, in order."""
     if n_sim >= (1 << (n - 1)) - 1:
         return _canonical_splits(n)
-    seen: set[bytes] = set()
-    out = []
-    while len(out) < n_sim:
-        bits = rng.integers(0, 2, size=n - 1)
-        key = bits.tobytes()
-        if not bits.any() or key in seen:
-            continue
-        seen.add(key)
-        out.append((np.flatnonzero(bits), np.append(np.flatnonzero(bits == 0), n - 1)))
-    return out
+    return [_split_of_mask(mask, n) for mask in _pass_masks(n, n_sim, rng)]
 
 
 def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -189,10 +191,10 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     flat = 0
 
     def least_opposed():
-        splits = list(_pass_splits(n, n_sim, rng))
-        scores, _ = _split_spearman(arr, (pi for pi, _ in splits))
+        masks = _pass_masks(n, n_sim, rng)
+        scores, _ = _split_spearman(arr, masks)
         # np.argmax keeps the first split on ties.
-        return [splits[int(np.argmax(scores))]]
+        return [_split_of_mask(masks[int(np.argmax(scores))], n)]
 
     def stop(sweep, moved, prev, var):
         nonlocal flat

@@ -19,7 +19,6 @@ reports are identical whether replicates run inline or on a worker pool.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -178,6 +177,7 @@ def run_table_benchmark(
     for cm, cn in cells:
         args = [(table, cm, cn, rng_seed, rep) for rep in range(replicates)]
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_run_replicate, args, chunksize=8))
         else:

@@ -15,7 +15,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .matrix import Partition, _as_matrix, _block_sums, _canonical_splits, rank_vector
+from .matrix import (Partition, _as_matrix, _canonical_columns, _mask_columns, _mask_sums,
+                     _row_masks, rank_vector)
 
 __all__ = [
     "DependenceReport",
@@ -69,10 +70,11 @@ def spearman(x, y) -> float:
 _CHUNK_CELLS = 1 << 14
 
 
-def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
+def _split_spearman(arr: np.ndarray, masks: Iterable[int]) -> tuple[np.ndarray, int]:
     """Spearman correlation between the two block sums of each split, in order.
 
-    ``pis`` holds the intp column indices of each split's first block.  The
+    Each split is the bitmask of its first block's columns (bit j for
+    column j; any of the n may be in it), summed by :func:`_mask_sums`.  The
     one scoring loop of both measures and of block_ra1's choice of move.
     Splits are scored in chunks: one argsort ranks both sides of every
     split in a chunk, tie-free pairs take spearman's integer formula, and
@@ -84,14 +86,14 @@ def _split_spearman(arr: np.ndarray, pis: Iterable[np.ndarray]) -> tuple[np.ndar
     m = arr.shape[0]
     total = arr.sum(axis=1)
     per_chunk = max(1, _CHUNK_CELLS // m)
-    pis = iter(pis)
+    masks = iter(masks)
     values = [np.empty(0)]
     constant = 0
-    while chunk := list(itertools.islice(pis, per_chunk)):
+    while chunk := list(itertools.islice(masks, per_chunk)):
         k = len(chunk)
         # Row j holds split j's first-block sums and row k + j the rest: the
         # chunk's m x 2k block-sum matrix, transposed so each side is one row.
-        first = np.array([_block_sums(arr, pi) for pi in chunk])
+        first = _mask_sums(arr, chunk, _CHUNK_CELLS)
         sums = np.concatenate((first, total - first))
         # Ranks are used only where a row has no tie, and there every sort
         # gives the same order, so the faster unstable default is safe.
@@ -144,14 +146,8 @@ def multivariate_dependence_exact(X) -> DependenceReport:
             f"exact enumeration needs 2^{n - 1}-1 partitions for n={n} > "
             f"cap={EXACT_PARTITION_CAP}; use multivariate_dependence_sampled"
         )
-    keys: list[tuple[int, ...]] = []
-
-    def first_blocks():
-        for pi, _ in _canonical_splits(n):
-            keys.append(tuple(pi.tolist()))
-            yield pi
-
-    values, constant = _split_spearman(arr, first_blocks())
+    values, constant = _split_spearman(arr, range(1, 1 << (n - 1)))
+    keys = [pi for pi, _ in _canonical_columns(n)]
     worst = int(np.argmax(values))
     return DependenceReport(
         rho=math.fsum(values) / len(keys),
@@ -176,19 +172,18 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
-    pis = []
-    while len(pis) < n_samples:
-        indicator = rng.integers(0, 2, size=n)
-        if 0 < int(indicator.sum()) < n:
-            pis.append(np.flatnonzero(indicator))
-    values, constant = _split_spearman(arr, pis)
+    masks: list[int] = []
+    while len(masks) < n_samples:  # no more rows than drawing one at a time takes
+        rows = _row_masks(rng.integers(0, 2, size=(n_samples - len(masks), n)))
+        masks += (mask for mask in rows if 0 < mask < (1 << n) - 1)
+    values, constant = _split_spearman(arr, masks)
     worst = int(np.argmax(values))
     return DependenceReport(
         rho=float(math.fsum(values) / n_samples),
         mode="sampled",
         partitions_evaluated=n_samples,
         constant_splits=constant,
-        worst_partition=Partition(tuple(pis[worst].tolist()), n).canonical().pi,
+        worst_partition=Partition(_mask_columns(masks[worst], n)[0], n).canonical().pi,
         worst_value=float(values[worst]),
         per_partition=None,
     )

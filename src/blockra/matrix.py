@@ -188,14 +188,9 @@ def _mask_columns(mask: int, bits: int, offset: int = 0) -> tuple[tuple[int, ...
             tuple(offset + j for j in range(bits) if not mask >> j & 1))
 
 
-def _split_from_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    pi, comp = _mask_columns(mask, n - 1)
-    return _index_pair(pi, comp + (n - 1,))
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    return tuple(_split_from_mask(mask, n) for mask in range(1, 1 << (n - 1)))
+    return tuple(_index_pair(pi, comp) for pi, comp in _canonical_columns(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,32 +205,59 @@ def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(pi, comp)`` intp column indices of the canonical split with this bitmask.
 
     Bit j of ``mask`` (j < n-1) puts column j in the first block; the last
-    column is always in the complement.  Same split as
-    ``Partition.from_mask(mask, n)``, without building a Partition.
+    column is always in the complement, as in ``Partition.from_mask``.
     """
     if n <= _SPLIT_CACHE_MAX_N:
         return _cached_splits(n)[mask - 1]
-    return _split_from_mask(mask, n)
+    pi, comp = _mask_columns(mask, n - 1)
+    return _index_pair(pi, comp + (n - 1,))
 
 
 def _canonical_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """``(pi, comp)`` index arrays of all 2^(n-1) - 1 canonical splits, in mask order."""
     if n <= _SPLIT_CACHE_MAX_N:
         return _cached_splits(n)
-    return _wide_splits(n)
+    return (_index_pair(pi, comp) for pi, comp in _canonical_columns(n))
 
 
-def _wide_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+def _canonical_columns(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(pi, comp)`` column tuples of the canonical splits with masks 1 .. 2^(n-1) - 1."""
     # Masks in order are the high bits outer, the low bits inner, so each
     # split joins a low pattern's column tuples to a high pattern's rather
     # than scanning all n - 1 bits.
-    low_bits = _SPLIT_CACHE_MAX_N - 1
+    low_bits = min(n - 1, _SPLIT_CACHE_MAX_N - 1)
     lows = [_mask_columns(low, low_bits) for low in range(1 << low_bits)]
     for high in range(1 << (n - 1 - low_bits)):
         high_pi, high_comp = _mask_columns(high, n - 1 - low_bits, low_bits)
         high_comp += (n - 1,)
         for pi, comp in lows[0 if high else 1:]:
-            yield np.array(pi + high_pi, dtype=np.intp), np.array(comp + high_comp, dtype=np.intp)
+            yield pi + high_pi, comp + high_comp
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """The bitmask of each 0/1 row of ``bits`` (bit j for column j), a Python int of any width."""
+    weights = [1 << j for j in range(bits.shape[1])]  # 64 or more bits overflow an int64
+    return (bits @ np.array(weights, dtype=np.int64 if len(weights) < 64 else object)).tolist()
+
+
+def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
+    """Row k holds the row sums of ``arr`` over the columns in bitmask ``masks[k]``.
+
+    Each is the left-to-right chain of :func:`_block_sums`, bit for bit but
+    for the sign of a zero.  A table of the sums over every subset of the
+    low L columns (the largest L < n with 2^L m <= ``cells``, else 0) gives each
+    mask's low part; each higher column then joins, in ascending order.
+    """
+    m, n = arr.shape
+    low_bits = min(n - 1, max(0, (cells // m).bit_length() - 1))
+    table = np.zeros((1 << low_bits, m))  # a one-column -0.0 block then sums to +0.0
+    for b in range(low_bits):
+        np.add(table[:1 << b], arr[:, b], out=table[1 << b:2 << b])
+    masks = np.array(masks, dtype=np.int64 if n < 64 else object)
+    first = table[(masks & (1 << low_bits) - 1).astype(np.intp)]
+    for b in range(low_bits, n):
+        first[np.flatnonzero(masks >> b & 1)] += arr[:, b]
+    return first
 
 
 @functools.lru_cache(maxsize=32)

@@ -19,7 +19,8 @@ from blockra import (
     standard_ra,
 )
 
-from blockra.algorithms import _pass_splits
+from blockra import dependence
+from blockra.algorithms import _pass_masks, _pass_splits
 
 from conftest import (
     KNOWN_LIMIT_VARIANCES,
@@ -381,3 +382,61 @@ def test_overflowing_row_sums_rejected_up_front(algo):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="row 0 sums to inf"):
             algo(X)
+
+
+# Pass sizes around full coverage (n = 3, 4), many redraws (5, 15), the
+# default 512 at n = 12, masks at the int64 limit (n = 64) and past it.
+_DRAW_CASES = [(3, 3), (4, 6), (4, 7), (5, 15), (12, 512), (64, 24), (65, 40), (70, 16)]
+
+
+@pytest.mark.parametrize("n, n_sim", _DRAW_CASES)
+def test_pass_masks_match_the_row_by_row_draws(n, n_sim):
+    # Reference: one row of n-1 fair bits per draw, redrawn when empty or
+    # seen.  The batched draws must give the same masks in the same order
+    # and leave the generator where the row loop leaves it.
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if n_sim >= (1 << (n - 1)) - 1:
+            ref = list(range(1, 1 << (n - 1)))
+        else:
+            ref = []
+            while len(ref) < n_sim:
+                bits = ref_rng.integers(0, 2, size=n - 1)
+                mask = sum(1 << int(j) for j in np.flatnonzero(bits))
+                if mask and mask not in ref:
+                    ref.append(mask)
+        assert list(_pass_masks(n, n_sim, rng)) == ref, seed
+        assert rng.random() == ref_rng.random(), seed
+
+
+@pytest.mark.parametrize("n, n_samples", _DRAW_CASES)
+def test_sampled_measure_scores_the_row_by_row_draws(monkeypatch, n, n_samples):
+    # Reference: one indicator row of n fair bits per draw, kept when both
+    # blocks are nonempty.  The measure must score those masks, in order,
+    # and leave its generator where the row loop leaves it.
+    generators, scored = [], []
+    default_rng, split_spearman = np.random.default_rng, dependence._split_spearman
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: generators.append(default_rng(seed)) or generators[-1])
+    monkeypatch.setattr(dependence, "_split_spearman",
+                        lambda arr, masks: scored.append(list(masks)) or split_spearman(arr, masks))
+    X = default_rng(n).normal(size=(5, n))
+    for seed in range(20):
+        ref_rng, ref = default_rng(seed), []
+        while len(ref) < n_samples:
+            indicator = ref_rng.integers(0, 2, size=n)
+            if 0 < indicator.sum() < n:
+                ref.append(sum(1 << int(j) for j in np.flatnonzero(indicator)))
+        dependence.multivariate_dependence_sampled(X, n_samples, rng_seed=seed)
+        assert scored[-1] == ref, seed
+        assert generators[-1].random() == ref_rng.random(), seed
+
+
+@pytest.mark.parametrize("algo", [block_ra1, block_ra2])
+def test_block_algorithms_run_past_int64_masks(algo):
+    # 69 free columns: every drawn mask is wider than an int64.
+    X = np.random.default_rng(70).normal(size=(6, 70))
+    res = algo(X, BlockRaConfig(n_sim=8, rng_seed=1))
+    assert res.stop_reason in ("dependence-threshold", "no-improvement")
+    assert _margins_preserved(X, res.final_matrix)
+    assert res.final_objective <= sample_variance(X.sum(axis=1))

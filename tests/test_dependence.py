@@ -173,7 +173,8 @@ def test_chunk_boundaries_match_per_split_loop(monkeypatch, per_chunk, count, so
     pis = [pi for pi in pis if pi.size][:count]
     assert len(pis) == count
     ref = np.array(_ref_split_values(X, pis))
-    got, constant = _split_spearman(X, pis if source == "list" else (pi for pi in pis))
+    masks = [sum(1 << int(j) for j in pi) for pi in pis]
+    got, constant = _split_spearman(X, masks if source == "list" else (mask for mask in masks))
     assert constant == 0
     assert got.dtype == np.float64
     assert got.tobytes() == ref.tobytes()

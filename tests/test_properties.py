@@ -27,7 +27,7 @@ from blockra import (
 )
 from blockra import algorithms, dependence
 from blockra.algorithms import _screened
-from blockra.matrix import _block_move, _canonical_splits, counter_permutation
+from blockra.matrix import _block_move, _block_sums, _canonical_splits, _mask_sums, counter_permutation
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
 
@@ -116,15 +116,17 @@ def test_split_scores_match_per_split_loop_on_tie_heavy_matrices(X, per_chunk):
         constant = np.ptp(s_pi) == 0 or np.ptp(total - s_pi) == 0
         n_constant += constant
         ref.append(-1.0 if constant else dependence.spearman(s_pi, total - s_pi))
+    masks = [sum(1 << int(j) for j in pi) for pi in pis]
     with mock.patch.object(dependence, "_CHUNK_CELLS", per_chunk * X.shape[0]):
-        scores, constant_splits = dependence._split_spearman(X, pis)
+        scores, constant_splits = dependence._split_spearman(X, masks)
     assert scores.tobytes() == np.array(ref).tobytes()
     assert constant_splits == n_constant
 
 
-def _adversarial(draw):
-    # n = 8..10 columns whose block sums sit near the screen's rounding bound.
-    m, n = draw(st.integers(2, 12)), draw(st.integers(8, 10))
+def _adversarial(draw, min_n=8, max_n=10):
+    # Block sums that tie, sit near the screen's rounding bound (n = 8..10,
+    # the screened widths) or round differently in another addition order.
+    m, n = draw(st.integers(2, 12)), draw(st.integers(min_n, max_n))
     kinds = ["ties", "near-ties", "cancelling", "mixed-scale", "signed-zeros"]
     kind = draw(st.sampled_from(kinds))
 
@@ -153,6 +155,24 @@ def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
         offered = {id(split) for split in _screened(X.copy())}
     for pi, comp in (split for split in splits if id(split) not in offered):
         assert not _block_move(X.copy(), pi, comp), (pi.tolist(), comp.tolist())
+
+
+@given(st.data(), st.sampled_from(["one", "odd", "all"]))
+@settings(max_examples=300, deadline=None)
+def test_mask_sums_are_block_sums_bit_for_bit(data, budget):
+    # n = 2..12, so blocks of eight or more columns, whose sum depends on
+    # the order of addition, occur; masks may hold the last column.  Budgets
+    # of one cell, an odd count and every subset's sums size the table.
+    X = _adversarial(data.draw, 2, 12)
+    m, n = X.shape
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))
+    cells = {"one": 1, "odd": 10 * m + 1, "all": m << n}[budget]
+    got = _mask_sums(X, masks, cells)
+    blocks = [np.array([j for j in range(n) if mask >> j & 1], dtype=np.intp) for mask in masks]
+    ref = np.array([_block_sums(X, cols) for cols in blocks])
+    # A one-column block of -0.0 sums to +0.0, which ranks the same.
+    assert np.array_equal(got, ref)
+    assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()
 
 
 @given(matrices(max_m=8, max_n=4))
