@@ -14,7 +14,8 @@ from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_matrix, _block_sums, _split_of_mask
+from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _row_masks, _split_of_mask,
+                     sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -27,6 +28,7 @@ __all__ = [
 
 # Default Gumbel rate: noise scale is this fraction of the starting row-sum spread.
 _RATE_OVER_SD = 5.0
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,11 @@ def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float
     """
     if not r > 0:
         raise ValueError("Gumbel rate r must be positive")
-    u = rng.random(size)
-    u = np.maximum(u, np.finfo(np.float64).tiny)
-    return -np.log(-np.log(u)) / r
+    u = np.maximum(rng.random(size), _TINY)
+    if size is None:  # both paths take ln(-ln u) / -r, the same bits as -ln(-ln u) / r
+        return np.log(-np.log(u)) / -r
+    np.log(np.negative(np.log(u, out=u), out=u), out=u)
+    return np.divide(u, -r, out=u)
 
 
 def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -126,15 +130,16 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
     m = s_pi.size
     if m == 1:
         return np.zeros(1, dtype=np.intp)
-    w = _gumbel_sample(r, rng, m) - s_pi
+    w = _gumbel_sample(r, rng, m)
+    w -= s_pi
     slots = np.empty(m, dtype=np.intp)
-    slots[np.argsort(w, kind="stable")] = np.arange(m)  # ties broken by position
+    slots[w.argsort(kind="stable")] = np.arange(m)  # ties broken by position
     return slots
 
 
 def _objective_of_sums(s: np.ndarray, spec: ObjectiveSpec) -> float:
     if spec.kind == "variance":
-        return float(s.var(ddof=1))
+        return sample_variance(s)
     return float(np.mean(spec.f(s)))
 
 
@@ -143,10 +148,7 @@ def _draw_canonical_mask(n: int, rng: np.random.Generator) -> int:
     if width <= 62:
         return int(rng.integers(1, (1 << width)))
     while True:  # wide matrices: assemble the mask from raw bits
-        bits = rng.integers(0, 2, size=width)
-        mask = 0
-        for j in np.flatnonzero(bits):
-            mask |= 1 << int(j)
+        mask = _row_masks(rng.integers(0, 2, size=(1, width)))[0]
         if mask:
             return mask
 
@@ -196,14 +198,13 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
         s_bar = s_cur - s_pi
         slots = propose_permutation(s_pi, rate, rng)
-        order_block = np.argsort(s_bar, kind="stable")
-        sigma = order_block[slots]
-        s_new = s_pi + s_bar[sigma]
+        sigma = s_bar.argsort(kind="stable").take(slots)
+        s_new = s_pi + s_bar.take(sigma)
         f_prop = _objective_of_sums(s_new, spec)
         u = rng.random()
         accept = f_prop <= 0 or u * f_prop < f_cur  # min(1, f_cur/f_prop) Metropolis rule
         if accept:
-            arr[:, comp] = arr[sigma][:, comp]
+            arr[:, comp] = arr[:, comp].take(sigma, axis=0)
             s_cur = s_new
             f_cur = f_prop
             accepted[it - 1] = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_matrix, counter_permutation
+from .matrix import RearrangementMatrix, _as_matrix, counter_permutation, sample_variance
 
 __all__ = [
     "OracleResult",
@@ -162,7 +162,7 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     out[:, k:] = out[sigma, k:]
     # q ranks arrangements; the reported minimum is the direct variance of
     # the rebuilt argmin, which is cleaner near zero.
-    direct = float(out.sum(axis=1).var(ddof=1))
+    direct = sample_variance(out.sum(axis=1))
     assert abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)), \
         "oracle bookkeeping drifted from the direct variance"
     return OracleResult(

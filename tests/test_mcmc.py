@@ -11,8 +11,8 @@ from blockra import (
     propose_permutation,
     resolve_rate,
 )
-from blockra.matrix import counter_permutation
-from blockra.mcmc import _gumbel_sample
+from blockra.matrix import _block_sums, _split_of_mask, counter_permutation
+from blockra.mcmc import _draw_canonical_mask, _gumbel_sample
 
 from conftest import UNIFORM_8X3
 
@@ -113,3 +113,138 @@ def test_objective_variance_and_expected_convex(uniform_8x3):
         ObjectiveSpec(kind="expected-convex")
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="cubic")
+
+
+# The chain as it stood before its iteration was trimmed, kept verbatim (with
+# numpy's own var) as the reference the trimmed chain must match bit for bit.
+def _ref_gumbel_sample(r, rng, size=None):
+    u = rng.random(size)
+    u = np.maximum(u, np.finfo(np.float64).tiny)
+    return -np.log(-np.log(u)) / r
+
+
+def _ref_propose_permutation(s_pi, r, rng):
+    s_pi = np.asarray(s_pi, dtype=np.float64)
+    m = s_pi.size
+    if m == 1:
+        return np.zeros(1, dtype=np.intp)
+    w = _ref_gumbel_sample(r, rng, m) - s_pi
+    slots = np.empty(m, dtype=np.intp)
+    slots[np.argsort(w, kind="stable")] = np.arange(m)
+    return slots
+
+
+def _ref_objective_of_sums(s, spec):
+    if spec.kind == "variance":
+        return float(s.var(ddof=1))
+    return float(np.mean(spec.f(s)))
+
+
+def _ref_draw_canonical_mask(n, rng):
+    width = n - 1
+    if width <= 62:
+        return int(rng.integers(1, (1 << width)))
+    while True:
+        bits = rng.integers(0, 2, size=width)
+        mask = 0
+        for j in np.flatnonzero(bits):
+            mask |= 1 << int(j)
+        if mask:
+            return mask
+
+
+def _ref_mcmc(X, cfg):
+    mat = RearrangementMatrix(X)
+    arr = np.array(mat.values, copy=True)
+    m, n = arr.shape
+    rng = np.random.default_rng(cfg.rng_seed)
+    spec = cfg.objective
+
+    s_cur = arr.sum(axis=1)
+    f_cur = _ref_objective_of_sums(s_cur, spec)
+    best_f = f_cur
+    best_arr = arr.copy()
+
+    rate = resolve_rate(mat, cfg)
+    objectives = np.empty(cfg.n_iter, dtype=np.float64)
+    accepted = np.zeros(cfg.n_iter, dtype=bool)
+    absorbed_at = 0 if f_cur <= cfg.absorb_tol else None
+    for it in range(1, cfg.n_iter + 1 if absorbed_at is None else 1):
+        pi, comp = _split_of_mask(_ref_draw_canonical_mask(n, rng), n)
+        s_pi = _block_sums(arr, pi)
+        s_bar = s_cur - s_pi
+        slots = _ref_propose_permutation(s_pi, rate, rng)
+        order_block = np.argsort(s_bar, kind="stable")
+        sigma = order_block[slots]
+        s_new = s_pi + s_bar[sigma]
+        f_prop = _ref_objective_of_sums(s_new, spec)
+        u = rng.random()
+        accept = f_prop <= 0 or u * f_prop < f_cur
+        if accept:
+            arr[:, comp] = arr[sigma][:, comp]
+            s_cur = s_new
+            f_cur = f_prop
+            accepted[it - 1] = True
+            if f_cur < best_f:
+                best_f = f_cur
+                best_arr = arr.copy()
+        objectives[it - 1] = f_cur
+        if f_cur <= cfg.absorb_tol:
+            absorbed_at = it
+            break
+
+    n_done = cfg.n_iter if absorbed_at is None else absorbed_at
+    return objectives[:n_done], accepted[:n_done], best_f, best_arr, absorbed_at
+
+
+_REF_STARTS = {
+    "8x3-shared-values": (lambda: UNIFORM_8X3, {}),
+    "20x6-normal": (lambda: np.random.default_rng(6).normal(size=(20, 6)), {}),
+    "tie-heavy-integer": (
+        lambda: np.random.default_rng(9).integers(0, 3, size=(12, 5)).astype(float), {}),
+    "expected-convex": (
+        lambda: np.random.default_rng(2).normal(size=(10, 4)),
+        {"objective": ObjectiveSpec.expected_convex(np.square)}),
+    "fixed-rate": (lambda: np.random.default_rng(4).random((9, 4)), {"r": 0.75}),
+    "absorbing": (lambda: np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), {}),
+    "3x70-wide-mask": (lambda: np.random.default_rng(70).normal(size=(3, 70)), {"n_iter": 300}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REF_STARTS))
+def test_chain_matches_the_reference_loop_bit_for_bit(name):
+    make, overrides = _REF_STARTS[name]
+    X = make()
+    cfg = McmcConfig(**{"n_iter": 2000, "rng_seed": 11, **overrides})
+    objectives, accepted, best_f, best_arr, absorbed_at = _ref_mcmc(X, cfg)
+    trace = mcmc_block_ra(X, cfg)
+    assert trace.objective_per_iter.tobytes() == objectives.tobytes()
+    assert np.array_equal(trace.accepted, accepted)
+    assert float.hex(trace.best_objective) == float.hex(best_f)
+    assert trace.best_matrix.values.tobytes() == best_arr.tobytes()
+    assert trace.absorbed_at == absorbed_at
+    assert accepted.any() or absorbed_at == 0
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.75, 5.0, 1e9])
+def test_gumbel_sample_matches_the_reference_bit_for_bit(r):
+    for seed, size in enumerate((None, 1, 7, 300)):
+        got = _gumbel_sample(r, np.random.default_rng(seed), size)
+        ref = _ref_gumbel_sample(r, np.random.default_rng(seed), size)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    class ZeroRng:  # u = 0 is clipped to the smallest normal double
+        def random(self, size=None):
+            return 0.0 if size is None else np.zeros(size)
+
+    assert _gumbel_sample(r, ZeroRng()) == _ref_gumbel_sample(r, ZeroRng())
+    assert _gumbel_sample(r, ZeroRng(), 3).tobytes() == _ref_gumbel_sample(r, ZeroRng(), 3).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 70, 130])
+def test_wide_canonical_mask_matches_the_bit_loop(n):
+    for seed in range(8):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert _draw_canonical_mask(n, rng) == _ref_draw_canonical_mask(n, ref_rng)
+        assert rng.random() == ref_rng.random()  # the same draws were consumed

@@ -175,6 +175,34 @@ def test_mask_sums_are_block_sums_bit_for_bit(data, budget):
     assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sample_variance_is_numpy_var_bit_for_bit_on_row_sums(data):
+    s = _adversarial(data.draw, 2, 12).sum(axis=1)
+    assert float.hex(sample_variance(s)) == float.hex(float(s.var(ddof=1)))
+
+
+_SPECIAL_VALUES = {
+    "signed-zeros": st.sampled_from([0.0, -0.0]),
+    "ties": st.sampled_from([0.1, 0.7]),
+    "cancelling": st.sampled_from([2.0**53, -(2.0**53), 1.0, -1.0, 0.5, 3.0]),
+}
+
+
+@given(st.sampled_from(sorted(_SPECIAL_VALUES)).flatmap(
+    lambda kind: arrays(np.float64, st.integers(2, 300), elements=_SPECIAL_VALUES[kind], fill=st.nothing())))
+@settings(max_examples=300, deadline=None)
+def test_sample_variance_is_numpy_var_bit_for_bit_on_special_vectors(s):
+    assert float.hex(sample_variance(s)) == float.hex(float(s.var(ddof=1)))
+
+
+def test_sample_variance_overflows_to_inf_as_numpy_does():
+    s = np.array([1e200, -1e200, 3e199, 0.0])
+    with np.errstate(over="ignore"):
+        assert s.var(ddof=1) == np.inf
+        assert sample_variance(s) == np.inf
+
+
 @given(matrices(max_m=8, max_n=4))
 @settings(max_examples=40, deadline=None)
 def test_csv_roundtrip_is_bit_exact(tmp_path_factory, X):
