@@ -22,7 +22,7 @@ from blockra import (
     w2_distance,
 )
 from blockra.algorithms import _pass_splits
-from blockra.targetfit import _NORMAL_START_SIGMA
+from blockra.targetfit import _NORMAL_START_SIGMA, _WARM_SORT_DESCENT_FRACTION, _ordered_move
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
 
@@ -111,6 +111,57 @@ def test_fit_matches_plain_reference_bit_for_bit(margin_law, target_law, n, m, m
     assert rep.ks == ks_distance(sums, target)
     assert rep.w2 == w2_distance(np.sort(sums), target)
     assert rep.final_matrix.values.tobytes() == RearrangementMatrix(arr).values.tobytes()
+
+
+def _move_start(case):
+    """Row-major matrix and the split (pi, comp) one move test starts from.
+
+    Every column holds distinct values, so each has exactly one ascending
+    argsort; "tied-sums" columns hold 0..m-1, so complement sums tie.
+    """
+    rng = np.random.default_rng(11)
+    m = 200
+    if case == "tied-sums":
+        arr = np.column_stack([rng.permutation(m) for _ in range(3)]).astype(np.float64)
+    else:
+        arr = rng.standard_normal((m, 4 if case == "two-column-pi" else 3))
+    pi, comp = np.array([0]), np.arange(1, arr.shape[1])
+    if case == "two-column-pi":
+        pi, comp = np.array([0, 1]), np.array([2, 3])
+    if case != "random":
+        _reference_move(arr, pi, comp)  # countermonotone along (pi, comp)
+    if case in ("adjacent-swaps", "tied-sums", "two-column-pi"):
+        o_pi = np.argsort(arr[:, pi].sum(axis=1))
+        for i in (5, 60, 150):
+            rows = o_pi[[i, i + 1]]
+            arr[rows[::-1][:, None], comp] = arr[rows[:, None], comp]
+    return arr, pi, comp
+
+
+@pytest.mark.parametrize("case, warm_gate, tied", [
+    ("countermonotone", True, False),  # no row moves
+    ("adjacent-swaps", True, False),
+    ("tied-sums", True, True),  # tie fallback
+    ("random", False, False),  # gate fallback
+    ("two-column-pi", True, False),
+])
+def test_ordered_move_matches_reference_move_bit_for_bit(case, warm_gate, tied):
+    arr, pi, comp = _move_start(case)
+    m = arr.shape[0]
+    keys = -arr[:, comp].sum(axis=1)
+    along_pi = keys[np.argsort(arr[:, pi].sum(axis=1))]
+    descents = np.count_nonzero(along_pi[1:] < along_pi[:-1])
+    assert (descents <= m // _WARM_SORT_DESCENT_FRACTION) == warm_gate
+    assert (descents == 0) == (case == "countermonotone")
+    assert (np.unique(keys).size < m) == tied
+
+    fitted = np.asfortranarray(arr)
+    order = [np.argsort(fitted[:, j]) for j in range(arr.shape[1] - 1)]
+    _ordered_move(fitted, order, np.sort(arr[:, -1])[::-1], pi, comp)
+    _reference_move(arr, pi, comp)
+    assert np.ascontiguousarray(fitted).tobytes() == arr.tobytes()
+    for j, o in enumerate(order):
+        assert np.array_equal(o, np.argsort(fitted[:, j]))
 
 
 def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
