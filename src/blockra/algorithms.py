@@ -78,7 +78,7 @@ class BlockRaConfig:
             raise ValueError("n_sim must be positive")
         if not -1.0 <= self.rho_stop < 0.0:
             raise ValueError("rho_stop must lie in [-1, 0)")
-        if self.improvement_tol < 0:
+        if not self.improvement_tol >= 0:
             raise ValueError("improvement_tol must be nonnegative")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")

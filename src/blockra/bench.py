@@ -26,7 +26,7 @@ import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, standard_ra
 from .matrix import _as_matrix
-from .oracle import _MAX_ARRANGEMENTS, brute_force_minimum, make_zero_sum_normal_matrix
+from .oracle import _MAX_ARRANGEMENTS, _orders, brute_force_minimum, make_zero_sum_normal_matrix
 
 __all__ = [
     "BenchCell",
@@ -199,22 +199,19 @@ def enumerate_starts(
     after rounding to ``decimals`` places.  Exhaustive, so only sensible
     for small fixtures.
     """
-    import itertools
-
     arr = _as_matrix(X).values
     m, n = arr.shape
     total = math.factorial(m) ** (n - 1)
     if total > 200_000:
         raise ValueError(f"{total} starts for shape ({m},{n}); refuse to enumerate")
     cfg = config or BlockRaConfig()
-    first = np.sort(arr[:, 0])
-    perms = list(itertools.permutations(range(m)))
+    orders = _orders(np.arange(total), m, n - 1)
     buckets: dict[float, int] = {}
     start = np.empty_like(arr)
-    start[:, 0] = first
-    for combo in itertools.product(perms, repeat=n - 1):
-        for j, p in enumerate(combo):
-            start[:, j + 1] = arr[list(p), j + 1]
+    start[:, 0] = np.sort(arr[:, 0])
+    for t in range(total):
+        for j, order in enumerate(orders, start=1):
+            start[:, j] = arr[order[t], j]
         res = block_ra2(start, cfg)
         key = round(res.final_objective, decimals)
         buckets[key] = buckets.get(key, 0) + 1

@@ -112,6 +112,8 @@ class Partition:
     @classmethod
     def from_mask(cls, mask: int, n_columns: int) -> "Partition":
         """Canonical partition from a nonzero bitmask over the first n-1 columns."""
+        if not 0 < mask < 1 << (n_columns - 1):
+            raise ValueError(f"mask {mask} names no split of {n_columns} columns")
         return cls(_mask_columns(mask, n_columns - 1)[0], n_columns)
 
 

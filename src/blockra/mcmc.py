@@ -80,7 +80,7 @@ class McmcConfig:
             raise ValueError("Gumbel rate r must be positive")
         if self.n_iter < 1:
             raise ValueError("n_iter must be positive")
-        if self.absorb_tol < 0:
+        if not self.absorb_tol >= 0:
             raise ValueError("absorb_tol must be nonnegative")
 
 

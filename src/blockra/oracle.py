@@ -3,14 +3,15 @@
 ``brute_force_minimum`` finds the exact minimum of a small matrix by meet in
 the middle: the row sums of every arrangement of the front columns are
 paired, at their best relative row order, with those of every arrangement of
-the back columns.  The other two give closed-form or by-construction minima
-at sizes that search cannot reach, which is what the benchmark tables
-calibrate against.
+the back columns.  One vectorised decoder, ``_orders``, turns arrangement
+numbers (lexicographic per column, the first free column slowest) into row
+orders for the scan, the argmin and ``bench.enumerate_starts``.  The other two give
+closed-form or by-construction minima at sizes that search cannot reach,
+which is what the benchmark tables calibrate against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +27,6 @@ __all__ = [
     "make_zero_sum_normal_matrix",
 ]
 
-# A permutation table (m! rows of m indices) up to this size is built once
-# and gathered from; a larger one (only n = 3, m >= 10 fits the default
-# budget) is streamed from itertools instead.
-_MATERIALIZE_BYTES = 64 * 2**20
 # Entries per tile of the front-by-back pairing matrix (256 KB of float64).
 _TILE = 1 << 15
 # Default budget of front-by-back arrangement pairs brute_force_minimum scores.
@@ -43,59 +40,37 @@ class OracleResult:
     arrangements_scanned: int
 
 
-def _nth_permutation(index: int, m: int) -> list[int]:
-    """The index-th element of itertools.permutations(range(m)) (lexicographic)."""
-    pool = list(range(m))
-    out = []
+def _permutations(index: np.ndarray, m: int) -> np.ndarray:
+    """The permutations of range(m) at lexicographic ranks ``index``, one per row.
+
+    Each index is split into its Lehmer code (digit i counts the unused
+    values below entry i); right to left, every later entry at or above
+    digit i then moves up one.
+    """
+    out = np.empty((index.size, m), dtype=np.intp)
     for i in range(m - 1, -1, -1):
-        q, index = divmod(index, math.factorial(i))
-        out.append(pool.pop(q))
+        index, out[:, i] = np.divmod(index, m - i)
+    for i in range(m - 2, -1, -1):
+        out[:, i + 1 :] += out[:, i + 1 :] >= out[:, i, None]
     return out
 
 
-def _orders_at(index: int, m: int, r: int) -> list[list[int]]:
-    """The index-th element of itertools.product(permutations(range(m)), repeat=r)."""
-    digits = []
-    for _ in range(r):
-        index, d = divmod(index, math.factorial(m))
-        digits.append(d)
-    return [_nth_permutation(d, m) for d in reversed(digits)]
+def _orders(index: np.ndarray, m: int, r: int) -> list[np.ndarray]:
+    """Orders of r free columns at ``index``, the first column's rank slowest; an array a column."""
+    digits = np.unravel_index(index, (math.factorial(m),) * r) if r else ()
+    return [_permutations(d, m) for d in digits]
 
 
-def _half_sum_chunks(anchor: np.ndarray, free: list, rows: int):
-    """Row-sum vectors of one half of the columns, ``rows`` vectors at a time.
+def _half_sums(anchor: np.ndarray, free: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row sums of one half of the columns, one row per arrangement in ``index``.
 
-    ``anchor`` is the half's fixed column; each column in ``free`` runs over
-    all m! orders, in itertools.product order.  Yields (index of the first
-    vector, (k, m) array of row sums).
+    ``anchor`` is the half's fixed column; the columns of ``free`` (one per
+    row) take the orders ``_orders`` gives the arrangement index.
     """
-    m = anchor.size
-    if not free:
-        yield 0, anchor[None, :].copy()
-        return
-    n_perms = math.factorial(m)
-    count = n_perms ** len(free)
-    if n_perms * m * 8 <= _MATERIALIZE_BYTES:
-        perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-        tables = [col[perms] for col in free]
-        for lo in range(0, count, rows):
-            digits = np.unravel_index(np.arange(lo, min(lo + rows, count)), (n_perms,) * len(free))
-            sums = anchor + tables[0][digits[0]]
-            for table, d in zip(tables[1:], digits[1:]):
-                sums += table[d]
-            yield lo, sums
-        return
-    orders = itertools.product(itertools.permutations(range(m)), repeat=len(free))
-    lo = 0
-    while True:
-        idx = np.array(list(itertools.islice(orders, rows)), dtype=np.intp)
-        if idx.size == 0:
-            return
-        sums = anchor + free[0][idx[:, 0]]
-        for j, col in enumerate(free[1:], start=1):
-            sums += col[idx[:, j]]
-        yield lo, sums
-        lo += idx.shape[0]
+    sums = np.repeat(anchor[None, :], len(index), axis=0)
+    for col, order in zip(free, _orders(index, anchor.size, len(free))):
+        sums += col[order]
+    return sums
 
 
 def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleResult:
@@ -113,7 +88,8 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     """
     arr = _as_matrix(X).values
     m, n = arr.shape
-    n_arrangements = math.factorial(m) ** (n - 2)
+    n_perms = math.factorial(m)
+    n_arrangements = n_perms ** (n - 2)
     if n_arrangements > max_arrangements:
         raise ValueError(
             f"brute force needs {n_arrangements} arrangements for shape ({m},{n}), "
@@ -123,11 +99,8 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     # Centred columns keep the sums of squares small; the shift is the same
     # for every arrangement, so each sum of squares is (m-1) * variance.
     centred = arr - arr.mean(axis=0)
-    front_free = [centred[:, j] for j in range(1, k)]
-    back_free = [centred[:, j] for j in range(k, n - 1)]
-
-    front = np.concatenate(
-        [s for _, s in _half_sum_chunks(np.sort(centred[:, 0]), front_free, max(1, _TILE // m))])
+    # front <= back and front * back <= the budget: the front is built whole.
+    front = _half_sums(np.sort(centred[:, 0]), centred[:, 1:k].T, np.arange(n_perms ** (k - 1)))
     front.sort(axis=1)
     # Rows [2 a(descending), |a|^2, 1] against [b(ascending), 1, |b|^2]: one
     # product gives every pair's sum of squares.
@@ -137,10 +110,13 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     # takes long back chunks instead.
     back_rows = max(1, _TILE // max(min(len(lhs), math.isqrt(_TILE)), m))
     front_rows = max(1, _TILE // back_rows)
+    back_anchor, back_free = np.sort(centred[:, -1]), centred[:, k:n - 1].T
+    n_back = n_perms ** (n - k - 1)
     best_q = np.inf
-    best_front = best_back = 0
+    best = 0  # the winning pair, numbered over all n-2 free columns
     scanned = 0
-    for lo, back in _half_sum_chunks(np.sort(centred[:, -1]), back_free, back_rows):
+    for lo in range(0, n_back, back_rows):
+        back = _half_sums(back_anchor, back_free, np.arange(lo, min(lo + back_rows, n_back)))
         back.sort(axis=1)
         rhs = np.column_stack([back, np.ones(len(back)), np.einsum("ij,ij->i", back, back)])
         for a0 in range(0, len(lhs), front_rows):
@@ -148,16 +124,11 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
             scanned += q.size
             i, j = divmod(int(np.argmin(q)), q.shape[1])
             if q[i, j] < best_q:
-                best_q = float(q[i, j])
-                best_front, best_back = a0 + i, lo + j
+                best_q, best = float(q[i, j]), (a0 + i) * n_back + lo + j
 
-    out = np.empty((m, n), dtype=np.float64)
-    out[:, 0] = np.sort(arr[:, 0])
-    for j, order in enumerate(_orders_at(best_front, m, k - 1), start=1):
-        out[:, j] = arr[order, j]
-    out[:, n - 1] = np.sort(arr[:, n - 1])
-    for j, order in enumerate(_orders_at(best_back, m, n - k - 1), start=k):
-        out[:, j] = arr[order, j]
+    out = np.sort(arr, axis=0)  # the anchors, columns 0 and n-1, stay sorted
+    for j, order in enumerate(_orders(np.array([best]), m, n - 2), start=1):
+        out[:, j] = arr[order[0], j]
     sigma = counter_permutation(out[:, :k].sum(axis=1), out[:, k:].sum(axis=1))
     out[:, k:] = out[sigma, k:]
     # q ranks arrangements; the reported minimum is the direct variance of
@@ -165,11 +136,8 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     direct = sample_variance(out.sum(axis=1))
     assert abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)), \
         "oracle bookkeeping drifted from the direct variance"
-    return OracleResult(
-        min_variance=direct,
-        argmin_matrix=RearrangementMatrix(out),
-        arrangements_scanned=scanned,
-    )
+    return OracleResult(min_variance=direct, argmin_matrix=RearrangementMatrix(out),
+                        arrangements_scanned=scanned)
 
 
 def haus_integer_minimum(m: int, n: int) -> tuple[float, int, int]:
@@ -212,7 +180,10 @@ def make_zero_sum_normal_matrix(m: int, n: int, rng_seed: int = 0) -> Rearrangem
         raise ValueError("need m >= 2 and n >= 2")
     rng = np.random.default_rng(rng_seed)
     z = rng.standard_normal((m, n))
+    # A row's rounding grows with its length: each of the n entries carries
+    # the mean's error, about eps * max|z| (the 4 is headroom).
+    bound = 4 * n * np.finfo(np.float64).eps * np.abs(z).max(axis=1)
     z -= z.mean(axis=1, keepdims=True)
     z *= math.sqrt(n / (n - 1))
-    assert np.abs(z.sum(axis=1)).max() < 1e-12, "row sums drifted from zero"
+    assert (np.abs(z.sum(axis=1)) <= bound).all(), "row sums drifted from zero"
     return RearrangementMatrix(z)

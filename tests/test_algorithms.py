@@ -168,6 +168,8 @@ def test_config_validation():
         BlockRaConfig(max_sweeps=0)
     with pytest.raises(ValueError):
         BlockRaConfig(improvement_tol=-1.0)
+    with pytest.raises(ValueError):
+        BlockRaConfig(improvement_tol=float("nan"))
 
 
 def test_partition_complement_roundtrip():

@@ -223,6 +223,15 @@ def test_gof_verb_against_perfect_sample(tmp_path, capsys):
     assert doc["d_ks"] < 1e-3
 
 
+def test_nan_tolerances_exit_1(matrix_file, capsys):
+    # A NaN tolerance would never stop a pass; it is refused before the run.
+    path = matrix_file(np.ones((3, 3)))
+    assert main(["bra2", "--input", path, "--improvement-tol", "nan"]) == 1
+    assert "improvement_tol" in capsys.readouterr().err
+    assert main(["mcmc", "--input", path, "--absorb-tol", "nan"]) == 1
+    assert "absorb_tol" in capsys.readouterr().err
+
+
 def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     path = matrix_file(np.full((3, 3), 1e308))
     assert main(["bra2", "--input", path, "--seed", "0"]) == 1

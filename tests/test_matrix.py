@@ -119,6 +119,14 @@ def test_partition_complement_and_mask():
     pi = Partition.from_mask(0b101, 4)
     assert tuple(pi.pi) == (0, 2)
     assert tuple(pi.complement()) == (1, 3)
+    assert Partition.from_mask(0b111, 4).pi == (0, 1, 2)  # the largest mask
+
+
+@pytest.mark.parametrize("mask", [0, -1, 0b100, 0b101])
+def test_partition_from_mask_rejects_masks_outside_the_split_range(mask):
+    # n = 3 has the splits 0b01, 0b10 and 0b11 over its first two columns
+    with pytest.raises(ValueError, match="no split"):
+        Partition.from_mask(mask, 3)
 
 
 def test_shared_margins_fixtures_agree():

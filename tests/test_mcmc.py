@@ -102,6 +102,8 @@ def test_config_validation():
         McmcConfig(n_iter=0)
     with pytest.raises(ValueError):
         McmcConfig(absorb_tol=-1e-9)
+    with pytest.raises(ValueError):
+        McmcConfig(absorb_tol=float("nan"))
 
 
 def test_objective_variance_and_expected_convex(uniform_8x3):

@@ -88,6 +88,13 @@ def test_zero_sum_matrix_construction():
     assert X.values.var() == pytest.approx(1.0, abs=0.15)
 
 
+def test_zero_sum_matrix_long_rows():
+    # Rounding in a row of 10^6 entries passes 1e-12; the check scales with the row.
+    X = make_zero_sum_normal_matrix(2, 10**6, rng_seed=0)
+    assert X.values.shape == (2, 10**6)
+    assert np.abs(X.values.sum(axis=1)).max() < 1e-6
+
+
 def test_zero_sum_matrix_deterministic():
     a = make_zero_sum_normal_matrix(20, 5, rng_seed=9)
     b = make_zero_sum_normal_matrix(20, 5, rng_seed=9)
@@ -140,13 +147,25 @@ def test_oracle_matches_full_scan(m, n, kind, seed):
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5)])
-def test_oracle_streamed_halves_and_small_tiles(monkeypatch, shape):
+def test_oracle_small_tiles_match_full_scan(monkeypatch, shape):
     X = _oracle_start("shared-values", *shape, seed=sum(shape))
-    whole = brute_force_minimum(X)
-    monkeypatch.setattr(oracle, "_MATERIALIZE_BYTES", 0)
-    streamed = brute_force_minimum(X)
-    assert streamed.min_variance == whole.min_variance
-    assert np.array_equal(streamed.argmin_matrix.values, whole.argmin_matrix.values)
-    _check_against_scan(X, streamed)
+    _check_against_scan(X, brute_force_minimum(X))
+    # Tiles of 7 entries split the scan into many front and back tiles.
     monkeypatch.setattr(oracle, "_TILE", 7)
     _check_against_scan(X, brute_force_minimum(X))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_permutations_decode_in_itertools_order(m):
+    decoded = oracle._permutations(np.arange(math.factorial(m)), m)
+    assert np.array_equal(decoded, np.array(list(itertools.permutations(range(m)))))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_orders_decode_in_product_order(r):
+    m = 3
+    expect = list(itertools.product(itertools.permutations(range(m)), repeat=r))
+    orders = oracle._orders(np.arange(len(expect)), m, r)
+    assert len(orders) == r
+    got = [tuple(tuple(order[t]) for order in orders) for t in range(len(expect))]
+    assert got == expect
