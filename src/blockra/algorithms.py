@@ -29,9 +29,6 @@ from .matrix import (
     RearrangementMatrix,
     _block_move,
     _as_matrix,
-    _SPLIT_CACHE_MAX_N,
-    _canonical_splits,
-    _column_splits,
     _row_masks,
     _split_masks,
     _split_of_mask,
@@ -120,9 +117,12 @@ def _descend(arr: np.ndarray, max_sweeps: int, pass_splits: Callable[[], Iterabl
     records the row-sum variance.  ``stop(sweep, moves applied in the sweep,
     previous variance, new variance)`` returns the stop reason, or None to
     go on; the run stops with ``max-iterations`` after ``max_sweeps``
-    sweeps.
+    sweeps.  Raises ValueError when the start's row-sum variance overflows.
     """
-    trace = [sample_variance(arr.sum(axis=1))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [sample_variance(arr.sum(axis=1))]
+    if not np.isfinite(trace[0]):
+        raise ValueError("the row-sum variance overflows: rescale the matrix")
     applied = 0
     for sweep in range(1, max_sweeps + 1):
         moved = sum(_block_move(arr, pi, comp) for pi, comp in pass_splits())
@@ -145,7 +145,8 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
-    splits = _column_splits(arr.shape[1])
+    n = arr.shape[1]
+    splits = [_split_of_mask((1 << n) - 1 - (1 << j), n) for j in range(n)]
     return _descend(arr, cfg.max_sweeps, lambda: splits,
                     lambda sweep, moved, prev, var: None if moved else "no-improvement")
 
@@ -166,9 +167,7 @@ def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
 
 def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
     """``(pi, comp)`` index arrays of the split bitmasks :func:`_pass_masks` gives, in order."""
-    if n_sim >= (1 << (n - 1)) - 1:
-        return _canonical_splits(n)
-    return [_split_of_mask(mask, n) for mask in _pass_masks(n, n_sim, rng)]
+    return [_split_of_mask(k, n) for k in _pass_masks(n, n_sim, rng)]
 
 
 def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -215,7 +214,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
 
 
 def _screened(arr: np.ndarray):
-    """The cached canonical splits of ``arr``'s columns, less those certified not to move it.
+    """The canonical splits of ``arr``'s columns in mask order, less those certified not to move it.
 
     Certified: over rows ordered by first-block sum, those sums rise and the
     complement sums fall by more than the rounding bound ``tol`` at each
@@ -224,14 +223,14 @@ def _screened(arr: np.ndarray):
     moves come in runs.
     """
     n = arr.shape[1]
-    splits = _canonical_splits(n)
+    count = (1 << (n - 1)) - 1
     # Moves keep each column's values, so the bound is the same every pass.
     tol = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(arr).max(axis=0).sum()
     rows, start, moved = np.arange(_SCREEN_CHUNK)[:, None], 0, False
-    while start < len(splits):
+    while start < count:
         before = arr.tobytes()  # the kernel writes only values that differ
         if moved:
-            yield splits[start]
+            yield _split_of_mask(start + 1, n)
             start, moved = start + 1, arr.tobytes() != before
             continue
         end = start + _SCREEN_CHUNK
@@ -240,7 +239,7 @@ def _screened(arr: np.ndarray):
         first, rest = first[at], (arr.sum(axis=1) - first)[at]
         gaps = np.minimum(first[:, 1:] - first[:, :-1], rest[:, :-1] - rest[:, 1:])
         for k in start + np.flatnonzero(gaps.min(axis=1) <= tol):
-            yield splits[k]
+            yield _split_of_mask(k + 1, n)
             if arr.tobytes() != before:
                 moved, end = True, k + 1
                 break
@@ -254,14 +253,14 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     countermonotone rearrangement for each in order; the run stops when a
     pass improves the row-sum variance by less than the relative tolerance
     (absolute floor 1e-15).  Certified no-op moves of full passes over 8 to
-    _SPLIT_CACHE_MAX_N columns never reach the kernel (:func:`_screened`).
+    10 columns never reach the kernel (:func:`_screened`).
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
     n = arr.shape[1]
     n_sim = cfg.resolve_n_sim(n)
     rng = np.random.default_rng(cfg.rng_seed)
-    screen = 8 <= n <= _SPLIT_CACHE_MAX_N and n_sim == (1 << (n - 1)) - 1
+    screen = 8 <= n <= 10 and n_sim == (1 << (n - 1)) - 1
 
     def pass_splits():
         return _screened(arr) if screen else _pass_splits(n, n_sim, rng)

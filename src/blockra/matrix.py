@@ -174,56 +174,34 @@ def _identity_bytes(m: int) -> bytes:
     return np.arange(m, dtype=np.intp).tobytes()
 
 
-# Every canonical split of up to this many columns is cached: n = 10 is the
-# widest matrix block_ra2 enumerates in full at the default n_sim, and its
-# 511 splits take under 0.2 MB (n = 14 would take 3 MB).  Wider matrices
-# build each split when it is asked for.
-_SPLIT_CACHE_MAX_N = 10
-
-
-def _index_pair(pi, comp) -> tuple[np.ndarray, np.ndarray]:
-    pair = (np.array(pi, dtype=np.intp), np.array(comp, dtype=np.intp))
-    for idx in pair:
-        idx.setflags(write=False)  # shared through the caches
-    return pair
-
-
 def _mask_columns(mask: int, bits: int, offset: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Columns ``offset + j`` (j < bits) whose bit j in ``mask`` is set, then those clear."""
     return (tuple(offset + j for j in range(bits) if mask >> j & 1),
             tuple(offset + j for j in range(bits) if not mask >> j & 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    return tuple(_index_pair(pi, comp) for pi, comp in _canonical_columns(n))
+# Holds every canonical split of up to 14 columns; a full pass over more
+# decodes each split again.
+@functools.lru_cache(maxsize=8192)
+def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(pi, comp)`` intp column indices of the split whose first block is bitmask ``mask``.
+
+    Bit j of ``mask`` (j < n) puts column j in the first block, a clear bit
+    in the complement.  A canonical mask (below 2^(n-1)) leaves the last
+    column in the complement, as in ``Partition.from_mask``.
+    """
+    pair = tuple(np.array(cols, dtype=np.intp) for cols in _mask_columns(mask, n))
+    for idx in pair:
+        idx.setflags(write=False)  # shared through the cache
+    return pair
 
 
 @functools.lru_cache(maxsize=None)
 def _split_masks(n: int) -> np.ndarray:
-    """Row k is 1.0 on the first block of ``_cached_splits(n)[k]``, 0.0 elsewhere."""
-    masks = np.array([np.isin(np.arange(n), pi) for pi, _ in _cached_splits(n)], dtype=np.float64)
+    """Row k is 1.0 on the first block of the split with mask k + 1, 0.0 elsewhere."""
+    masks = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n) & 1).astype(np.float64)
     masks.setflags(write=False)  # shared through the cache
     return masks
-
-
-def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(pi, comp)`` intp column indices of the canonical split with this bitmask.
-
-    Bit j of ``mask`` (j < n-1) puts column j in the first block; the last
-    column is always in the complement, as in ``Partition.from_mask``.
-    """
-    if n <= _SPLIT_CACHE_MAX_N:
-        return _cached_splits(n)[mask - 1]
-    pi, comp = _mask_columns(mask, n - 1)
-    return _index_pair(pi, comp + (n - 1,))
-
-
-def _canonical_splits(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """``(pi, comp)`` index arrays of all 2^(n-1) - 1 canonical splits, in mask order."""
-    if n <= _SPLIT_CACHE_MAX_N:
-        return _cached_splits(n)
-    return (_index_pair(pi, comp) for pi, comp in _canonical_columns(n))
 
 
 def _canonical_columns(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -231,7 +209,7 @@ def _canonical_columns(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...
     # Masks in order are the high bits outer, the low bits inner, so each
     # split joins a low pattern's column tuples to a high pattern's rather
     # than scanning all n - 1 bits.
-    low_bits = min(n - 1, _SPLIT_CACHE_MAX_N - 1)
+    low_bits = min(n - 1, 9)
     lows = [_mask_columns(low, low_bits) for low in range(1 << low_bits)]
     for high in range(1 << (n - 1 - low_bits)):
         high_pi, high_comp = _mask_columns(high, n - 1 - low_bits, low_bits)
@@ -264,12 +242,6 @@ def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
     for b in range(low_bits, n):
         first[np.flatnonzero(masks >> b & 1)] += arr[:, b]
     return first
-
-
-@functools.lru_cache(maxsize=32)
-def _column_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``(rest, [j])`` index arrays moving column j against the others, j = 0..n-1."""
-    return tuple(_index_pair([i for i in range(n) if i != j], [j]) for j in range(n))
 
 
 def _block_sums(arr: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -182,7 +182,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     spec = cfg.objective
 
     s_cur = arr.sum(axis=1)
-    f_cur = _objective_of_sums(s_cur, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_cur = _objective_of_sums(s_cur, spec)
     if not np.isfinite(f_cur):
         raise ValueError("objective is not finite at the start")
     best_f = f_cur

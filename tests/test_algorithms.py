@@ -13,14 +13,17 @@ from blockra import (
     block_ra1,
     block_ra2,
     make_zero_sum_normal_matrix,
+    mcmc_block_ra,
     multivariate_dependence_exact,
     sample_variance,
     spearman,
+    spread_dependence,
     standard_ra,
 )
 
 from blockra import dependence
 from blockra.algorithms import _pass_masks, _pass_splits
+from blockra.matrix import _block_move
 
 from conftest import (
     KNOWN_LIMIT_VARIANCES,
@@ -385,6 +388,52 @@ def test_overflowing_row_sums_rejected_up_front(algo):
         with pytest.raises(ValueError, match="row 0 sums to inf"):
             algo(X)
 
+
+
+def test_overflowing_row_sum_variance_rejected_up_front():
+    # Finite row sums whose squared deviations overflow: each run used to go
+    # on to report an infinite objective, block_ra2 after all 1000 sweeps.
+    X = np.random.default_rng(0).normal(size=(6, 4)) * 3e155
+    q = np.linspace(-1, 1, 50) * 1e300
+    calls = [lambda: standard_ra(X), lambda: block_ra1(X), lambda: block_ra2(X),
+             lambda: spread_dependence(q, q, q / 2, 50)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="row-sum variance overflows"):
+                call()
+        assert not seen, [str(w.message) for w in seen]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="not finite at the start"):
+            mcmc_block_ra(X)
+    assert not seen, [str(w.message) for w in seen]
+
+
+def _reference_block_ra2(X, cfg):
+    # The block_ra2 pass loop with every split decoded by Partition.from_mask.
+    arr, n = X.copy(), X.shape[1]
+    n_sim, rng = cfg.resolve_n_sim(n), np.random.default_rng(cfg.rng_seed)
+    trace = [sample_variance(arr.sum(axis=1))]
+    for _ in range(cfg.max_sweeps):
+        for mask in _pass_masks(n, n_sim, rng):
+            p = Partition.from_mask(mask, n)
+            _block_move(arr, np.array(p.pi, dtype=np.intp), np.array(p.complement(), dtype=np.intp))
+        trace.append(sample_variance(arr.sum(axis=1)))
+        if trace[-2] - trace[-1] < max(cfg.improvement_tol * trace[-1], 1e-15):
+            break
+    return arr, tuple(trace)
+
+
+@pytest.mark.parametrize("n, n_sim", [(11, 1023), (12, 2047), (12, 300)])
+def test_block_ra2_past_ten_columns_matches_a_per_split_decode(n, n_sim):
+    # Full passes over 11 and 12 columns and a sampled pass over 12.
+    X = np.random.default_rng(n + n_sim).normal(size=(6, n))
+    cfg = BlockRaConfig(n_sim=n_sim, rng_seed=3, max_sweeps=4)
+    res = block_ra2(X, cfg)
+    arr, trace = _reference_block_ra2(X, cfg)
+    assert res.final_matrix.values.tobytes() == arr.tobytes()
+    assert np.array(res.objective_trace).tobytes() == np.array(trace).tobytes()
 
 # Pass sizes around full coverage (n = 3, 4), many redraws (5, 15), the
 # default 512 at n = 12, masks at the int64 limit (n = 64) and past it.

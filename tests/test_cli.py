@@ -236,6 +236,10 @@ def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     path = matrix_file(np.full((3, 3), 1e308))
     assert main(["bra2", "--input", path, "--seed", "0"]) == 1
     assert "row 0 sums to inf" in capsys.readouterr().err
+    # Finite row sums whose variance overflows used to print Infinity.
+    path = matrix_file(np.random.default_rng(0).normal(size=(6, 4)) * 3e155)
+    assert main(["bra2", "--input", path, "--seed", "0"]) == 1
+    assert "row-sum variance overflows" in capsys.readouterr().err
 
 
 def test_fit_sum_reruns_bit_identical_and_keeps_margins(tmp_path, capsys):

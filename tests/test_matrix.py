@@ -6,6 +6,7 @@ import pytest
 from blockra.matrix import (
     Partition,
     RearrangementMatrix,
+    _split_of_mask,
     counter_permutation,
     countermonotone_rearrange,
     rank_vector,
@@ -127,6 +128,20 @@ def test_partition_from_mask_rejects_masks_outside_the_split_range(mask):
     # n = 3 has the splits 0b01, 0b10 and 0b11 over its first two columns
     with pytest.raises(ValueError, match="no split"):
         Partition.from_mask(mask, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_split_of_mask_decodes_canonical_and_column_masks(n):
+    full = (1 << n) - 1
+    expected = {k: Partition.from_mask(k, n) for k in range(1, 1 << (n - 1))}
+    for j in range(n):  # standard_ra's column j against the rest
+        expected[full - (1 << j)] = Partition([i for i in range(n) if i != j], n)
+    for k, part in expected.items():
+        pi, comp = _split_of_mask(k, n)
+        assert (pi.tolist(), comp.tolist()) == (list(part.pi), list(part.complement())), k
+        assert pi.dtype == comp.dtype == np.intp
+        assert not pi.flags.writeable and not comp.flags.writeable
+        assert _split_of_mask(k, n) is _split_of_mask(k, n)
 
 
 def test_shared_margins_fixtures_agree():

@@ -27,7 +27,7 @@ from blockra import (
 )
 from blockra import algorithms, dependence
 from blockra.algorithms import _screened
-from blockra.matrix import _block_move, _block_sums, _canonical_splits, _mask_sums, counter_permutation
+from blockra.matrix import _block_move, _block_sums, _mask_sums, _split_of_mask, counter_permutation
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=64)
 
@@ -48,6 +48,27 @@ def test_rearrangers_preserve_margins_and_never_worsen(X):
         assert res.final_objective <= start + 1e-12
         trace = np.asarray(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
+
+
+@given(matrices(max_m=10, max_n=6))
+@settings(max_examples=60, deadline=None)
+def test_block_moves_majorize_the_row_sums(X):
+    # Every partial sum of the k largest row sums can only fall under a
+    # countermonotone move, so every convex objective of the sum is
+    # non-increasing, not only the variance.  The bound covers the rounding
+    # of the row sums and of their partial sums.
+    tol = 4 * (X.shape[0] + X.shape[1]) * np.finfo(np.float64).eps * np.abs(X).sum()
+
+    def checked_move(arr, pi, comp):
+        before = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
+        moved = _block_move(arr, pi, comp)
+        after = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
+        assert np.all(after <= before + tol), (pi.tolist(), comp.tolist())
+        return moved
+
+    with mock.patch.object(algorithms, "_block_move", checked_move):
+        for algo in (standard_ra, block_ra1, block_ra2):
+            algo(X, BlockRaConfig(rng_seed=1, max_sweeps=20))
 
 
 @given(matrices(max_m=10, max_n=5))
@@ -108,7 +129,7 @@ def test_dependence_measure_bounds(X):
 def test_split_scores_match_per_split_loop_on_tie_heavy_matrices(X, per_chunk):
     # Entries 0..2 tie most block sums and make some constant, which score
     # -1; chunks of per_chunk splits put the ties and those splits anywhere.
-    pis = [pi for pi, _ in _canonical_splits(X.shape[1])]
+    pis = [_split_of_mask(k, X.shape[1])[0] for k in range(1, 1 << (X.shape[1] - 1))]
     total = X.sum(axis=1)
     ref, n_constant = [], 0
     for pi in pis:
@@ -149,7 +170,7 @@ def _adversarial(draw, min_n=8, max_n=10):
 @settings(max_examples=300, deadline=None)
 def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
     X = _adversarial(data.draw)
-    splits = _canonical_splits(X.shape[1])
+    splits = [_split_of_mask(k, X.shape[1]) for k in range(1, 1 << (X.shape[1] - 1))]
     # Nothing moves between yields, so every chunk is screened against X.
     with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
         offered = {id(split) for split in _screened(X.copy())}
