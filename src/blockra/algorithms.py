@@ -30,6 +30,7 @@ from .matrix import (
     _block_move,
     _as_matrix,
     _row_masks,
+    _row_sum_variance,
     _split_masks,
     _split_of_mask,
     sample_variance,
@@ -119,10 +120,7 @@ def _descend(arr: np.ndarray, max_sweeps: int, pass_splits: Callable[[], Iterabl
     go on; the run stops with ``max-iterations`` after ``max_sweeps``
     sweeps.  Raises ValueError when the start's row-sum variance overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = [sample_variance(arr.sum(axis=1))]
-    if not np.isfinite(trace[0]):
-        raise ValueError("the row-sum variance overflows: rescale the matrix")
+    trace = [_row_sum_variance(arr)]
     applied = 0
     for sweep in range(1, max_sweeps + 1):
         moved = sum(_block_move(arr, pi, comp) for pi, comp in pass_splits())

@@ -28,7 +28,7 @@ from .dependence import (
     spearman,
 )
 from .gof import _GRID_POINTS, TargetDistribution, default_thresholds, median_threshold, verdict
-from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
+from .matrix import _row_sum_variance, read_matrix_csv, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
     _MAX_ARRANGEMENTS,
@@ -152,7 +152,7 @@ def _cmd_mcmc(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
     cfg = McmcConfig(r=args.r, n_iter=args.n_iter, rng_seed=args.rng_seed,
                      absorb_tol=args.absorb_tol)
-    start_objective = sample_variance(mat.values.sum(axis=1))
+    start_objective = _row_sum_variance(mat.values)
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
         write_matrix_csv(trace.best_matrix, args.matrix_out)
@@ -200,12 +200,13 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.rng_seed)
     if args.matrix_out:
         write_matrix_csv(mat, args.matrix_out)
-    body = {"row_sum_variance": sample_variance(mat.values.sum(axis=1)), "m": args.m, "n": args.n}
+    body = {"row_sum_variance": _row_sum_variance(mat.values), "m": args.m, "n": args.n}
     return _report(body, args)
 
 
 def _cmd_measure(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
+    row_sum_variance = _row_sum_variance(mat.values)
     mode = args.mode
     if mode == "auto":
         mode = "exact" if mat.n <= EXACT_PARTITION_CAP else "sampled"
@@ -214,7 +215,7 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     else:
         report = multivariate_dependence_sampled(mat, args.n_samples, args.rng_seed)
     body = _fields(report, "per_partition")
-    body["row_sum_variance"] = sample_variance(mat.values.sum(axis=1))
+    body["row_sum_variance"] = row_sum_variance
     body["m"], body["n"] = mat.m, mat.n
     return _report(body, args, mode_resolved=mode)
 

@@ -129,6 +129,15 @@ def sample_variance(s: np.ndarray) -> float:
     return float(np.add.reduce(np.square(d, out=d), axis=None) / (s.size - 1))
 
 
+def _row_sum_variance(arr: np.ndarray) -> float:
+    """``sample_variance`` of the row sums of ``arr``; ValueError, with no warning, if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = sample_variance(arr.sum(axis=1))
+    if not np.isfinite(v):
+        raise ValueError("the row-sum variance overflows: rescale the matrix")
+    return v
+
+
 def rank_vector(v) -> np.ndarray:
     """1-based ranks of a vector; tied values get their midrank (the Spearman convention)."""
     v = np.asarray(v, dtype=np.float64)
@@ -279,13 +288,14 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
 
     The first block of ``pi`` stays fixed; rows of the complement block are
     jointly reordered so the complement sums are ordered opposite to the
-    pi-block sums.  Never increases the variance of the full row sums.
+    pi-block sums.  Never increases the variance of the full row sums;
+    raises ValueError when that variance overflows.
     """
     mat = _as_matrix(X)
     if pi.n_columns != mat.n:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
-    var_before = sample_variance(arr.sum(axis=1))
+    var_before = _row_sum_variance(arr)
     _block_move(arr, np.array(pi.pi, dtype=np.intp), np.array(pi.complement(), dtype=np.intp))
     var_after = sample_variance(arr.sum(axis=1))
     # Rearrangement inequality guarantees this up to roundoff.

@@ -4,7 +4,8 @@ Each iteration picks a uniform random two-block column split, proposes a new
 joint ordering of the second block by ranking Gumbel-perturbed negative
 first-block sums, and accepts with probability min(1, f_current/f_proposed),
 i.e. a Metropolis step targeting a distribution proportional to 1/f.  States
-with objective at (numerical) zero absorb the chain.
+with objective at (numerical) zero absorb the chain.  The draws come in blocks
+of raw generator words with the values of one-at-a-time draws.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
 # Default Gumbel rate: noise scale is this fraction of the starting row-sum spread.
 _RATE_OVER_SD = 5.0
 _TINY = np.finfo(np.float64).tiny
+# The chain draws its randomness in blocks of at most about this many raw words.
+_BLOCK_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,13 @@ class ChainTrace:
     absorbed_at: Optional[int]
 
 
+def _gumbel(u: np.ndarray, r: float) -> np.ndarray:
+    """Gumbel(r) variates from uniforms ``u``, in place: ln(-ln max(u, tiny)) / -r."""
+    np.maximum(u, _TINY, out=u)
+    np.log(np.negative(np.log(u, out=u), out=u), out=u)
+    return np.divide(u, -r, out=u)
+
+
 def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float, np.ndarray]:
     """Inverse-CDF draw(s) from the Gumbel law with rate r (scale 1/r).
 
@@ -109,11 +119,7 @@ def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float
     """
     if not r > 0:
         raise ValueError("Gumbel rate r must be positive")
-    u = np.maximum(rng.random(size), _TINY)
-    if size is None:  # both paths take ln(-ln u) / -r, the same bits as -ln(-ln u) / r
-        return np.log(-np.log(u)) / -r
-    np.log(np.negative(np.log(u, out=u), out=u), out=u)
-    return np.divide(u, -r, out=u)
+    return _gumbel(np.asarray(rng.random(size)), r)
 
 
 def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -153,6 +159,41 @@ def _draw_canonical_mask(n: int, rng: np.random.Generator) -> int:
             return mask
 
 
+def _chain_draws(rng: np.random.Generator, m: int, n: int, rate: float,
+                 count: int) -> tuple[list, np.ndarray, list]:
+    """Masks, ``(count, m)`` Gumbel noise and acceptance uniforms of ``count`` iterations.
+
+    Bit for bit, generator state included, ``count`` rounds of the replay
+    below.  Up to n = 33 one block of raw PCG64 words holds them, a row per
+    two iterations: numpy draws a mask by Lemire's method from the low half
+    of a word and keeps the high half for the next one, and a uniform is
+    ``(word >> 11) * 2**-53``.  A rejected multiply, a half word buffered
+    already (as a rejection leaves) or another generator replays the block.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    excl = (1 << (n - 1)) - 1
+    if n <= 33 and state["bit_generator"] == "PCG64" and not state["has_uint32"]:
+        head = int(excl > 1)  # integers(1, 2) draws nothing
+        words = bitgen.random_raw(count // 2 * (head + 2 * m + 2)).reshape(count // 2, -1)
+        # At n = 2 (excl = 1) any word yields mask 1 and no rejection.
+        product = np.column_stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> np.uint64(32)))
+        product = product.ravel() * np.uint64(excl)
+        if not ((product & 0xFFFFFFFF) < ((1 << 32) - excl) % excl).any():
+            words >>= np.uint64(11)  # the mask words are read already
+            rows = words[:, head:].reshape(count // 2, 2, m + 1)  # m noise words, acceptance word
+            noise = np.multiply(rows[..., :m], 2.0**-53).reshape(count, m)
+            return ((1 + (product >> np.uint64(32))).tolist(), _gumbel(noise, rate),
+                    np.multiply(rows[..., m], 2.0**-53).ravel().tolist())
+        bitgen.state = state
+    masks, uniforms, noise = [], [], np.empty((count, m))
+    for y in noise:
+        masks.append(_draw_canonical_mask(n, rng))
+        y[:] = _gumbel_sample(rate, rng, m)
+        uniforms.append(rng.random())
+    return masks, noise, uniforms
+
+
 def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
     """The Gumbel rate the chain will use from this start.
 
@@ -173,6 +214,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
 
     Deterministic given the seed: each iteration consumes one partition
     draw, m Gumbel variates, and one acceptance uniform, in that order.
+    They come in blocks of raw words with the same values (``_chain_draws``).
     """
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
@@ -194,28 +236,33 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     accepted = np.zeros(cfg.n_iter, dtype=bool)
     # An absorbing start runs no iteration.
     absorbed_at: Optional[int] = 0 if f_cur <= cfg.absorb_tol else None
-    for it in range(1, cfg.n_iter + 1 if absorbed_at is None else 1):
-        pi, comp = _split_of_mask(_draw_canonical_mask(n, rng), n)
-        s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
-        s_bar = s_cur - s_pi
-        slots = propose_permutation(s_pi, rate, rng)
-        sigma = s_bar.argsort(kind="stable").take(slots)
-        s_new = s_pi + s_bar.take(sigma)
-        f_prop = _objective_of_sums(s_new, spec)
-        u = rng.random()
-        accept = f_prop <= 0 or u * f_prop < f_cur  # min(1, f_cur/f_prop) Metropolis rule
-        if accept:
-            arr[:, comp] = arr[:, comp].take(sigma, axis=0)
-            s_cur = s_new
-            f_cur = f_prop
-            accepted[it - 1] = True
-            if f_cur < best_f:
-                best_f = f_cur
-                best_arr = arr.copy()
-        objectives[it - 1] = f_cur
-        if f_cur <= cfg.absorb_tol:
-            absorbed_at = it
-            break
+    block = 2 * max(1, _BLOCK_WORDS // (2 * m + 3))  # iterations whose draws fit the budget
+    sigma = np.empty(m, dtype=np.intp)
+    it = 0
+    while absorbed_at is None and it < cfg.n_iter:
+        left = cfg.n_iter - it
+        masks, noise, uniforms = _chain_draws(rng, m, n, rate, min(block, left + left % 2))
+        for mask, y, u in zip(masks[:left], noise, uniforms):
+            pi, comp = _split_of_mask(mask, n)
+            s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
+            s_bar = s_cur - s_pi
+            # propose_permutation's slots, then the block rows ascending by sum placed in them
+            sigma[(y - s_pi).argsort(kind="stable")] = s_bar.argsort(kind="stable")
+            s_new = s_pi + s_bar.take(sigma)
+            f_prop = _objective_of_sums(s_new, spec)
+            if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
+                arr[:, comp] = arr[:, comp].take(sigma, axis=0)
+                s_cur = s_new
+                f_cur = f_prop
+                accepted[it] = True
+                if f_cur < best_f:
+                    best_f = f_cur
+                    best_arr = arr.copy()
+            objectives[it] = f_cur
+            it += 1
+            if f_cur <= cfg.absorb_tol:
+                absorbed_at = it
+                break
 
     n_done = cfg.n_iter if absorbed_at is None else absorbed_at
     return ChainTrace(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line entry point, run in process."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,17 @@ def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     # Finite row sums whose variance overflows used to print Infinity.
     path = matrix_file(np.random.default_rng(0).normal(size=(6, 4)) * 3e155)
     assert main(["bra2", "--input", path, "--seed", "0"]) == 1
+    assert "row-sum variance overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["measure", "mcmc"])
+def test_overflowing_row_sum_variance_exits_1_without_warnings(matrix_file, capsys, verb):
+    # measure used to print "row_sum_variance": Infinity, and mcmc leaked a RuntimeWarning.
+    path = matrix_file(np.random.default_rng(0).normal(size=(6, 4)) * 3e155)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([verb, "--input", path]) == 1
+    assert not seen, [str(w.message) for w in seen]
     assert "row-sum variance overflows" in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 """Core container, ranking, and countermonotone primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,14 @@ def test_shared_margins_fixtures_agree():
         assert np.array_equal(
             np.sort(SIGMA_CM_LOCAL_MIN[:, j]), np.sort(COMPLETE_MIX[:, j])
         )
+
+
+def test_countermonotone_rearrange_rejects_an_overflowing_variance():
+    # Finite row sums whose variance overflows: the move used to warn twice
+    # and check its variance as inf <= inf.
+    X = np.random.default_rng(0).normal(size=(6, 4)) * 3e155
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="row-sum variance overflows"):
+            countermonotone_rearrange(X, Partition((0, 1), 4))
+    assert not seen, [str(w.message) for w in seen]

@@ -1,5 +1,8 @@
 """Tests for the Metropolis arrangement search."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,10 @@ from blockra import (
     resolve_rate,
 )
 from blockra.matrix import _block_sums, _split_of_mask, counter_permutation
-from blockra.mcmc import _draw_canonical_mask, _gumbel_sample
+from blockra import mcmc
+from blockra.mcmc import _chain_draws, _draw_canonical_mask, _gumbel_sample
 
-from conftest import UNIFORM_8X3
+from conftest import SIGMA_CM_LOCAL_MIN, UNIFORM_8X3
 
 
 def test_gumbel_inverse_cdf_formula():
@@ -210,6 +214,11 @@ _REF_STARTS = {
     "fixed-rate": (lambda: np.random.default_rng(4).random((9, 4)), {"r": 0.75}),
     "absorbing": (lambda: np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), {}),
     "3x70-wide-mask": (lambda: np.random.default_rng(70).normal(size=(3, 70)), {"n_iter": 300}),
+    # 39-bit masks come from numpy's 64-bit bounded draw: every block replays.
+    "4x40-replayed-masks": (lambda: np.random.default_rng(40).normal(size=(4, 40)), {"n_iter": 300}),
+    "absorbs-mid-block": (lambda: SIGMA_CM_LOCAL_MIN, {}),
+    # The word budget caps each block at a few iterations.
+    "3000x3-capped-blocks": (lambda: np.random.default_rng(30).normal(size=(3000, 3)), {"n_iter": 40}),
 }
 
 
@@ -220,6 +229,10 @@ def test_chain_matches_the_reference_loop_bit_for_bit(name):
     cfg = McmcConfig(**{"n_iter": 2000, "rng_seed": 11, **overrides})
     objectives, accepted, best_f, best_arr, absorbed_at = _ref_mcmc(X, cfg)
     trace = mcmc_block_ra(X, cfg)
+    if name == "absorbs-mid-block":
+        assert 1 < absorbed_at < 2 * (mcmc._BLOCK_WORDS // (2 * X.shape[0] + 3))
+    if name == "3000x3-capped-blocks":
+        assert 2 * (mcmc._BLOCK_WORDS // (2 * X.shape[0] + 3)) < cfg.n_iter
     assert trace.objective_per_iter.tobytes() == objectives.tobytes()
     assert np.array_equal(trace.accepted, accepted)
     assert float.hex(trace.best_objective) == float.hex(best_f)
@@ -250,3 +263,74 @@ def test_wide_canonical_mask_matches_the_bit_loop(n):
         for _ in range(20):
             assert _draw_canonical_mask(n, rng) == _ref_draw_canonical_mask(n, ref_rng)
         assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+
+def _replay_draws(rng, m, n, rate, count):
+    masks, noise, uniforms = [], [], []
+    for _ in range(count):
+        masks.append(_draw_canonical_mask(n, rng))
+        noise.append(_gumbel_sample(rate, rng, m))
+        uniforms.append(rng.random())
+    return masks, np.array(noise), uniforms
+
+
+def _assert_same_draws(got, ref, rng, ref_rng):
+    assert got[0] == ref[0]
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert [float.hex(u) for u in got[2]] == [float.hex(u) for u in ref[2]]
+    state, ref_state = rng.bit_generator.state, ref_rng.bit_generator.state
+    assert state["state"] == ref_state["state"]
+    assert state["has_uint32"] == ref_state["has_uint32"]
+    if state["has_uint32"]:  # else the buffered half word is never read
+        assert state["uinteger"] == ref_state["uinteger"]
+
+
+@pytest.mark.parametrize("n", range(2, 35))
+def test_chain_draws_match_the_replay_bit_for_bit(n):
+    for m, seed in itertools.product((2, 3, 8, 20), range(3)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (2, 6, 64):  # consecutive blocks
+            got = _chain_draws(rng, m, n, 0.75, count)
+            _assert_same_draws(got, _replay_draws(ref_rng, m, n, 0.75, count), rng, ref_rng)
+        assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+
+
+def test_chain_draws_replay_a_rejected_mask(monkeypatch):
+    # At n = 18 numpy redraws a 32-bit half whose product with 2^17 - 1 has
+    # low bits below 32768; seed 705 meets one at iteration 105.
+    words = np.random.default_rng(705).bit_generator.random_raw(256 * 7).reshape(256, 7)[:, 0]
+    halves = np.column_stack((words & 0xFFFFFFFF, words >> np.uint64(32))).ravel()
+    low = halves * np.uint64((1 << 17) - 1) & 0xFFFFFFFF
+    assert np.flatnonzero(low < 32768).tolist() == [105]
+    calls = []
+    monkeypatch.setattr(mcmc, "_draw_canonical_mask",
+                        lambda n, rng: calls.append(n) or _draw_canonical_mask(n, rng))
+    rng, ref_rng = np.random.default_rng(705), np.random.default_rng(705)
+    for count in (100, 100, 100):  # the second block holds the rejection
+        got = _chain_draws(rng, 2, 18, 0.75, count)
+        _assert_same_draws(got, _replay_draws(ref_rng, 2, 18, 0.75, count), rng, ref_rng)
+    # The redraw leaves a half word buffered, so the third block replays too.
+    assert len(calls) == 200
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_capped_blocks_keep_the_draws_small():
+    # Uncapped, 400 iterations at m = 3000 would draw about 19 MB of words and noise.
+    X = np.random.default_rng(30).normal(size=(3000, 3))
+    tracemalloc.start()
+    try:
+        mcmc_block_ra(X, McmcConfig(n_iter=400, rng_seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_chain_draws_replay_other_bit_generators():
+    for n in (2, 5):
+        rng = np.random.Generator(np.random.MT19937(3))
+        ref_rng = np.random.Generator(np.random.MT19937(3))
+        got, ref = _chain_draws(rng, 3, n, 0.75, 8), _replay_draws(ref_rng, 3, n, 0.75, 8)
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert rng.random() == ref_rng.random()
