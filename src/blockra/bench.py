@@ -36,8 +36,6 @@ __all__ = [
     "run_table_benchmark",
 ]
 
-_TABLES = ("tcomp", "t1b", "t3b")
-
 # Default cell grids, chosen so a 200-replicate run of every cell fits a
 # desk-scale time budget; any single (m, n) cell is reachable explicitly.
 _DEFAULT_CELLS = {
@@ -146,8 +144,8 @@ def run_table_benchmark(
     m=10).  ``jobs`` > 1 spreads replicates over a process pool; the merge
     is by replicate index either way.
     """
-    if table not in _TABLES:
-        raise ValueError(f"unknown table {table!r}; expected one of {_TABLES}")
+    if table not in _DEFAULT_CELLS:
+        raise ValueError(f"unknown table {table!r}; expected one of {tuple(_DEFAULT_CELLS)}")
     if replicates < 10:
         raise ValueError("benchmark needs at least 10 replicates")
     if jobs < 1:

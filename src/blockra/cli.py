@@ -247,7 +247,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
             f"quantile tables disagree on length: fp={fp.size} fg={fg.size} fs={fs.size}"
         )
     cfg = BlockRaConfig(rng_seed=args.rng_seed, max_sweeps=args.max_sweeps)
-    result = spread_dependence(fp, fg, fs, fp.size, cfg)
+    result = spread_dependence(fp, fg, fs, cfg)
     if args.emit_joint:
         write_matrix_csv(result.copula, args.emit_joint)
     body = {
@@ -264,7 +264,7 @@ def _cmd_gof(args: argparse.Namespace) -> dict:
     m = args.m if args.m is not None else int(values.size)
     thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,
                                     n_replicates=args.reps, rng_seed=args.rng_seed)
-    return _report(_fields(verdict(values, target, m, thresholds)), args, m=m)
+    return _report(_fields(verdict(values, target, thresholds)), args, m=m)
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> dict:

@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .matrix import (Partition, _as_matrix, _canonical_columns, _mask_columns, _mask_sums,
-                     _row_masks, rank_vector)
+from .matrix import (_as_matrix, _canonical_columns, _mask_columns, _mask_sums, _row_masks,
+                     rank_vector)
 
 __all__ = [
     "DependenceReport",
@@ -132,6 +132,24 @@ class DependenceReport:
     per_partition: Optional[dict[tuple[int, ...], float]] = None
 
 
+def _dependence_report(arr: np.ndarray, masks, mode: str) -> DependenceReport:
+    """The report on the splits whose first blocks are the bitmasks ``masks`` (a sequence)."""
+    n = arr.shape[1]
+    values, constant = _split_spearman(arr, masks)
+    worst = int(np.argmax(values))
+    mask = masks[worst]
+    return DependenceReport(
+        rho=math.fsum(values) / len(values),
+        mode=mode,
+        partitions_evaluated=len(values),
+        constant_splits=constant,
+        worst_partition=_mask_columns(mask, n)[mask >> (n - 1)],  # the block without column n-1
+        worst_value=float(values[worst]),
+        per_partition=(dict(zip(_canonical_columns(n), values.tolist()))
+                       if mode == "exact" else None),
+    )
+
+
 def multivariate_dependence_exact(X) -> DependenceReport:
     """Average block-sum Spearman over the full canonical partition enumeration.
 
@@ -146,18 +164,7 @@ def multivariate_dependence_exact(X) -> DependenceReport:
             f"exact enumeration needs 2^{n - 1}-1 partitions for n={n} > "
             f"cap={EXACT_PARTITION_CAP}; use multivariate_dependence_sampled"
         )
-    values, constant = _split_spearman(arr, range(1, 1 << (n - 1)))
-    keys = [pi for pi, _ in _canonical_columns(n)]
-    worst = int(np.argmax(values))
-    return DependenceReport(
-        rho=math.fsum(values) / len(keys),
-        mode="exact",
-        partitions_evaluated=len(keys),
-        constant_splits=constant,
-        worst_partition=keys[worst],
-        worst_value=float(values[worst]),
-        per_partition=dict(zip(keys, values.tolist())),
-    )
+    return _dependence_report(arr, range(1, 1 << (n - 1)), "exact")
 
 
 def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> DependenceReport:
@@ -176,14 +183,4 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
     while len(masks) < n_samples:  # no more rows than drawing one at a time takes
         rows = _row_masks(rng.integers(0, 2, size=(n_samples - len(masks), n)))
         masks += (mask for mask in rows if 0 < mask < (1 << n) - 1)
-    values, constant = _split_spearman(arr, masks)
-    worst = int(np.argmax(values))
-    return DependenceReport(
-        rho=float(math.fsum(values) / n_samples),
-        mode="sampled",
-        partitions_evaluated=n_samples,
-        constant_splits=constant,
-        worst_partition=Partition(_mask_columns(masks[worst], n)[0], n).canonical().pi,
-        worst_value=float(values[worst]),
-        per_partition=None,
-    )
+    return _dependence_report(arr, masks, "sampled")

@@ -263,18 +263,16 @@ def default_thresholds(target: TargetDistribution, m: int, *,
     return Thresholds(ks=ks, w2=w2)
 
 
-def verdict(sum_values, target: TargetDistribution, m: Optional[int] = None,
+def verdict(sum_values, target: TargetDistribution,
             thresholds: Optional[Thresholds] = None) -> GofVerdict:
     """Evaluate both distances and compare each against its median level.
 
-    m defaults to the number of values; it only drives threshold selection
-    when thresholds are not supplied.
+    Without ``thresholds`` the levels are those for a sample as large as
+    the values given.
     """
     values = np.asarray(sum_values, dtype=np.float64).ravel()
-    if m is None:
-        m = values.size
     if thresholds is None:
-        thresholds = default_thresholds(target, m)
+        thresholds = default_thresholds(target, values.size)
     d_ks = ks_distance(values, target)
     t_w2 = w2_distance(np.sort(values), target)
     ks_ok = d_ks <= thresholds.ks

@@ -103,12 +103,6 @@ class Partition:
         keep = set(self.pi)
         return tuple(j for j in range(self.n_columns) if j not in keep)
 
-    def canonical(self) -> "Partition":
-        """Representative of the unordered split with the last column in the complement."""
-        if self.n_columns - 1 in self.pi:
-            return Partition(self.complement(), self.n_columns)
-        return self
-
     @classmethod
     def from_mask(cls, mask: int, n_columns: int) -> "Partition":
         """Canonical partition from a nonzero bitmask over the first n-1 columns."""
@@ -213,18 +207,17 @@ def _split_masks(n: int) -> np.ndarray:
     return masks
 
 
-def _canonical_columns(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``(pi, comp)`` column tuples of the canonical splits with masks 1 .. 2^(n-1) - 1."""
+def _canonical_columns(n: int) -> Iterable[tuple[int, ...]]:
+    """First-block column tuples of the canonical splits with masks 1 .. 2^(n-1) - 1."""
     # Masks in order are the high bits outer, the low bits inner, so each
-    # split joins a low pattern's column tuples to a high pattern's rather
+    # split joins a low pattern's column tuple to a high pattern's rather
     # than scanning all n - 1 bits.
     low_bits = min(n - 1, 9)
-    lows = [_mask_columns(low, low_bits) for low in range(1 << low_bits)]
+    lows = [_mask_columns(low, low_bits)[0] for low in range(1 << low_bits)]
     for high in range(1 << (n - 1 - low_bits)):
-        high_pi, high_comp = _mask_columns(high, n - 1 - low_bits, low_bits)
-        high_comp += (n - 1,)
-        for pi, comp in lows[0 if high else 1:]:
-            yield pi + high_pi, comp + high_comp
+        high_pi = _mask_columns(high, n - 1 - low_bits, low_bits)[0]
+        for pi in lows[0 if high else 1:]:
+            yield pi + high_pi
 
 
 def _row_masks(bits: np.ndarray) -> list[int]:

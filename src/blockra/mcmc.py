@@ -10,8 +10,8 @@ of raw generator words with the values of one-at-a-time draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -38,27 +38,29 @@ _BLOCK_WORDS = 1 << 14
 class ObjectiveSpec:
     """What the chain minimizes over the row sums.
 
-    ``variance`` is the sample variance (m-1 divisor) of the full row sums.
-    ``expected-convex`` averages a user-supplied convex function f over the
-    row sums; f must accept an ndarray and return one elementwise.
+    Without ``f`` it is the sample variance (m-1 divisor) of the row sums;
+    with a convex ``f`` it is the mean of f over the row sums, f mapping an
+    ndarray elementwise.  Calling the spec on the row sums evaluates it.
     """
 
-    kind: Literal["variance", "expected-convex"] = "variance"
-    f: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+    f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("variance", "expected-convex"):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "expected-convex" and self.f is None:
-            raise ValueError("expected-convex objective needs a function f")
+    @property
+    def kind(self) -> str:
+        return "variance" if self.f is None else "expected-convex"
+
+    def __call__(self, s: np.ndarray) -> float:
+        return sample_variance(s) if self.f is None else float(np.mean(self.f(s)))
 
     @classmethod
     def variance(cls) -> "ObjectiveSpec":
-        return cls(kind="variance")
+        return cls()
 
     @classmethod
     def expected_convex(cls, f: Callable[[np.ndarray], np.ndarray]) -> "ObjectiveSpec":
-        return cls(kind="expected-convex", f=f)
+        if not callable(f):
+            raise ValueError("expected-convex objective needs a function f")
+        return cls(f)
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,6 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
     return slots
 
 
-def _objective_of_sums(s: np.ndarray, spec: ObjectiveSpec) -> float:
-    if spec.kind == "variance":
-        return sample_variance(s)
-    return float(np.mean(spec.f(s)))
-
-
 def _draw_canonical_mask(n: int, rng: np.random.Generator) -> int:
     width = n - 1
     if width <= 62:
@@ -167,22 +163,29 @@ def _chain_draws(rng: np.random.Generator, m: int, n: int, rate: float,
     below.  Up to n = 33 one block of raw PCG64 words holds them, a row per
     two iterations: numpy draws a mask by Lemire's method from the low half
     of a word and keeps the high half for the next one, and a uniform is
-    ``(word >> 11) * 2**-53``.  A rejected multiply, a half word buffered
-    already (as a rejection leaves) or another generator replays the block.
+    ``(word >> 11) * 2**-53``.  A half word buffered already (as a rejection
+    leaves) gives the first mask, each row's mask word then follows an
+    iteration, and the last high half is buffered again.  A rejected
+    multiply or another generator replays the block.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
     excl = (1 << (n - 1)) - 1
-    if n <= 33 and state["bit_generator"] == "PCG64" and not state["has_uint32"]:
+    if n <= 33 and state["bit_generator"] == "PCG64":
         head = int(excl > 1)  # integers(1, 2) draws nothing
+        shift = (m + 1) * head * state["has_uint32"]  # column of the mask words
         words = bitgen.random_raw(count // 2 * (head + 2 * m + 2)).reshape(count // 2, -1)
         # At n = 2 (excl = 1) any word yields mask 1 and no rejection.
-        product = np.column_stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> np.uint64(32)))
-        product = product.ravel() * np.uint64(excl)
+        halves = np.column_stack((words[:, shift] & 0xFFFFFFFF, words[:, shift] >> np.uint64(32)))
+        halves = np.r_[np.uint64(state["uinteger"]), halves.ravel()] if shift else halves.ravel()
+        product = halves[:count] * np.uint64(excl)
         if not ((product & 0xFFFFFFFF) < ((1 << 32) - excl) % excl).any():
             words >>= np.uint64(11)  # the mask words are read already
-            rows = words[:, head:].reshape(count // 2, 2, m + 1)  # m noise words, acceptance word
+            rows = np.delete(words, shift, axis=1) if shift else words[:, head:]
+            rows = rows.reshape(count // 2, 2, m + 1)  # m noise words, acceptance word
             noise = np.multiply(rows[..., :m], 2.0**-53).reshape(count, m)
+            if shift:
+                bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}
             return ((1 + (product >> np.uint64(32))).tolist(), _gumbel(noise, rate),
                     np.multiply(rows[..., m], 2.0**-53).ravel().tolist())
         bitgen.state = state
@@ -225,7 +228,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
 
     s_cur = arr.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_cur = _objective_of_sums(s_cur, spec)
+        f_cur = spec(s_cur)
     if not np.isfinite(f_cur):
         raise ValueError("objective is not finite at the start")
     best_f = f_cur
@@ -249,7 +252,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
             # propose_permutation's slots, then the block rows ascending by sum placed in them
             sigma[(y - s_pi).argsort(kind="stable")] = s_bar.argsort(kind="stable")
             s_new = s_pi + s_bar.take(sigma)
-            f_prop = _objective_of_sums(s_new, spec)
+            f_prop = spec(s_new)
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
                 arr[:, comp] = arr[:, comp].take(sigma, axis=0)
                 s_cur = s_new

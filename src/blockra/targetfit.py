@@ -304,7 +304,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         scaled = scale * unit_grid
         for j in range(n):
             arr[order[j], j] = scaled
-    gof = verdict(_row_sums(arr[:, :n]), target, m, thresholds)
+    gof = verdict(_row_sums(arr[:, :n]), target, thresholds)
     return FitReport(
         fitted_scale=scale,
         final_matrix=RearrangementMatrix(arr),
@@ -326,7 +326,7 @@ class SpreadResult:
     residual_variance: float
 
 
-def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles, m: int,
+def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
                       config: Optional[BlockRaConfig] = None) -> SpreadResult:
     """Joint law of two assets consistent with a given spread law.
 
@@ -337,13 +337,11 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles, m: int,
     to zero row by row.  An incompatible spread law just leaves a positive
     residual.
     """
-    cols = []
-    for name, tab in (("fp", fp_quantiles), ("fg", fg_quantiles), ("fs", fs_quantiles)):
-        v = np.asarray(tab, dtype=np.float64).ravel()
-        if v.size != m:
-            raise ValueError(f"{name} quantile table length {v.size} does not match m={m}")
-        cols.append(v)
-    X = np.column_stack([cols[0], -cols[1], -cols[2]])
+    fp, fg, fs = (np.asarray(tab, dtype=np.float64).ravel()
+                  for tab in (fp_quantiles, fg_quantiles, fs_quantiles))
+    if not fp.size == fg.size == fs.size:
+        raise ValueError(f"quantile table lengths differ: fp={fp.size} fg={fg.size} fs={fs.size}")
+    X = np.column_stack([fp, -fg, -fs])
     result = block_ra2(X, config or BlockRaConfig())
     final = result.final_matrix.values
     return SpreadResult(

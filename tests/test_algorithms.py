@@ -396,7 +396,7 @@ def test_overflowing_row_sum_variance_rejected_up_front():
     X = np.random.default_rng(0).normal(size=(6, 4)) * 3e155
     q = np.linspace(-1, 1, 50) * 1e300
     calls = [lambda: standard_ra(X), lambda: block_ra1(X), lambda: block_ra2(X),
-             lambda: spread_dependence(q, q, q / 2, 50)]
+             lambda: spread_dependence(q, q, q / 2)]
     for call in calls:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")

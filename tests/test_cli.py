@@ -17,9 +17,11 @@ from blockra import (
     mcmc_block_ra,
     read_matrix_csv,
     sample_variance,
+    spearman,
     write_matrix_csv,
 )
 from blockra.cli import main
+from blockra.oracle import make_zero_sum_normal_matrix
 
 from conftest import (
     COMPLETE_MIX,
@@ -200,6 +202,69 @@ def test_usage_errors_exit_2(capsys):
     assert main(["fit-sum", "--margins", "normal", "--target", "uniform", "--m", "50",
                  "--initial-scale", "0.8"]) == 2
     capsys.readouterr()
+
+
+def test_bad_inputs_exit_2(matrix_file, tmp_path, capsys):
+    path = matrix_file(SIGMA_CM_LOCAL_MIN)
+    assert main(["bra2", "--input", path, "--seed", "1.5"]) == 2
+    assert "not an integer" in capsys.readouterr().err
+    column, two_columns, short = (tmp_path / name for name in ("col.csv", "two.csv", "short.csv"))
+    np.savetxt(column, np.linspace(-1.0, 1.0, 8))
+    np.savetxt(two_columns, np.ones((8, 2)), delimiter=",")
+    np.savetxt(short, np.linspace(-1.0, 1.0, 7))
+    assert main(["spread", "--fp", str(two_columns), "--fg", str(column), "--fs", str(column)]) == 2
+    assert "--fp must be a single-column CSV" in capsys.readouterr().err
+    assert main(["spread", "--fp", str(column), "--fg", str(column), "--fs", str(short)]) == 2
+    assert "fp=8 fg=8 fs=7" in capsys.readouterr().err
+    assert main(["oracle", "--mode", "brute"]) == 2
+    assert "needs --input" in capsys.readouterr().err
+
+
+def _same_margins(a, b):
+    return np.array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mcmc", "--input", "{local}", "--seed", "2", "--iterations", "300"],
+    ["oracle", "--mode", "brute", "--input", "{local}"],
+    ["oracle", "--mode", "haus", "--m", "5", "--n", "3"],
+    ["oracle", "--mode", "zerosum", "--m", "5", "--n", "3", "--seed", "2"],
+])
+def test_matrix_out_reads_back_with_the_margins(argv, matrix_file, tmp_path, capsys):
+    local = matrix_file(START_TO_LOCAL_MIN)
+    out = tmp_path / "out.csv"
+    code, doc = _run(capsys, [a.format(local=local) for a in argv] + ["--matrix-out", str(out)])
+    assert code == 0
+    got = read_matrix_csv(out).values
+    if argv[0] == "mcmc" or argv[2] == "brute":
+        assert _same_margins(got, START_TO_LOCAL_MIN)
+        best = doc["best_objective" if argv[0] == "mcmc" else "min_variance"]
+        assert sample_variance(got.sum(axis=1)) == pytest.approx(best, abs=1e-12)
+    elif argv[2] == "haus":
+        assert _same_margins(got, np.tile(np.arange(1.0, 6.0)[:, None], (1, 3)))
+    else:
+        assert got.tobytes() == make_zero_sum_normal_matrix(5, 3, rng_seed=2).values.tobytes()
+
+
+def test_emit_joint_writes_the_fitted_pair(tmp_path, capsys):
+    full, joint = tmp_path / "full.csv", tmp_path / "joint.csv"
+    assert main(["fit-sum", "--margins", "normal", "--target", "uniform", "--m", "200",
+                 "--seed", "1", "--matrix-out", str(full), "--emit-joint", str(joint)]) == 0
+    capsys.readouterr()
+    assert read_matrix_csv(joint).values.tobytes() == read_matrix_csv(full).values[:, :2].tobytes()
+
+    tables = {}
+    for name, sigma in (("fp", 1.0), ("fg", 0.5), ("fs", 1.25 ** 0.5)):
+        tables[name] = discretize_quantiles(TargetDistribution.normal(0.0, sigma), 40)
+        np.savetxt(tmp_path / f"{name}.csv", tables[name])
+    code, doc = _run(capsys, ["spread", "--fp", str(tmp_path / "fp.csv"),
+                              "--fg", str(tmp_path / "fg.csv"), "--fs", str(tmp_path / "fs.csv"),
+                              "--emit-joint", str(joint)])
+    assert code == 0
+    pair = read_matrix_csv(joint).values
+    assert pair.shape == (40, 2) and doc["rows"] == 40
+    assert _same_margins(pair, np.column_stack([tables["fp"], tables["fg"]]))
+    assert doc["rho_joint"] == spearman(pair[:, 0], pair[:, 1])
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

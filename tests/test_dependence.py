@@ -10,6 +10,7 @@ from blockra import dependence
 from blockra.algorithms import BlockRaConfig, block_ra1
 from blockra.bench import enumerate_starts
 from blockra.dependence import (
+    DependenceReport,
     _split_spearman,
     multivariate_dependence_exact,
     multivariate_dependence_sampled,
@@ -126,6 +127,92 @@ def _ref_split_values(arr, pis):
     return values
 
 
+def _ref_canonical(cols, n):
+    # A split is named by its block without the last column: a first block
+    # holding column n - 1 gives way to its complement.
+    part = Partition(cols, n)
+    return part.complement() if n - 1 in part.pi else part.pi
+
+
+def _ref_report(X, masks, mode):
+    # Both reports as they were built before they shared one builder: the
+    # exact keys from the canonical partitions, the sampled worst split
+    # through Partition and its complement.
+    n = X.shape[1]
+    values, constant = _split_spearman(X, masks)
+    keys = [_ref_canonical([j for j in range(n) if mask >> j & 1], n) for mask in masks]
+    worst = int(np.argmax(values))
+    return DependenceReport(
+        rho=math.fsum(values) / len(keys),
+        mode=mode,
+        partitions_evaluated=len(keys),
+        constant_splits=constant,
+        worst_partition=keys[worst],
+        worst_value=float(values[worst]),
+        per_partition=dict(zip(keys, values.tolist())) if mode == "exact" else None,
+    )
+
+
+def _drawn_masks(n, n_samples, rng_seed):
+    # The sampled measure's draws, one indicator row at a time.
+    rng, masks = np.random.default_rng(rng_seed), []
+    while len(masks) < n_samples:
+        indicator = rng.integers(0, 2, size=n)
+        if 0 < indicator.sum() < n:
+            masks.append(sum(1 << int(j) for j in np.flatnonzero(indicator)))
+    return masks
+
+
+def _assert_same_report(got, ref):
+    assert float.hex(got.rho) == float.hex(ref.rho)
+    assert float.hex(got.worst_value) == float.hex(ref.worst_value)
+    assert got == ref
+
+
+@pytest.mark.parametrize("kind", ["normal", "tie-heavy", "cancelling-columns"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_reports_match_the_partition_built_reference(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "normal":
+        X = rng.normal(size=(9, n))
+    else:  # ties everywhere; tied maxima make the first worst split the one named
+        X = rng.integers(0, 3, size=(8, n)).astype(float)
+    if kind == "cancelling-columns":  # columns 0 and n - 1 cancel: constant block sums
+        X[:, -1] = -X[:, 0]
+    exact = multivariate_dependence_exact(X)
+    _assert_same_report(exact, _ref_report(X, range(1, 1 << (n - 1)), "exact"))
+    for seed in range(3):
+        sampled = multivariate_dependence_sampled(X, 40, rng_seed=seed)
+        _assert_same_report(sampled, _ref_report(X, _drawn_masks(n, 40, seed), "sampled"))
+    if kind == "cancelling-columns" and n > 2:
+        assert exact.constant_splits > 0
+
+
+@pytest.mark.parametrize("n", [dependence.EXACT_PARTITION_CAP, 70])
+def test_reports_match_the_partition_built_reference_when_wide(n):
+    rng = np.random.default_rng(n)
+    if n == dependence.EXACT_PARTITION_CAP:  # a tie sends a split to spearman: slow at 2^19 splits
+        X = rng.normal(size=(6, n))
+    else:
+        X = rng.integers(0, 3, size=(6, n)).astype(float)
+    sampled = multivariate_dependence_sampled(X, 300, rng_seed=n)
+    _assert_same_report(sampled, _ref_report(X, _drawn_masks(n, 300, n), "sampled"))
+    if n > dependence.EXACT_PARTITION_CAP:
+        return
+    # At the cap the reference names a strided sample of the 2^19 - 1 splits.
+    exact = multivariate_dependence_exact(X)
+    values, constant = _split_spearman(X, range(1, 1 << (n - 1)))
+    worst = int(np.argmax(values))
+    assert exact.per_partition is not None and list(exact.per_partition.values()) == values.tolist()
+    keys = list(exact.per_partition)
+    probe = list(range(0, len(keys), 4099)) + [worst, len(keys) - 1]
+    assert [keys[k] for k in probe] == [Partition.from_mask(k + 1, n).pi for k in probe]
+    assert (exact.worst_partition, exact.worst_value) == (Partition.from_mask(worst + 1, n).pi,
+                                                          float(values[worst]))
+    assert float.hex(exact.rho) == float.hex(math.fsum(values) / len(values))
+    assert exact.constant_splits == constant
+
+
 @pytest.mark.parametrize("kind", ["tie-heavy", "normal"])
 def test_split_scores_match_per_split_loop(kind):
     n = 12
@@ -156,7 +243,7 @@ def test_split_scores_match_per_split_loop(kind):
     assert sampled.rho == math.fsum(ref) / 60
     first_max = ref.index(max(ref))
     assert sampled.worst_value == ref[first_max]
-    assert sampled.worst_partition == Partition(drawn[first_max], n).canonical().pi
+    assert sampled.worst_partition == _ref_canonical(drawn[first_max], n)
 
 
 @pytest.mark.parametrize("source", ["list", "generator"])
@@ -208,7 +295,7 @@ def test_constant_block_sums_name_the_split(measure):
         while len(pis) < 200:
             indicator = draws.integers(0, 2, size=4)
             if 0 < indicator.sum() < 4:
-                pis.append(Partition(np.flatnonzero(indicator).tolist(), 4).canonical().pi)
+                pis.append(_ref_canonical(np.flatnonzero(indicator).tolist(), 4))
     ref = _ref_split_values(X, pis)
     assert report.constant_splits == pis.count((0, 1)) > 0
     assert report.rho == math.fsum(ref) / len(ref)

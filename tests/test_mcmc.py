@@ -116,9 +116,27 @@ def test_objective_variance_and_expected_convex(uniform_8x3):
         trace = mcmc_block_ra(uniform_8x3, McmcConfig(objective=spec, n_iter=200, rng_seed=1))
         assert trace.best_objective == pytest.approx(of_sums(trace.best_matrix.values.sum(axis=1)))
     with pytest.raises(ValueError):
-        ObjectiveSpec(kind="expected-convex")
+        ObjectiveSpec.expected_convex(None)
     with pytest.raises(ValueError):
-        ObjectiveSpec(kind="cubic")
+        ObjectiveSpec.expected_convex(2.0)
+
+
+def test_a_spec_with_f_minimizes_the_mean_of_f(uniform_8x3):
+    # ObjectiveSpec(f=...) used to keep kind "variance" and minimize the variance.
+    spec = ObjectiveSpec(f=np.square)
+    assert spec == ObjectiveSpec.expected_convex(np.square) != ObjectiveSpec.variance()
+    assert (spec.kind, ObjectiveSpec().kind) == ("expected-convex", "variance")
+    s = uniform_8x3.sum(axis=1)
+    assert spec(s) == float(np.mean(s**2)) and ObjectiveSpec()(s) == float(s.var(ddof=1))
+    got = mcmc_block_ra(uniform_8x3, McmcConfig(objective=spec, n_iter=200, rng_seed=1))
+    ref = mcmc_block_ra(uniform_8x3, McmcConfig(objective=ObjectiveSpec.expected_convex(np.square),
+                                                n_iter=200, rng_seed=1))
+    assert got.objective_per_iter.tobytes() == ref.objective_per_iter.tobytes()
+    assert np.array_equal(got.accepted, ref.accepted)
+    assert got.best_matrix.values.tobytes() == ref.best_matrix.values.tobytes()
+    best_sums = got.best_matrix.values.sum(axis=1)
+    assert got.best_objective == pytest.approx(np.mean(best_sums**2))
+    assert got.best_objective > 1.0 > best_sums.var(ddof=1)  # the mean of s^2, not the variance
 
 
 # The chain as it stood before its iteration was trimmed, kept verbatim (with
@@ -306,12 +324,33 @@ def test_chain_draws_replay_a_rejected_mask(monkeypatch):
     monkeypatch.setattr(mcmc, "_draw_canonical_mask",
                         lambda n, rng: calls.append(n) or _draw_canonical_mask(n, rng))
     rng, ref_rng = np.random.default_rng(705), np.random.default_rng(705)
+    replayed = []
     for count in (100, 100, 100):  # the second block holds the rejection
         got = _chain_draws(rng, 2, 18, 0.75, count)
         _assert_same_draws(got, _replay_draws(ref_rng, 2, 18, 0.75, count), rng, ref_rng)
-    # The redraw leaves a half word buffered, so the third block replays too.
-    assert len(calls) == 200
+        replayed.append(len(calls))
+    # The redraw leaves a half word buffered; the third block starts from it
+    # without a replay and buffers the last high half again.
+    assert replayed == [0, 100, 100]
     assert rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("n", range(2, 35))
+def test_chain_draws_from_a_buffered_half_match_the_replay(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mcmc, "_draw_canonical_mask",
+                        lambda n, rng: calls.append(n) or _draw_canonical_mask(n, rng))
+    for m, seed in itertools.product((2, 3, 8, 20), range(3)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref_rng):
+            g.integers(1 << 20)  # a 32-bit draw buffers the high half of its word
+        assert rng.bit_generator.state["has_uint32"] == 1
+        for count in (2, 6, 64):  # consecutive blocks
+            got = _chain_draws(rng, m, n, 0.75, count)
+            _assert_same_draws(got, _replay_draws(ref_rng, m, n, 0.75, count), rng, ref_rng)
+        assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+    if n <= 33:  # none of these blocks holds a rejected multiply, so none replays
+        assert calls == []
 
 
 def test_capped_blocks_keep_the_draws_small():

@@ -328,7 +328,7 @@ def test_spread_recovers_comonotone_join():
     p = np.linspace(1.0, 3.0, m)
     g = 0.25 * p + 0.1
     s = p - g
-    res = spread_dependence(p, g, s, m)
+    res = spread_dependence(p, g, s)
     assert res.residual_variance == pytest.approx(0.0, abs=1e-12)
     rho = spearman(res.copula.values[:, 0], res.copula.values[:, 1])
     assert rho == pytest.approx(1.0, abs=1e-12)
@@ -343,7 +343,7 @@ def test_spread_matches_small_oracle():
     p = np.sort(rng.normal(size=m))
     g = np.sort(rng.normal(size=m))
     s = np.sort(rng.normal(scale=0.3, size=m))
-    res = spread_dependence(p, g, s, m)
+    res = spread_dependence(p, g, s)
     oracle = brute_force_minimum(np.column_stack([p, -g, -s]))
     assert res.residual_variance == pytest.approx(oracle.min_variance, abs=1e-12)
 
@@ -354,7 +354,7 @@ def test_spread_incompatible_law_leaves_residual():
     g = np.linspace(0.0, 1.0, m)
     # spread spans 100 units while p - g spans at most 2: shape-infeasible
     s = np.linspace(-50.0, 50.0, m)
-    res = spread_dependence(p, g, s, m)
+    res = spread_dependence(p, g, s)
     assert res.residual_variance > 100.0
     with pytest.raises(ValueError, match="length"):
-        spread_dependence(p, g, s[:-1], m)
+        spread_dependence(p, g, s[:-1])
