@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import BlockRaConfig, RunResult, block_ra1, block_ra2, standard_ra
-from .bench import enumerate_starts, run_table_benchmark
+from .bench import _DEFAULT_CELLS, enumerate_starts, run_table_benchmark
 from .dependence import (
     EXACT_PARTITION_CAP,
     multivariate_dependence_exact,
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
 
     sp = add("bench", _cmd_bench, "re-run one comparison table at desk scale", [seed])
-    sp.add_argument("--table", choices=("tcomp", "t1b", "t3b"), required=True)
+    sp.add_argument("--table", choices=tuple(_DEFAULT_CELLS), required=True)
     sp.add_argument("--replicates", type=int, default=200)
     sp.add_argument("--m", type=int, help="single-cell row count")
     sp.add_argument("--n", type=int, help="single-cell column count")

@@ -15,8 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .matrix import (_as_matrix, _canonical_columns, _mask_columns, _mask_sums, _row_masks,
-                     rank_vector)
+from .matrix import _as_matrix, _canonical_columns, _mask_columns, _mask_sums, _row_masks
 
 __all__ = [
     "DependenceReport",
@@ -32,35 +31,77 @@ def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks.
 
     NaN and constant input are errors (NaN has no rank; constant input has
-    no rank variance, so the coefficient is undefined).  Tie-free inputs
-    take an exact integer path so perfectly opposite orderings return -1.0
-    exactly.
+    no rank variance, so the coefficient is undefined).  The value is the
+    one-pair case of :func:`_spearman_pairs`, so tie-free inputs take its
+    exact integer path and perfectly opposite orderings return -1.0 exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("spearman expects two vectors of equal length")
-    m = x.size
-    if m < 2:
+    if x.size < 2:
         raise ValueError("spearman needs at least 2 observations")
-    rx = rank_vector(x)
-    ry = rank_vector(y)
-    ux = np.unique(x).size
-    uy = np.unique(y).size
-    if ux == 1:
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("spearman: NaN has no rank")
+    # Equality, not np.ptp: an all-inf input is constant, and its ptp is NaN.
+    if (x == x[0]).all():
         raise ValueError("undefined Spearman: first input is constant")
-    if uy == 1:
+    if (y == y[0]).all():
         raise ValueError("undefined Spearman: second input is constant")
-    if ux == m and uy == m:
-        d = rx.astype(np.int64) - ry.astype(np.int64)
-        d2 = int(np.sum(d * d, dtype=np.int64))
-        denom = m * (m * m - 1)
-        return 1.0 - 6.0 * d2 / denom
-    rx -= rx.mean()
-    ry -= ry.mean()
-    sx = float(np.sqrt(np.sum(rx * rx)))
-    sy = float(np.sqrt(np.sum(ry * ry)))
-    return float(np.dot(rx, ry) / (sx * sy))
+    return float(_spearman_pairs([np.stack((x, y))])[0][0])
+
+
+def _midranks(ranked: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """1-based midranks of the rows that ``order`` sorts into ``ranked``, in the rows' own order.
+
+    A run of tied values shares the mean of the sorted positions it fills,
+    so the midranks do not depend on how a sort orders tied values.
+    """
+    t, m = ranked.shape
+    pos = np.arange(m)
+    starts = np.ones((t, m + 1), dtype=bool)  # column j: a run starts at j, so one ends at j - 1
+    starts[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.maximum.accumulate(np.where(starts[:, :-1], pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(starts[:, :0:-1], pos[::-1], m - 1), axis=1)[:, ::-1]
+    mid = np.empty((t, m))
+    np.put_along_axis(mid, order, (first + last) / 2.0 + 1.0, axis=1)
+    return mid
+
+
+def _spearman_pairs(chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Spearman correlation of rows j and k + j of each 2k-row chunk, chunk by chunk.
+
+    One argsort ranks every row of a chunk.  Tie-free pairs take the integer
+    formula, tied pairs the correlation of their midranks through ``np.sum``
+    and a matmul dot, as one pair at a time would, bit for bit.  A pair with
+    a constant row scores -1 and is counted; returns the scores and that
+    count.  The chunk loop stays in this one call: a call per chunk freed
+    each chunk's arrays at once, and heap trims slowed tie-free scoring.
+    """
+    values, constant = [np.empty(0)], 0
+    for sums in chunks:
+        k, m = sums.shape[0] // 2, sums.shape[1]
+        # Every sort gives tie-free rows the same order, and midranks do not
+        # depend on the order of tied values, so the faster unstable default is safe.
+        order = sums.argsort(axis=1)
+        ranked = np.take_along_axis(sums, order, axis=1)
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(1, m + 1)[None, :], axis=1)
+        d = ranks[:k] - ranks[k:]
+        rho = 1.0 - 6.0 * np.einsum("ij,ij->i", d, d) / (m * (m * m - 1))
+        flat = (ranked[:, 0] == ranked[:, -1]).reshape(2, k).any(axis=0)
+        rho[flat] = -1.0
+        constant += int(np.count_nonzero(flat))
+        # Strictly increasing sorted sums: no tie (a signed zero pair counts).
+        distinct = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        tied = np.flatnonzero(~(distinct[:k] & distinct[k:] | flat))
+        if t := tied.size:
+            rows = np.concatenate((tied, k + tied))
+            r = _midranks(ranked[rows], order[rows])
+            r -= r.mean(axis=1, keepdims=True)
+            norm = np.sqrt(np.sum(r * r, axis=1))
+            rho[tied] = (r[:t, None, :] @ r[t:, :, None])[:, 0, 0] / (norm[:t] * norm[t:])
+        values.append(rho)
+    return np.concatenate(values), constant
 
 
 # Block-sum cells a chunk of splits holds per side: a chunk takes
@@ -74,44 +115,21 @@ def _split_spearman(arr: np.ndarray, masks: Iterable[int]) -> tuple[np.ndarray, 
     """Spearman correlation between the two block sums of each split, in order.
 
     Each split is the bitmask of its first block's columns (bit j for
-    column j; any of the n may be in it), summed by :func:`_mask_sums`.  The
-    one scoring loop of both measures and of block_ra1's choice of move.
-    Splits are scored in chunks: one argsort ranks both sides of every
-    split in a chunk, tie-free pairs take spearman's integer formula, and
-    pairs with a tie go to :func:`spearman` itself, so every value is the one
-    it would return.  A split with a constant block sum scores -1, as no
-    reordering can change its row-sum variance; returns the scores and the
-    count of such splits.
+    column j; any of the n may be in it).  The one scoring loop of both
+    measures and of block_ra1's choice of move: :func:`_mask_sums` gives
+    the first-block sums of max(1, _CHUNK_CELLS // m) splits at a time and
+    :func:`_spearman_pairs` scores each chunk.  Returns the scores and the
+    count of splits with a constant block sum, which score -1: no
+    reordering can change their row-sum variance.
     """
     m = arr.shape[0]
     total = arr.sum(axis=1)
     per_chunk = max(1, _CHUNK_CELLS // m)
     masks = iter(masks)
-    values = [np.empty(0)]
-    constant = 0
-    while chunk := list(itertools.islice(masks, per_chunk)):
-        k = len(chunk)
-        # Row j holds split j's first-block sums and row k + j the rest: the
-        # chunk's m x 2k block-sum matrix, transposed so each side is one row.
-        first = _mask_sums(arr, chunk, _CHUNK_CELLS)
-        sums = np.concatenate((first, total - first))
-        # Ranks are used only where a row has no tie, and there every sort
-        # gives the same order, so the faster unstable default is safe.
-        order = sums.argsort(axis=1)
-        ranked = np.take_along_axis(sums, order, axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(1, m + 1)[None, :], axis=1)
-        # Strictly increasing sorted sums: no tie (a signed zero pair counts).
-        distinct = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-        d = ranks[:k] - ranks[k:]
-        rho = 1.0 - 6.0 * np.einsum("ij,ij->i", d, d) / (m * (m * m - 1))
-        for j in np.flatnonzero(~(distinct[:k] & distinct[k:])):
-            if (ranked[[j, k + j], 0] == ranked[[j, k + j], -1]).any():
-                rho[j], constant = -1.0, constant + 1
-            else:
-                rho[j] = spearman(sums[j], sums[k + j])
-        values.append(rho)
-    return np.concatenate(values), constant
+    chunks = iter(lambda: list(itertools.islice(masks, per_chunk)), [])
+    firsts = (_mask_sums(arr, chunk, _CHUNK_CELLS) for chunk in chunks)
+    # Row j of a chunk holds split j's first-block sums and row k + j the rest.
+    return _spearman_pairs(np.concatenate((first, total - first)) for first in firsts)
 
 
 @dataclass(frozen=True)

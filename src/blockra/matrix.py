@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "RearrangementMatrix",
     "Partition",
-    "rank_vector",
     "sample_variance",
     "countermonotone_rearrange",
     "read_matrix_csv",
@@ -130,25 +129,6 @@ def _row_sum_variance(arr: np.ndarray) -> float:
     if not np.isfinite(v):
         raise ValueError("the row-sum variance overflows: rescale the matrix")
     return v
-
-
-def rank_vector(v) -> np.ndarray:
-    """1-based ranks of a vector; tied values get their midrank (the Spearman convention)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("rank_vector expects a 1-D vector")
-    if np.isnan(v).any():
-        raise ValueError("rank_vector: NaN has no rank")
-    m = v.size
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(m, dtype=np.float64)
-    sorted_v = v[order]
-    # Midranks: average the 1-based positions within each run of equal values.
-    starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
-    ends = np.r_[starts[1:], m]
-    mid_per_run = (starts + ends - 1) / 2.0 + 1.0
-    ranks[order] = np.repeat(mid_per_run, ends - starts)
-    return ranks
 
 
 def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarray:

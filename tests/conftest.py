@@ -1,4 +1,4 @@
-"""Shared 4x4 and 8x3 fixture matrices.
+"""Shared 4x4 and 8x3 fixture matrices, and a per-vector Spearman reference.
 
 All five 4x4 matrices share the same column margins; they differ only in the
 within-column orderings and were chosen to exercise specific behaviors:
@@ -86,3 +86,32 @@ def ra_stuck_4x4():
 @pytest.fixture
 def uniform_8x3():
     return UNIFORM_8X3.copy()
+
+
+def ref_spearman(x, y):
+    """Spearman's rho of two vectors, one vector at a time: a frozen reference.
+
+    Midranks from a stable argsort; tie-free pairs take the integer formula,
+    tied pairs the correlation of their centred midranks through ``np.sum``
+    and ``np.dot``.  The package's scorer must give these values bit for bit.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    m = x.size
+    ranks = []
+    for v in (x, y):
+        order = np.argsort(v, kind="stable")
+        sorted_v = v[order]
+        starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+        ends = np.r_[starts[1:], m]
+        r = np.empty(m)
+        r[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
+        ranks.append(r)
+    rx, ry = ranks
+    if np.unique(x).size == m and np.unique(y).size == m:
+        d = rx.astype(np.int64) - ry.astype(np.int64)
+        return 1.0 - 6.0 * int(np.sum(d * d, dtype=np.int64)) / (m * (m * m - 1))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    sx = float(np.sqrt(np.sum(rx * rx)))
+    sy = float(np.sqrt(np.sum(ry * ry)))
+    return float(np.dot(rx, ry) / (sx * sy))

@@ -16,7 +16,6 @@ from blockra import (
     mcmc_block_ra,
     multivariate_dependence_exact,
     sample_variance,
-    spearman,
     spread_dependence,
     standard_ra,
 )
@@ -29,6 +28,7 @@ from conftest import (
     KNOWN_LIMIT_VARIANCES,
     START_TO_GLOBAL_MIN,
     START_TO_LOCAL_MIN,
+    ref_spearman,
 )
 
 
@@ -259,7 +259,7 @@ def _ref_block_ra2(X, cfg):
 def _ref_score(s_pi, total):
     # A split with a constant block sum scores -1: no reordering changes its variance.
     s_bar = total - s_pi
-    return -1.0 if np.ptp(s_pi) == 0 or np.ptp(s_bar) == 0 else spearman(s_pi, s_bar)
+    return -1.0 if np.ptp(s_pi) == 0 or np.ptp(s_bar) == 0 else ref_spearman(s_pi, s_bar)
 
 
 def _ref_rho(arr):

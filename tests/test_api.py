@@ -56,7 +56,7 @@ PUBLIC_NAMES = [
     "fit_sum_to_target", "haus_integer_matrix", "haus_integer_minimum",
     "kolmogorov_asymptotic_cdf", "ks_distance", "make_zero_sum_normal_matrix",
     "mcmc_block_ra", "median_threshold", "multivariate_dependence_exact",
-    "multivariate_dependence_sampled", "propose_permutation", "rank_vector",
+    "multivariate_dependence_sampled", "propose_permutation",
     "read_matrix_csv", "resolve_rate", "run_table_benchmark", "sample_variance", "spearman",
     "spread_dependence", "standard_ra", "verdict", "w2_distance", "write_matrix_csv",
 ]

@@ -202,6 +202,8 @@ def test_usage_errors_exit_2(capsys):
     assert main(["fit-sum", "--margins", "normal", "--target", "uniform", "--m", "50",
                  "--initial-scale", "0.8"]) == 2
     capsys.readouterr()
+    assert main(["bench", "--table", "t2b"]) == 2
+    assert "invalid choice: 't2b' (choose from 'tcomp', 't1b', 't3b')" in capsys.readouterr().err
 
 
 def test_bad_inputs_exit_2(matrix_file, tmp_path, capsys):

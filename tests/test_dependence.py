@@ -1,6 +1,7 @@
 """Spearman correlation and the partition-minimum dependence measure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from blockra.dependence import (
     spearman,
 )
 from blockra.matrix import Partition
+
+from conftest import ref_spearman
 
 
 def test_spearman_monotone_extremes():
@@ -123,7 +126,7 @@ def _ref_split_values(arr, pis):
         s_pi = arr[:, list(pi)].sum(axis=1)
         s_bar = total - s_pi
         constant = np.ptp(s_pi) == 0 or np.ptp(s_bar) == 0
-        values.append(-1.0 if constant else spearman(s_pi, s_bar))
+        values.append(-1.0 if constant else ref_spearman(s_pi, s_bar))
     return values
 
 
@@ -191,26 +194,27 @@ def test_reports_match_the_partition_built_reference(n, kind):
 @pytest.mark.parametrize("n", [dependence.EXACT_PARTITION_CAP, 70])
 def test_reports_match_the_partition_built_reference_when_wide(n):
     rng = np.random.default_rng(n)
-    if n == dependence.EXACT_PARTITION_CAP:  # a tie sends a split to spearman: slow at 2^19 splits
-        X = rng.normal(size=(6, n))
+    if n == dependence.EXACT_PARTITION_CAP:  # a normal start and an integer one
+        starts = [rng.normal(size=(6, n)), rng.integers(0, 3, size=(6, n)).astype(float)]
     else:
-        X = rng.integers(0, 3, size=(6, n)).astype(float)
-    sampled = multivariate_dependence_sampled(X, 300, rng_seed=n)
-    _assert_same_report(sampled, _ref_report(X, _drawn_masks(n, 300, n), "sampled"))
-    if n > dependence.EXACT_PARTITION_CAP:
-        return
-    # At the cap the reference names a strided sample of the 2^19 - 1 splits.
-    exact = multivariate_dependence_exact(X)
-    values, constant = _split_spearman(X, range(1, 1 << (n - 1)))
-    worst = int(np.argmax(values))
-    assert exact.per_partition is not None and list(exact.per_partition.values()) == values.tolist()
-    keys = list(exact.per_partition)
-    probe = list(range(0, len(keys), 4099)) + [worst, len(keys) - 1]
-    assert [keys[k] for k in probe] == [Partition.from_mask(k + 1, n).pi for k in probe]
-    assert (exact.worst_partition, exact.worst_value) == (Partition.from_mask(worst + 1, n).pi,
-                                                          float(values[worst]))
-    assert float.hex(exact.rho) == float.hex(math.fsum(values) / len(values))
-    assert exact.constant_splits == constant
+        starts = [rng.integers(0, 3, size=(6, n)).astype(float)]
+    for X in starts:
+        sampled = multivariate_dependence_sampled(X, 300, rng_seed=n)
+        _assert_same_report(sampled, _ref_report(X, _drawn_masks(n, 300, n), "sampled"))
+        if n > dependence.EXACT_PARTITION_CAP:
+            continue
+        # At the cap the reference names a strided sample of the 2^19 - 1 splits.
+        exact = multivariate_dependence_exact(X)
+        values, constant = _split_spearman(X, range(1, 1 << (n - 1)))
+        worst = int(np.argmax(values))
+        assert list(exact.per_partition.values()) == values.tolist()
+        keys = list(exact.per_partition)
+        probe = list(range(0, len(keys), 4099)) + [worst, len(keys) - 1]
+        assert [keys[k] for k in probe] == [Partition.from_mask(k + 1, n).pi for k in probe]
+        assert (exact.worst_partition, exact.worst_value) == (Partition.from_mask(worst + 1, n).pi,
+                                                              float(values[worst]))
+        assert float.hex(exact.rho) == float.hex(math.fsum(values) / len(values))
+        assert exact.constant_splits == constant
 
 
 @pytest.mark.parametrize("kind", ["tie-heavy", "normal"])
@@ -308,11 +312,63 @@ def test_spearman_keeps_its_own_constant_message():
 
 @pytest.mark.parametrize("x, y", [([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
                                   ([1.0, 2.0, 3.0], [3.0, np.nan, 1.0]),
-                                  ([np.nan] * 3, [1.0, 2.0, 3.0])])
+                                  ([np.nan] * 3, [1.0, 2.0, 3.0]),
+                                  ([np.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),
+                                  ([1.0, 1.0, 1.0], [3.0, np.nan, 1.0])])
 def test_spearman_rejects_nan(x, y):
     # NaN used to rank as the largest value: the first case returned -0.5.
-    with pytest.raises(ValueError, match="NaN"):
+    # It is checked before constancy, so the last two name the NaN.
+    with pytest.raises(ValueError, match="^spearman: NaN has no rank$"):
         spearman(x, y)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0], "spearman expects two vectors of equal length"),
+    ([[1.0, 2.0]], [[2.0, 1.0]], "spearman expects two vectors of equal length"),
+    ([1.0], [2.0], "spearman needs at least 2 observations"),
+    (np.arange(4.0), np.ones(4), "undefined Spearman: second input is constant"),
+    ([np.inf] * 3, [1.0, 2.0, 3.0], "undefined Spearman: first input is constant"),
+    ([1.0, 2.0, 3.0], [-np.inf] * 3, "undefined Spearman: second input is constant"),
+    ([0.0, -0.0], [1.0, 2.0], "undefined Spearman: first input is constant"),
+])
+def test_spearman_errors_keep_their_messages(x, y, message):
+    # An all-inf input is constant although its ptp is NaN, and -0.0 == 0.0.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spearman(x, y)
+
+
+def test_spearman_matches_the_per_vector_reference_on_long_tied_vectors():
+    # At m = 10^6 an einsum cross term no longer rounds like np.dot.
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, 1000, size=10**6).astype(float)
+    y = x + rng.integers(0, 3, size=10**6)
+    z = rng.normal(size=10**6)
+    for a, b in ((x, y), (z, x)):
+        assert float.hex(spearman(a, b)) == float.hex(ref_spearman(a, b))
+
+
+@pytest.mark.parametrize("kind", ["integer", "rounded-normal", "constant-block"])
+@pytest.mark.parametrize("n", range(4, dependence.EXACT_PARTITION_CAP + 1))
+def test_split_scores_match_the_per_vector_reference(n, kind):
+    # Entries 0..2 tie nearly every block sum, entries rounded to 0.1 tie some
+    # and nearly tie others, and cancelling columns 0 and n - 1 make the block
+    # sums of split top - 2 (columns 1..n-2 against 0 and n - 1) constant.  Up
+    # to about 512 splits a start, strided over the canonical range, and the
+    # last two.
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "rounded-normal":
+        X = np.round(rng.normal(size=(8, n)), 1)
+    else:
+        X = rng.integers(0, 3, size=(6, n)).astype(float)
+    if kind == "constant-block":
+        X[:, -1] = -X[:, 0]
+    top = 1 << (n - 1)
+    masks = list(range(1, top - 2, max(1, top // 512))) + [top - 2, top - 1]
+    scores, constant = _split_spearman(X, masks)
+    ref = np.array(_ref_split_values(X, [Partition.from_mask(mask, n).pi for mask in masks]))
+    assert scores.tobytes() == ref.tobytes()
+    if kind == "constant-block":
+        assert constant > 0
 
 
 def test_exact_measure_at_the_partition_cap():

@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from blockra.dependence import _midranks
 from blockra.matrix import (
     Partition,
     RearrangementMatrix,
     _split_of_mask,
     counter_permutation,
     countermonotone_rearrange,
-    rank_vector,
     read_matrix_csv,
     sample_variance,
     write_matrix_csv,
@@ -48,19 +48,20 @@ def _stable_first_ranks(v):
     return propose_permutation(-np.asarray(v, dtype=float), 1.0, _NoNoise()) + 1
 
 
-def test_rank_vector_tie_policies():
-    assert np.array_equal(rank_vector([3, 1, 3]), [2.5, 1.0, 2.5])
+def _midranks_of(v):
+    row = np.asarray(v, dtype=float)[None, :]
+    order = row.argsort(axis=1)
+    return _midranks(np.take_along_axis(row, order, axis=1), order)[0]
+
+
+def test_midranks_tie_policies():
+    assert np.array_equal(_midranks_of([3, 1, 3]), [2.5, 1.0, 2.5])
     assert np.array_equal(_stable_first_ranks([3, 1, 3]), [2, 1, 3])
 
 
-def test_rank_vector_distinct_values_agree():
+def test_midranks_distinct_values_agree():
     v = np.array([0.4, -1.2, 3.3, 0.0])
-    assert np.array_equal(rank_vector(v), _stable_first_ranks(v))
-
-
-def test_rank_vector_rejects_nan():
-    with pytest.raises(ValueError, match="NaN"):
-        rank_vector([0.5, np.nan, 0.1])
+    assert np.array_equal(_midranks_of(v), _stable_first_ranks(v))
 
 
 def test_counter_permutation_opposes_sums():
