@@ -29,7 +29,7 @@ from .matrix import (
     RearrangementMatrix,
     _block_move,
     _as_matrix,
-    _row_masks,
+    _pass_masks,
     _row_sum_variance,
     _split_masks,
     _split_of_mask,
@@ -109,21 +109,22 @@ class RunResult:
     objective_trace: tuple[float, ...]
 
 
-def _descend(arr: np.ndarray, max_sweeps: int, pass_splits: Callable[[], Iterable],
+def _descend(arr: np.ndarray, max_sweeps: int, pass_masks: Callable[[], Iterable[int]],
              stop: Callable[[int, int, float, float], Optional[str]]) -> RunResult:
     """The countermonotone descent loop of all three algorithms.
 
-    Each sweep applies the block move to ``arr``, in place, for every
-    ``(pi, comp)`` split that ``pass_splits()`` returns, in order, then
-    records the row-sum variance.  ``stop(sweep, moves applied in the sweep,
-    previous variance, new variance)`` returns the stop reason, or None to
-    go on; the run stops with ``max-iterations`` after ``max_sweeps``
-    sweeps.  Raises ValueError when the start's row-sum variance overflows.
+    Each sweep applies the block move to ``arr``, in place, for the split of
+    every bitmask ``pass_masks()`` returns, in order (decoded here alone, by
+    ``_split_of_mask``), then records the row-sum variance.  ``stop(sweep,
+    moves applied in the sweep, previous variance, new variance)`` returns
+    the stop reason, or None to go on; it stops with ``max-iterations`` after
+    ``max_sweeps`` sweeps.  Raises ValueError if the start's row-sum variance overflows.
     """
+    n = arr.shape[1]
     trace = [_row_sum_variance(arr)]
     applied = 0
     for sweep in range(1, max_sweeps + 1):
-        moved = sum(_block_move(arr, pi, comp) for pi, comp in pass_splits())
+        moved = sum(_block_move(arr, *_split_of_mask(mask, n)) for mask in pass_masks())
         applied += moved
         trace.append(sample_variance(arr.sum(axis=1)))
         reason = stop(sweep, moved, trace[-2], trace[-1])
@@ -144,28 +145,9 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
     n = arr.shape[1]
-    splits = [_split_of_mask((1 << n) - 1 - (1 << j), n) for j in range(n)]
-    return _descend(arr, cfg.max_sweeps, lambda: splits,
+    masks = [(1 << n) - 1 - (1 << j) for j in range(n)]
+    return _descend(arr, cfg.max_sweeps, lambda: masks,
                     lambda sweep, moved, prev, var: None if moved else "no-improvement")
-
-
-def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
-    """Canonical split bitmasks of one pass (see ``_split_of_mask``).
-
-    All, in order, when n_sim covers them; else n_sim distinct nonzero draws of n-1
-    fair bits, in blocks of the rows still missing (as many as a row loop draws)."""
-    if n_sim >= (1 << (n - 1)) - 1:
-        return range(1, 1 << (n - 1))
-    seen = {0: None}  # an insertion-ordered set; the empty mask counts as seen
-    while len(seen) <= n_sim:
-        rows = rng.integers(0, 2, size=(n_sim + 1 - len(seen), n - 1))
-        seen.update(dict.fromkeys(_row_masks(rows)))
-    return list(seen)[1:]
-
-
-def _pass_splits(n: int, n_sim: int, rng: np.random.Generator):
-    """``(pi, comp)`` index arrays of the split bitmasks :func:`_pass_masks` gives, in order."""
-    return [_split_of_mask(k, n) for k in _pass_masks(n, n_sim, rng)]
 
 
 def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -191,7 +173,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         masks = _pass_masks(n, n_sim, rng)
         scores, _ = _split_spearman(arr, masks)
         # np.argmax keeps the first split on ties.
-        return [_split_of_mask(masks[int(np.argmax(scores))], n)]
+        return [masks[int(np.argmax(scores))]]
 
     def stop(sweep, moved, prev, var):
         nonlocal flat
@@ -212,7 +194,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
 
 
 def _screened(arr: np.ndarray):
-    """The canonical splits of ``arr``'s columns in mask order, less those certified not to move it.
+    """The canonical split bitmasks of ``arr``'s columns in order, less those certified not to move it.
 
     Certified: over rows ordered by first-block sum, those sums rise and the
     complement sums fall by more than the rounding bound ``tol`` at each
@@ -228,7 +210,7 @@ def _screened(arr: np.ndarray):
     while start < count:
         before = arr.tobytes()  # the kernel writes only values that differ
         if moved:
-            yield _split_of_mask(start + 1, n)
+            yield start + 1
             start, moved = start + 1, arr.tobytes() != before
             continue
         end = start + _SCREEN_CHUNK
@@ -237,7 +219,7 @@ def _screened(arr: np.ndarray):
         first, rest = first[at], (arr.sum(axis=1) - first)[at]
         gaps = np.minimum(first[:, 1:] - first[:, :-1], rest[:, :-1] - rest[:, 1:])
         for k in start + np.flatnonzero(gaps.min(axis=1) <= tol):
-            yield _split_of_mask(k + 1, n)
+            yield int(k) + 1
             if arr.tobytes() != before:
                 moved, end = True, k + 1
                 break
@@ -260,10 +242,10 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     rng = np.random.default_rng(cfg.rng_seed)
     screen = 8 <= n <= 10 and n_sim == (1 << (n - 1)) - 1
 
-    def pass_splits():
-        return _screened(arr) if screen else _pass_splits(n, n_sim, rng)
+    def pass_masks():
+        return _screened(arr) if screen else _pass_masks(n, n_sim, rng)
 
     def stop(sweep, moved, prev, var):
         return "no-improvement" if prev - var < max(cfg.improvement_tol * var, 1e-15) else None
 
-    return _descend(arr, cfg.max_sweeps, pass_splits, stop)
+    return _descend(arr, cfg.max_sweeps, pass_masks, stop)

@@ -57,13 +57,17 @@ def _midranks(ranked: np.ndarray, order: np.ndarray) -> np.ndarray:
     so the midranks do not depend on how a sort orders tied values.
     """
     t, m = ranked.shape
-    pos = np.arange(m)
+    pos = np.arange(1, m + 1)
     starts = np.ones((t, m + 1), dtype=bool)  # column j: a run starts at j, so one ends at j - 1
     starts[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
-    first = np.maximum.accumulate(np.where(starts[:, :-1], pos, 0), axis=1)
-    last = np.minimum.accumulate(np.where(starts[:, :0:-1], pos[::-1], m - 1), axis=1)[:, ::-1]
+    first = np.where(starts[:, :-1], pos, 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    last = np.where(starts[:, :0:-1], pos[::-1], m)
+    first += np.minimum.accumulate(last, axis=1, out=last)[:, ::-1]
+    del last  # before the scatter: long tied rows would hold one more m-array
     mid = np.empty((t, m))
-    np.put_along_axis(mid, order, (first + last) / 2.0 + 1.0, axis=1)
+    np.put_along_axis(mid, order, first, axis=1)  # the 1-based run start plus run end, exact
+    mid /= 2.0
     return mid
 
 

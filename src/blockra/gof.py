@@ -257,8 +257,8 @@ def default_thresholds(target: TargetDistribution, m: int, *,
             w2=median_threshold("w2", target, m, n_replicates, rng_seed),
         )
     if ks_asymptotic:
-        return Thresholds(ks=_KS_MEDIAN_SQRT_M / math.sqrt(m),
-                          w2=median_threshold("w2", target, m, n_replicates, rng_seed))
+        w2 = median_threshold("w2", target, m, n_replicates, rng_seed)  # rejects m <= 0 first
+        return Thresholds(ks=_KS_MEDIAN_SQRT_M / math.sqrt(m), w2=w2)
     ks, w2 = _replicate_medians(("ks", "w2"), target, m, n_replicates, rng_seed)
     return Thresholds(ks=ks, w2=w2)
 

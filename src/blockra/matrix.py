@@ -206,6 +206,20 @@ def _row_masks(bits: np.ndarray) -> list[int]:
     return (bits @ np.array(weights, dtype=np.int64 if len(weights) < 64 else object)).tolist()
 
 
+def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
+    """Canonical split bitmasks of one pass (see ``_split_of_mask``).
+
+    All, in order, when n_sim covers them; else n_sim distinct nonzero draws of n-1
+    fair bits, in blocks of the rows still missing (as many as a row loop draws)."""
+    if n_sim >= (1 << (n - 1)) - 1:
+        return range(1, 1 << (n - 1))
+    seen = {0: None}  # an insertion-ordered set; the empty mask counts as seen
+    while len(seen) <= n_sim:
+        rows = rng.integers(0, 2, size=(n_sim + 1 - len(seen), n - 1))
+        seen.update(dict.fromkeys(_row_masks(rows)))
+    return list(seen)[1:]
+
+
 def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
     """Row k holds the row sums of ``arr`` over the columns in bitmask ``masks[k]``.
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _row_masks, _split_of_mask,
+from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _pass_masks, _split_of_mask,
                      sample_variance)
 
 __all__ = [
@@ -45,22 +45,16 @@ class ObjectiveSpec:
 
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self) -> None:
+        if self.f is not None and not callable(self.f):
+            raise ValueError("expected-convex objective needs a function f")
+
     @property
     def kind(self) -> str:
         return "variance" if self.f is None else "expected-convex"
 
     def __call__(self, s: np.ndarray) -> float:
         return sample_variance(s) if self.f is None else float(np.mean(self.f(s)))
-
-    @classmethod
-    def variance(cls) -> "ObjectiveSpec":
-        return cls()
-
-    @classmethod
-    def expected_convex(cls, f: Callable[[np.ndarray], np.ndarray]) -> "ObjectiveSpec":
-        if not callable(f):
-            raise ValueError("expected-convex objective needs a function f")
-        return cls(f)
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ class McmcConfig:
     absorbing and the run stops.
     """
 
-    objective: ObjectiveSpec = ObjectiveSpec.variance()
+    objective: ObjectiveSpec = ObjectiveSpec()
     r: Optional[float] = None
     n_iter: int = 10_000
     rng_seed: int = 0
@@ -146,13 +140,8 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
 
 
 def _draw_canonical_mask(n: int, rng: np.random.Generator) -> int:
-    width = n - 1
-    if width <= 62:
-        return int(rng.integers(1, (1 << width)))
-    while True:  # wide matrices: assemble the mask from raw bits
-        mask = _row_masks(rng.integers(0, 2, size=(1, width)))[0]
-        if mask:
-            return mask
+    # rng.integers takes int64 bounds; wider masks are rows of fair bits, zero rejected.
+    return int(rng.integers(1, 1 << (n - 1))) if n <= 63 else _pass_masks(n, 1, rng)[0]
 
 
 def _chain_draws(rng: np.random.Generator, m: int, n: int, rate: float,

@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import BlockRaConfig, _pass_splits, _resolve_n_sim, block_ra2
+from .algorithms import BlockRaConfig, _resolve_n_sim, block_ra2
 # perfbench/workloads.py patches ks_distance and w2_distance on this
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
-from .matrix import RearrangementMatrix, _as_matrix, _block_sums, sample_variance
+from .matrix import RearrangementMatrix, _block_sums, _pass_masks, _split_of_mask, sample_variance
 
 __all__ = [
     "MarginSpec",
@@ -62,8 +62,8 @@ class MarginSpec:
     """Common law of the n margin columns.
 
     The fit sets the symmetric uniform half-width and the centered normal
-    sigma itself; empirical margins carry a fixed quantile table instead
-    and are never rescaled.
+    sigma itself; empirical margins carry a fixed quantile table, a law
+    discretized at the fit's m like the others, and are never rescaled.
     """
 
     family: str
@@ -92,6 +92,8 @@ class MarginSpec:
         tab = np.asarray(quantile_table, dtype=np.float64)
         if tab.ndim != 1 or tab.size < 2:
             raise ValueError("quantile table must be a vector of at least 2 values")
+        if not np.isfinite(tab).all():
+            raise ValueError("empirical margin table has non-finite entries")
         if np.any(np.diff(tab) < 0):
             raise ValueError("quantile table must be nondecreasing")
         tab = tab.copy()
@@ -238,8 +240,6 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     cfg = config or FitConfig()
     if m < 2:
         raise ValueError("m must be at least 2")
-    if margins.family == "empirical" and margins.table.size != m:
-        raise ValueError(f"empirical margin table has {margins.table.size} rows, fit needs {m}")
 
     n = margins.n
     n_cols = n + 1
@@ -277,8 +277,8 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     stop_reason = "max-passes"
     for _ in range(cfg.max_passes):
         passes += 1
-        for pi, comp in _pass_splits(n_cols, n_sim, rng):
-            _ordered_move(arr, order, target_desc, pi, comp)
+        for mask in _pass_masks(n_cols, n_sim, rng):
+            _ordered_move(arr, order, target_desc, *_split_of_mask(mask, n_cols))
         if walk:
             v = sample_variance(_row_sums(arr[:, :n]))
             if v == 0.0:

@@ -21,8 +21,8 @@ from blockra import (
 )
 
 from blockra import dependence
-from blockra.algorithms import _pass_masks, _pass_splits
-from blockra.matrix import _block_move
+from blockra.algorithms import _pass_masks
+from blockra.matrix import _block_move, _split_of_mask
 
 from conftest import (
     KNOWN_LIMIT_VARIANCES,
@@ -98,10 +98,10 @@ def test_block_ra1_stalls_on_moves_that_only_reorder_ties(n_sim):
             assert res.final_objective == 0.2857142857142857
 
 
-# The partitions sampled for a pass come from algorithms._pass_splits as
-# (pi, complement) column index arrays.
+# The partitions sampled for a pass are the split bitmasks of
+# algorithms._pass_masks, decoded into (pi, complement) column index arrays.
 def _pass_partitions(n, n_sim, seed=0):
-    splits = _pass_splits(n, n_sim, np.random.default_rng(seed))
+    splits = [_split_of_mask(k, n) for k in _pass_masks(n, n_sim, np.random.default_rng(seed))]
     for pi, comp in splits:
         assert sorted(pi.tolist() + comp.tolist()) == list(range(n))
     return [tuple(pi.tolist()) for pi, _ in splits]

@@ -274,6 +274,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert main(["measure", "--input", missing]) == 1
     err = capsys.readouterr().err
     assert "absent.csv" in err
+    # The asymptotic KS level used to divide by sqrt(0) first.
+    values = tmp_path / "v.csv"
+    np.savetxt(values, np.linspace(-1.0, 1.0, 50))
+    assert main(["gof", "--input", str(values), "--target", "normal", "--m", "0",
+                 "--ks-asymptotic"]) == 1
+    assert capsys.readouterr().err.strip() == "error: m must be positive"
 
 
 def test_gof_verb_against_perfect_sample(tmp_path, capsys):

@@ -149,6 +149,14 @@ def test_default_thresholds_match_per_statistic_replicates(target):
     assert asym.w2 == w2
 
 
+@pytest.mark.parametrize("ks_asymptotic", [False, True])
+@pytest.mark.parametrize("m", [0, -3])
+def test_default_thresholds_reject_a_nonpositive_m(m, ks_asymptotic):
+    # The asymptotic KS level used to raise ZeroDivisionError or a math domain error.
+    with pytest.raises(ValueError, match="m must be positive"):
+        default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=ks_asymptotic)
+
+
 def test_verdict_composition():
     target = TargetDistribution.normal()
     xs = _midpoint_sample(target, 10_000)

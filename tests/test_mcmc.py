@@ -111,25 +111,26 @@ def test_config_validation():
 
 
 def test_objective_variance_and_expected_convex(uniform_8x3):
-    for spec, of_sums in ((ObjectiveSpec.variance(), lambda s: s.var(ddof=1)),
-                          (ObjectiveSpec.expected_convex(np.square), lambda s: np.mean(s**2))):
+    for spec, of_sums in ((ObjectiveSpec(), lambda s: s.var(ddof=1)),
+                          (ObjectiveSpec(np.square), lambda s: np.mean(s**2))):
         trace = mcmc_block_ra(uniform_8x3, McmcConfig(objective=spec, n_iter=200, rng_seed=1))
         assert trace.best_objective == pytest.approx(of_sums(trace.best_matrix.values.sum(axis=1)))
-    with pytest.raises(ValueError):
-        ObjectiveSpec.expected_convex(None)
-    with pytest.raises(ValueError):
-        ObjectiveSpec.expected_convex(2.0)
+    assert McmcConfig().objective == ObjectiveSpec()
+    # A non-callable f used to be accepted here and fail inside the chain.
+    for bad in (2.0, "square"):
+        with pytest.raises(ValueError, match="needs a function f"):
+            ObjectiveSpec(bad)
 
 
 def test_a_spec_with_f_minimizes_the_mean_of_f(uniform_8x3):
     # ObjectiveSpec(f=...) used to keep kind "variance" and minimize the variance.
     spec = ObjectiveSpec(f=np.square)
-    assert spec == ObjectiveSpec.expected_convex(np.square) != ObjectiveSpec.variance()
+    assert spec == ObjectiveSpec(np.square) != ObjectiveSpec()
     assert (spec.kind, ObjectiveSpec().kind) == ("expected-convex", "variance")
     s = uniform_8x3.sum(axis=1)
     assert spec(s) == float(np.mean(s**2)) and ObjectiveSpec()(s) == float(s.var(ddof=1))
     got = mcmc_block_ra(uniform_8x3, McmcConfig(objective=spec, n_iter=200, rng_seed=1))
-    ref = mcmc_block_ra(uniform_8x3, McmcConfig(objective=ObjectiveSpec.expected_convex(np.square),
+    ref = mcmc_block_ra(uniform_8x3, McmcConfig(objective=ObjectiveSpec(np.square),
                                                 n_iter=200, rng_seed=1))
     assert got.objective_per_iter.tobytes() == ref.objective_per_iter.tobytes()
     assert np.array_equal(got.accepted, ref.accepted)
@@ -228,7 +229,7 @@ _REF_STARTS = {
         lambda: np.random.default_rng(9).integers(0, 3, size=(12, 5)).astype(float), {}),
     "expected-convex": (
         lambda: np.random.default_rng(2).normal(size=(10, 4)),
-        {"objective": ObjectiveSpec.expected_convex(np.square)}),
+        {"objective": ObjectiveSpec(np.square)}),
     "fixed-rate": (lambda: np.random.default_rng(4).random((9, 4)), {"r": 0.75}),
     "absorbing": (lambda: np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), {}),
     "3x70-wide-mask": (lambda: np.random.default_rng(70).normal(size=(3, 70)), {"n_iter": 300}),
@@ -274,7 +275,7 @@ def test_gumbel_sample_matches_the_reference_bit_for_bit(r):
     assert _gumbel_sample(r, ZeroRng(), 3).tobytes() == _ref_gumbel_sample(r, ZeroRng(), 3).tobytes()
 
 
-@pytest.mark.parametrize("n", [64, 70, 130])
+@pytest.mark.parametrize("n", [2, 63, 64, 70, 130])
 def test_wide_canonical_mask_matches_the_bit_loop(n):
     for seed in range(8):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -172,12 +172,13 @@ def _adversarial(draw, min_n=8, max_n=10):
 @settings(max_examples=300, deadline=None)
 def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
     X = _adversarial(data.draw)
-    splits = [_split_of_mask(k, X.shape[1]) for k in range(1, 1 << (X.shape[1] - 1))]
+    n = X.shape[1]
     # Nothing moves between yields, so every chunk is screened against X.
     with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
-        offered = {id(split) for split in _screened(X.copy())}
-    for pi, comp in (split for split in splits if id(split) not in offered):
-        assert not _block_move(X.copy(), pi, comp), (pi.tolist(), comp.tolist())
+        offered = list(_screened(X.copy()))
+    assert all(type(k) is int for k in offered) and offered == sorted(offered)
+    for k in set(range(1, 1 << (n - 1))) - set(offered):
+        assert not _block_move(X.copy(), *_split_of_mask(k, n)), k
 
 
 @given(st.data(), st.sampled_from(["one", "odd", "all"]))

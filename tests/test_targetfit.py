@@ -21,7 +21,8 @@ from blockra import (
     spearman,
     w2_distance,
 )
-from blockra.algorithms import _pass_splits
+from blockra.algorithms import _pass_masks
+from blockra.matrix import _split_of_mask
 from blockra.targetfit import _NORMAL_START_SIGMA, _WARM_SORT_DESCENT_FRACTION, _ordered_move
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
@@ -60,8 +61,8 @@ def _reference_fit(margins, target, m, cfg):
     reason = "max-passes"
     for _ in range(cfg.max_passes):
         passes += 1
-        for pi, comp in _pass_splits(n_cols, n_sim, rng):
-            _reference_move(arr, pi, comp)
+        for mask in _pass_masks(n_cols, n_sim, rng):
+            _reference_move(arr, *_split_of_mask(mask, n_cols))
         if walk:
             v = sample_variance(arr[:, :n].sum(axis=1))
             if v == 0:
@@ -227,6 +228,10 @@ def test_margin_spec_validation():
         MarginSpec(family="empirical", n=3)
     with pytest.raises(ValueError):
         MarginSpec.empirical(2, [3.0, 1.0])
+    # A NaN used to pass here and fail the fit naming the target table.
+    for bad in ([np.nan, 1.0, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="empirical margin table has non-finite entries"):
+            MarginSpec.empirical(2, bad)
     emp = MarginSpec.empirical(2, [0.0, 1.0, 2.0])
     assert emp.unit_law().table.tolist() == [0.0, 1.0, 2.0]
 
@@ -316,9 +321,12 @@ def test_empirical_margins_fit_without_rescaling():
                             thresholds=WIDE_THRESHOLDS)
     assert rep.fitted_scale == 1.0
     assert np.array_equal(np.sort(rep.final_matrix.values[:, 0]), tab)
-    with pytest.raises(ValueError):
-        fit_sum_to_target(MarginSpec.empirical(2, tab[: m // 2]),
-                          TargetDistribution.normal(), m)
+    # A table is a law, discretized at m like the other families: half as
+    # many values fill m rows, each value twice.
+    rep = fit_sum_to_target(MarginSpec.empirical(2, tab[::2]), TargetDistribution.normal(), m,
+                            thresholds=WIDE_THRESHOLDS)
+    assert rep.fitted_scale == 1.0
+    assert np.array_equal(np.sort(rep.final_matrix.values[:, 0]), np.repeat(tab[::2], 2))
 
 
 def test_spread_recovers_comonotone_join():
