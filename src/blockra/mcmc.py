@@ -10,13 +10,14 @@ of raw generator words with the values of one-at-a-time draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _pass_masks, _split_of_mask,
-                     sample_variance)
+from .matrix import (RearrangementMatrix, _as_matrix, _pass_masks, _row_sum_variance,
+                     _split_of_mask, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -196,8 +197,7 @@ def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
     cfg = config or McmcConfig()
     if cfg.r is not None:
         return cfg.r
-    mat = _as_matrix(X)
-    sd = float(mat.values.sum(axis=1).std(ddof=1))
+    sd = math.sqrt(_row_sum_variance(_as_matrix(X).values))  # ValueError if it overflows
     return _RATE_OVER_SD / sd if sd > 0 else 1e12
 
 
@@ -210,18 +210,18 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     """
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
-    arr = np.array(mat.values, copy=True)
-    m, n = arr.shape
+    m, n = mat.shape
+    cols = list(mat.values.T.copy())  # contiguous columns: a move retakes only those it moves
     rng = np.random.default_rng(cfg.rng_seed)
     spec = cfg.objective
 
-    s_cur = arr.sum(axis=1)
+    s_cur = mat.values.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         f_cur = spec(s_cur)
     if not np.isfinite(f_cur):
         raise ValueError("objective is not finite at the start")
     best_f = f_cur
-    best_arr = arr.copy()
+    best_arr = mat.values
 
     rate = resolve_rate(mat, cfg)
     objectives = np.empty(cfg.n_iter, dtype=np.float64)
@@ -236,20 +236,24 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         masks, noise, uniforms = _chain_draws(rng, m, n, rate, min(block, left + left % 2))
         for mask, y, u in zip(masks[:left], noise, uniforms):
             pi, comp = _split_of_mask(mask, n)
-            s_pi = _block_sums(arr, pi)  # may be a view: accepted moves leave pi's columns alone
+            first, *rest = pi.tolist()
+            s_pi = cols[first]  # _block_sums' left-to-right adds, none in place (s_pi may be a column)
+            for j in rest:
+                s_pi = s_pi + cols[j]
             s_bar = s_cur - s_pi
             # propose_permutation's slots, then the block rows ascending by sum placed in them
             sigma[(y - s_pi).argsort(kind="stable")] = s_bar.argsort(kind="stable")
             s_new = s_pi + s_bar.take(sigma)
             f_prop = spec(s_new)
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
-                arr[:, comp] = arr[:, comp].take(sigma, axis=0)
+                for j in comp.tolist():
+                    cols[j] = cols[j].take(sigma)
                 s_cur = s_new
                 f_cur = f_prop
                 accepted[it] = True
                 if f_cur < best_f:
                     best_f = f_cur
-                    best_arr = arr.copy()
+                    best_arr = np.column_stack(cols)
             objectives[it] = f_cur
             it += 1
             if f_cur <= cfg.absorb_tol:

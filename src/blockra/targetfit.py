@@ -64,6 +64,7 @@ class MarginSpec:
     The fit sets the symmetric uniform half-width and the centered normal
     sigma itself; empirical margins carry a fixed quantile table, a law
     discretized at the fit's m like the others, and are never rescaled.
+    The table is checked and kept as a read-only copy however the spec is built.
     """
 
     family: str
@@ -76,6 +77,15 @@ class MarginSpec:
         if self.family == "empirical":
             if self.table is None:
                 raise ValueError("empirical margins need a quantile table")
+            tab = np.array(self.table, dtype=np.float64)
+            if tab.ndim != 1 or tab.size < 2:
+                raise ValueError("quantile table must be a vector of at least 2 values")
+            if not np.isfinite(tab).all():
+                raise ValueError("empirical margin table has non-finite entries")
+            if np.any(np.diff(tab) < 0):
+                raise ValueError("quantile table must be nondecreasing")
+            tab.setflags(write=False)
+            object.__setattr__(self, "table", tab)
         elif self.family not in ("uniform-symmetric", "normal"):
             raise ValueError(f"unknown margin family: {self.family!r}")
 
@@ -89,16 +99,7 @@ class MarginSpec:
 
     @classmethod
     def empirical(cls, n: int, quantile_table: Sequence[float]) -> "MarginSpec":
-        tab = np.asarray(quantile_table, dtype=np.float64)
-        if tab.ndim != 1 or tab.size < 2:
-            raise ValueError("quantile table must be a vector of at least 2 values")
-        if not np.isfinite(tab).all():
-            raise ValueError("empirical margin table has non-finite entries")
-        if np.any(np.diff(tab) < 0):
-            raise ValueError("quantile table must be nondecreasing")
-        tab = tab.copy()
-        tab.setflags(write=False)
-        return cls(family="empirical", n=n, table=tab)
+        return cls(family="empirical", n=n, table=quantile_table)
 
     def unit_law(self) -> TargetDistribution:
         """The family member at scale 1 (the stored table for empirical)."""

@@ -99,6 +99,17 @@ def test_resolve_rate_cases(local_min_4x4):
     assert resolve_rate(flat) == 1e12
 
 
+def test_resolve_rate_refuses_a_start_whose_row_sum_spread_overflows():
+    # The rate used to resolve to 0.0 here (infinite noise), after two
+    # RuntimeWarnings, and the convex chain then accepted every proposal.
+    X = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+    cfg = McmcConfig(objective=ObjectiveSpec(lambda s: np.abs(s) * 1e-10), n_iter=50)
+    for run in (resolve_rate, mcmc_block_ra):
+        with pytest.raises(ValueError, match="the row-sum variance overflows"):
+            run(X, cfg)
+    assert resolve_rate(X, McmcConfig(r=2.0)) == 2.0  # an explicit rate reads no spread
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McmcConfig(r=-1.0)
@@ -238,6 +249,8 @@ _REF_STARTS = {
     "absorbs-mid-block": (lambda: SIGMA_CM_LOCAL_MIN, {}),
     # The word budget caps each block at a few iterations.
     "3000x3-capped-blocks": (lambda: np.random.default_rng(30).normal(size=(3000, 3)), {"n_iter": 40}),
+    # Blocks of up to 11 columns: a row-major sum over 8 or more adds pairwise, in another order.
+    "16x12-normal": (lambda: np.random.default_rng(16).normal(size=(16, 12)), {}),
 }
 
 
@@ -258,6 +271,25 @@ def test_chain_matches_the_reference_loop_bit_for_bit(name):
     assert trace.best_matrix.values.tobytes() == best_arr.tobytes()
     assert trace.absorbed_at == absorbed_at
     assert accepted.any() or absorbed_at == 0
+
+
+def test_resolve_rate_keeps_the_bits_of_numpys_std():
+    # The reference loop calls resolve_rate itself, so the rate's bits are checked here.
+    for make, _ in _REF_STARTS.values():
+        X = make()
+        sd = float(X.sum(axis=1).std(ddof=1))
+        assert float.hex(resolve_rate(X)) == float.hex(5.0 / sd if sd > 0 else 1e12)
+
+
+def test_chain_leaves_its_input_alone_and_returns_its_columns():
+    X = np.random.default_rng(16).normal(size=(16, 12))
+    before = X.copy()
+    trace = mcmc_block_ra(X, McmcConfig(n_iter=500, rng_seed=3))
+    assert X.flags.writeable and X.tobytes() == before.tobytes()
+    best = trace.best_matrix.values
+    assert best.flags.c_contiguous
+    assert np.array_equal(np.sort(best, axis=0), np.sort(X, axis=0))
+    assert trace.best_objective < X.sum(axis=1).var(ddof=1)  # the best state is a moved one
 
 
 @pytest.mark.parametrize("r", [1e-3, 0.75, 5.0, 1e9])

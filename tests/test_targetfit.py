@@ -236,6 +236,21 @@ def test_margin_spec_validation():
     assert emp.unit_law().table.tolist() == [0.0, 1.0, 2.0]
 
 
+def test_a_directly_built_empirical_margin_checks_its_table():
+    # Direct construction used to skip the table checks of MarginSpec.empirical.
+    with pytest.raises(ValueError, match="empirical margin table has non-finite entries"):
+        MarginSpec(family="empirical", n=2, table=np.array([np.nan, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="quantile table must be nondecreasing"):
+        MarginSpec(family="empirical", n=2, table=[2.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="a vector of at least 2 values"):
+        MarginSpec(family="empirical", n=2, table=np.zeros((2, 2)))
+    tab = np.array([0.0, 1.0, 2.0])
+    spec = MarginSpec(family="empirical", n=2, table=tab)
+    tab[0] = -5.0  # the spec holds a read-only copy
+    assert spec.table.tolist() == [0.0, 1.0, 2.0] and not spec.table.flags.writeable
+    assert MarginSpec(family="empirical", n=2, table=[0, 1, 2]).table.dtype == np.float64
+
+
 def test_fit_is_deterministic():
     margins = MarginSpec.uniform_symmetric(2)
     cfg = FitConfig(rng_seed=5)
