@@ -33,6 +33,9 @@ _RATE_OVER_SD = 5.0
 _TINY = np.finfo(np.float64).tiny
 # The chain draws its randomness in blocks of at most about this many raw words.
 _BLOCK_WORDS = 1 << 14
+# A block of up to this many columns is summed and moved a column at a time,
+# a wider one by a single gather: below it, the per-column calls cost less.
+_LOOP_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
     m, n = mat.shape
-    cols = list(mat.values.T.copy())  # contiguous columns: a move retakes only those it moves
+    cols = mat.values.T.copy()  # row j is column j, contiguous
+    rows = list(cols)  # views of those rows, for the column-at-a-time path
     rng = np.random.default_rng(cfg.rng_seed)
     spec = cfg.objective
 
@@ -236,24 +240,31 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         masks, noise, uniforms = _chain_draws(rng, m, n, rate, min(block, left + left % 2))
         for mask, y, u in zip(masks[:left], noise, uniforms):
             pi, comp = _split_of_mask(mask, n)
-            first, *rest = pi.tolist()
-            s_pi = cols[first]  # _block_sums' left-to-right adds, none in place (s_pi may be a column)
-            for j in rest:
-                s_pi = s_pi + cols[j]
+            # _block_sums' left-to-right adds, none in place (s_pi may be a row of the state)
+            if pi.size > _LOOP_COLUMNS:
+                s_pi = np.add.reduce(cols.take(pi, axis=0), axis=0)
+            else:
+                first, *rest = pi.tolist()
+                s_pi = rows[first]
+                for j in rest:
+                    s_pi = s_pi + rows[j]
             s_bar = s_cur - s_pi
             # propose_permutation's slots, then the block rows ascending by sum placed in them
             sigma[(y - s_pi).argsort(kind="stable")] = s_bar.argsort(kind="stable")
             s_new = s_pi + s_bar.take(sigma)
             f_prop = spec(s_new)
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
-                for j in comp.tolist():
-                    cols[j] = cols[j].take(sigma)
+                if comp.size > _LOOP_COLUMNS:
+                    cols[comp] = cols.take(comp, axis=0).take(sigma, axis=1)
+                else:
+                    for j in comp.tolist():
+                        rows[j][...] = rows[j][sigma]
                 s_cur = s_new
                 f_cur = f_prop
                 accepted[it] = True
                 if f_cur < best_f:
                     best_f = f_cur
-                    best_arr = np.column_stack(cols)
+                    best_arr = cols.T.copy()
             objectives[it] = f_cur
             it += 1
             if f_cur <= cfg.absorb_tol:
