@@ -31,7 +31,7 @@ __all__ = [
 # Default Gumbel rate: noise scale is this fraction of the starting row-sum spread.
 _RATE_OVER_SD = 5.0
 _TINY = np.finfo(np.float64).tiny
-# The chain draws its randomness in blocks of at most about this many raw words.
+# A block of chain iterations draws at most about this many numbers.
 _BLOCK_WORDS = 1 << 14
 # A block of up to this many columns is summed and moved a column at a time,
 # a wider one by a single gather: below it, the per-column calls cost less.
@@ -143,51 +143,14 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
     return slots
 
 
-def _draw_canonical_mask(n: int, rng: np.random.Generator) -> int:
-    # rng.integers takes int64 bounds; wider masks are rows of fair bits, zero rejected.
-    return int(rng.integers(1, 1 << (n - 1))) if n <= 63 else _pass_masks(n, 1, rng)[0]
-
-
 def _chain_draws(rng: np.random.Generator, m: int, n: int, rate: float,
                  count: int) -> tuple[list, np.ndarray, list]:
-    """Masks, ``(count, m)`` Gumbel noise and acceptance uniforms of ``count`` iterations.
-
-    Bit for bit, generator state included, ``count`` rounds of the replay
-    below.  Up to n = 33 one block of raw PCG64 words holds them, a row per
-    two iterations: numpy draws a mask by Lemire's method from the low half
-    of a word and keeps the high half for the next one, and a uniform is
-    ``(word >> 11) * 2**-53``.  A half word buffered already (as a rejection
-    leaves) gives the first mask, each row's mask word then follows an
-    iteration, and the last high half is buffered again.  A rejected
-    multiply or another generator replays the block.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    excl = (1 << (n - 1)) - 1
-    if n <= 33 and state["bit_generator"] == "PCG64":
-        head = int(excl > 1)  # integers(1, 2) draws nothing
-        shift = (m + 1) * head * state["has_uint32"]  # column of the mask words
-        words = bitgen.random_raw(count // 2 * (head + 2 * m + 2)).reshape(count // 2, -1)
-        # At n = 2 (excl = 1) any word yields mask 1 and no rejection.
-        halves = np.column_stack((words[:, shift] & 0xFFFFFFFF, words[:, shift] >> np.uint64(32)))
-        halves = np.r_[np.uint64(state["uinteger"]), halves.ravel()] if shift else halves.ravel()
-        product = halves[:count] * np.uint64(excl)
-        if not ((product & 0xFFFFFFFF) < ((1 << 32) - excl) % excl).any():
-            words >>= np.uint64(11)  # the mask words are read already
-            rows = np.delete(words, shift, axis=1) if shift else words[:, head:]
-            rows = rows.reshape(count // 2, 2, m + 1)  # m noise words, acceptance word
-            noise = np.multiply(rows[..., :m], 2.0**-53).reshape(count, m)
-            if shift:
-                bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}
-            return ((1 + (product >> np.uint64(32))).tolist(), _gumbel(noise, rate),
-                    np.multiply(rows[..., m], 2.0**-53).ravel().tolist())
-        bitgen.state = state
-    masks, uniforms, noise = [], [], np.empty((count, m))
-    for y in noise:
-        masks.append(_draw_canonical_mask(n, rng))
-        y[:] = _gumbel_sample(rate, rng, m)
-        uniforms.append(rng.random())
-    return masks, noise, uniforms
+    """Masks, ``(count, m)`` Gumbel noise and acceptance uniforms of ``count`` iterations."""
+    if n <= 63:
+        masks = rng.integers(1, 1 << (n - 1), size=count).tolist()
+    else:  # rng.integers takes int64 bounds: rows of n - 1 fair bits, zero rejected
+        masks = [_pass_masks(n, 1, rng)[0] for _ in range(count)]
+    return masks, _gumbel(rng.random((count, m)), rate), rng.random(count).tolist()
 
 
 def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
@@ -207,9 +170,10 @@ def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
 def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     """Run the Metropolis chain from a starting matrix.
 
-    Deterministic given the seed: each iteration consumes one partition
-    draw, m Gumbel variates, and one acceptance uniform, in that order.
-    They come in blocks of raw words with the same values (``_chain_draws``).
+    Deterministic given the seed: each iteration uses one partition mask,
+    m Gumbel variates and one acceptance uniform.  A block of
+    ``_BLOCK_WORDS // (m + 2)`` iterations draws its masks, then its noise,
+    then its uniforms, and every block is drawn whole.
     """
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
@@ -232,13 +196,12 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     accepted = np.zeros(cfg.n_iter, dtype=bool)
     # An absorbing start runs no iteration.
     absorbed_at: Optional[int] = 0 if f_cur <= cfg.absorb_tol else None
-    block = 2 * max(1, _BLOCK_WORDS // (2 * m + 3))  # iterations whose draws fit the budget
+    block = max(1, _BLOCK_WORDS // (m + 2))  # iterations whose draws fit the budget
     sigma = np.empty(m, dtype=np.intp)
     it = 0
     while absorbed_at is None and it < cfg.n_iter:
-        left = cfg.n_iter - it
-        masks, noise, uniforms = _chain_draws(rng, m, n, rate, min(block, left + left % 2))
-        for mask, y, u in zip(masks[:left], noise, uniforms):
+        masks, noise, uniforms = _chain_draws(rng, m, n, rate, block)
+        for mask, y, u in zip(masks[:cfg.n_iter - it], noise, uniforms):
             pi, comp = _split_of_mask(mask, n)
             # _block_sums' left-to-right adds, none in place (s_pi may be a row of the state)
             if pi.size > _LOOP_COLUMNS:

@@ -64,7 +64,7 @@ class MarginSpec:
     The fit sets the symmetric uniform half-width and the centered normal
     sigma itself; empirical margins carry a fixed quantile table, a law
     discretized at the fit's m like the others, and are never rescaled.
-    The table is checked and kept as a read-only copy however the spec is built.
+    Only they take a table, checked and kept as a read-only copy however built.
     """
 
     family: str
@@ -88,6 +88,8 @@ class MarginSpec:
             object.__setattr__(self, "table", tab)
         elif self.family not in ("uniform-symmetric", "normal"):
             raise ValueError(f"unknown margin family: {self.family!r}")
+        elif self.table is not None:
+            raise ValueError(f"{self.family} margins take no quantile table")
 
     @classmethod
     def uniform_symmetric(cls, n: int) -> "MarginSpec":

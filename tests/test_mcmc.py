@@ -16,7 +16,7 @@ from blockra import (
 )
 from blockra.matrix import _block_sums, _split_of_mask, counter_permutation
 from blockra import mcmc
-from blockra.mcmc import _chain_draws, _draw_canonical_mask, _gumbel_sample
+from blockra.mcmc import _chain_draws, _gumbel_sample
 
 from conftest import SIGMA_CM_LOCAL_MIN, UNIFORM_8X3
 
@@ -154,18 +154,19 @@ def test_a_spec_with_f_minimizes_the_mean_of_f(uniform_8x3):
 
 # The chain as it stood before its iteration was trimmed, kept verbatim (with
 # numpy's own var) as the reference the trimmed chain must match bit for bit.
+# Its randomness follows the chain's block contract with its own generator calls.
 def _ref_gumbel_sample(r, rng, size=None):
     u = rng.random(size)
     u = np.maximum(u, np.finfo(np.float64).tiny)
     return -np.log(-np.log(u)) / r
 
 
-def _ref_propose_permutation(s_pi, r, rng):
+def _ref_propose_permutation(s_pi, noise):
     s_pi = np.asarray(s_pi, dtype=np.float64)
     m = s_pi.size
     if m == 1:
         return np.zeros(1, dtype=np.intp)
-    w = _ref_gumbel_sample(r, rng, m) - s_pi
+    w = noise - s_pi
     slots = np.empty(m, dtype=np.intp)
     slots[np.argsort(w, kind="stable")] = np.arange(m)
     return slots
@@ -179,8 +180,6 @@ def _ref_objective_of_sums(s, spec):
 
 def _ref_draw_canonical_mask(n, rng):
     width = n - 1
-    if width <= 62:
-        return int(rng.integers(1, (1 << width)))
     while True:
         bits = rng.integers(0, 2, size=width)
         mask = 0
@@ -188,6 +187,20 @@ def _ref_draw_canonical_mask(n, rng):
             mask |= 1 << int(j)
         if mask:
             return mask
+
+
+def _replay_draws(rng, m, n, rate, count):
+    # count iterations' masks, then their noise, then their uniforms.
+    if n - 1 <= 62:
+        masks = [int(k) for k in rng.integers(1, 1 << (n - 1), size=count)]
+    else:
+        masks = [_ref_draw_canonical_mask(n, rng) for _ in range(count)]
+    return masks, _ref_gumbel_sample(rate, rng, (count, m)), rng.random(count).tolist()
+
+
+def _ref_block_draws(rng, m, n, rate):
+    # A whole block of 2^14 // (m + 2) iterations.
+    return list(zip(*_replay_draws(rng, m, n, rate, max(1, (1 << 14) // (m + 2)))))
 
 
 def _ref_mcmc(X, cfg):
@@ -206,16 +219,19 @@ def _ref_mcmc(X, cfg):
     objectives = np.empty(cfg.n_iter, dtype=np.float64)
     accepted = np.zeros(cfg.n_iter, dtype=bool)
     absorbed_at = 0 if f_cur <= cfg.absorb_tol else None
+    draws = []
     for it in range(1, cfg.n_iter + 1 if absorbed_at is None else 1):
-        pi, comp = _split_of_mask(_ref_draw_canonical_mask(n, rng), n)
+        if not draws:
+            draws = _ref_block_draws(rng, m, n, rate)
+        mask, noise, u = draws.pop(0)
+        pi, comp = _split_of_mask(mask, n)
         s_pi = _block_sums(arr, pi)
         s_bar = s_cur - s_pi
-        slots = _ref_propose_permutation(s_pi, rate, rng)
+        slots = _ref_propose_permutation(s_pi, noise)
         order_block = np.argsort(s_bar, kind="stable")
         sigma = order_block[slots]
         s_new = s_pi + s_bar[sigma]
         f_prop = _ref_objective_of_sums(s_new, spec)
-        u = rng.random()
         accept = f_prop <= 0 or u * f_prop < f_cur
         if accept:
             arr[:, comp] = arr[sigma][:, comp]
@@ -244,11 +260,16 @@ _REF_STARTS = {
         {"objective": ObjectiveSpec(np.square)}),
     "fixed-rate": (lambda: np.random.default_rng(4).random((9, 4)), {"r": 0.75}),
     "absorbing": (lambda: np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), {}),
+    # 62-bit masks, the widest from rng.integers; 63 bits and more are rows of fair bits.
+    "3x63-widest-bounded-mask": (
+        lambda: np.random.default_rng(63).normal(size=(3, 63)), {"n_iter": 300}),
+    "3x64-narrowest-bit-rows": (
+        lambda: np.random.default_rng(64).normal(size=(3, 64)), {"n_iter": 300}),
     "3x70-wide-mask": (lambda: np.random.default_rng(70).normal(size=(3, 70)), {"n_iter": 300}),
-    # 39-bit masks come from numpy's 64-bit bounded draw: every block replays.
+    # 39-bit masks: numpy's bounded draw takes whole 64-bit words above 32 bits.
     "4x40-replayed-masks": (lambda: np.random.default_rng(40).normal(size=(4, 40)), {"n_iter": 300}),
     "absorbs-mid-block": (lambda: SIGMA_CM_LOCAL_MIN, {}),
-    # The word budget caps each block at a few iterations.
+    # The word budget caps each block at 5 iterations.
     "3000x3-capped-blocks": (lambda: np.random.default_rng(30).normal(size=(3000, 3)), {"n_iter": 40}),
     # Blocks of up to 11 columns, so both the column-at-a-time and the gather path run;
     # a row-major sum over 8 or more columns adds pairwise, in another order.
@@ -264,9 +285,9 @@ def test_chain_matches_the_reference_loop_bit_for_bit(name):
     objectives, accepted, best_f, best_arr, absorbed_at = _ref_mcmc(X, cfg)
     trace = mcmc_block_ra(X, cfg)
     if name == "absorbs-mid-block":
-        assert 1 < absorbed_at < 2 * (mcmc._BLOCK_WORDS // (2 * X.shape[0] + 3))
+        assert 1 < absorbed_at < mcmc._BLOCK_WORDS // (X.shape[0] + 2)
     if name == "3000x3-capped-blocks":
-        assert 2 * (mcmc._BLOCK_WORDS // (2 * X.shape[0] + 3)) < cfg.n_iter
+        assert mcmc._BLOCK_WORDS // (X.shape[0] + 2) == 5
     assert trace.objective_per_iter.tobytes() == objectives.tobytes()
     assert np.array_equal(trace.accepted, accepted)
     assert float.hex(trace.best_objective) == float.hex(best_f)
@@ -298,33 +319,11 @@ def test_gumbel_sample_matches_the_reference_bit_for_bit(r):
     assert _gumbel_sample(r, ZeroRng(), 3).tobytes() == _ref_gumbel_sample(r, ZeroRng(), 3).tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 63, 64, 70, 130])
-def test_wide_canonical_mask_matches_the_bit_loop(n):
-    for seed in range(8):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert _draw_canonical_mask(n, rng) == _ref_draw_canonical_mask(n, ref_rng)
-        assert rng.random() == ref_rng.random()  # the same draws were consumed
-
-
-def _replay_draws(rng, m, n, rate, count):
-    masks, noise, uniforms = [], [], []
-    for _ in range(count):
-        masks.append(_draw_canonical_mask(n, rng))
-        noise.append(_gumbel_sample(rate, rng, m))
-        uniforms.append(rng.random())
-    return masks, np.array(noise), uniforms
-
-
 def _assert_same_draws(got, ref, rng, ref_rng):
     assert got[0] == ref[0]
     assert got[1].tobytes() == ref[1].tobytes()
     assert [float.hex(u) for u in got[2]] == [float.hex(u) for u in ref[2]]
-    state, ref_state = rng.bit_generator.state, ref_rng.bit_generator.state
-    assert state["state"] == ref_state["state"]
-    assert state["has_uint32"] == ref_state["has_uint32"]
-    if state["has_uint32"]:  # else the buffered half word is never read
-        assert state["uinteger"] == ref_state["uinteger"]
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("n", range(2, 35))
@@ -337,33 +336,8 @@ def test_chain_draws_match_the_replay_bit_for_bit(n):
         assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
 
 
-def test_chain_draws_replay_a_rejected_mask(monkeypatch):
-    # At n = 18 numpy redraws a 32-bit half whose product with 2^17 - 1 has
-    # low bits below 32768; seed 705 meets one at iteration 105.
-    words = np.random.default_rng(705).bit_generator.random_raw(256 * 7).reshape(256, 7)[:, 0]
-    halves = np.column_stack((words & 0xFFFFFFFF, words >> np.uint64(32))).ravel()
-    low = halves * np.uint64((1 << 17) - 1) & 0xFFFFFFFF
-    assert np.flatnonzero(low < 32768).tolist() == [105]
-    calls = []
-    monkeypatch.setattr(mcmc, "_draw_canonical_mask",
-                        lambda n, rng: calls.append(n) or _draw_canonical_mask(n, rng))
-    rng, ref_rng = np.random.default_rng(705), np.random.default_rng(705)
-    replayed = []
-    for count in (100, 100, 100):  # the second block holds the rejection
-        got = _chain_draws(rng, 2, 18, 0.75, count)
-        _assert_same_draws(got, _replay_draws(ref_rng, 2, 18, 0.75, count), rng, ref_rng)
-        replayed.append(len(calls))
-    # The redraw leaves a half word buffered; the third block starts from it
-    # without a replay and buffers the last high half again.
-    assert replayed == [0, 100, 100]
-    assert rng.bit_generator.state["has_uint32"] == 1
-
-
 @pytest.mark.parametrize("n", range(2, 35))
-def test_chain_draws_from_a_buffered_half_match_the_replay(n, monkeypatch):
-    calls = []
-    monkeypatch.setattr(mcmc, "_draw_canonical_mask",
-                        lambda n, rng: calls.append(n) or _draw_canonical_mask(n, rng))
+def test_chain_draws_from_a_buffered_half_match_the_replay(n):
     for m, seed in itertools.product((2, 3, 8, 20), range(3)):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for g in (rng, ref_rng):
@@ -373,8 +347,6 @@ def test_chain_draws_from_a_buffered_half_match_the_replay(n, monkeypatch):
             got = _chain_draws(rng, m, n, 0.75, count)
             _assert_same_draws(got, _replay_draws(ref_rng, m, n, 0.75, count), rng, ref_rng)
         assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
-    if n <= 33:  # none of these blocks holds a rejected multiply, so none replays
-        assert calls == []
 
 
 def test_capped_blocks_keep_the_draws_small():
@@ -390,10 +362,21 @@ def test_capped_blocks_keep_the_draws_small():
 
 
 def test_chain_draws_replay_other_bit_generators():
-    for n in (2, 5):
+    for n in (2, 5, 70):
         rng = np.random.Generator(np.random.MT19937(3))
         ref_rng = np.random.Generator(np.random.MT19937(3))
         got, ref = _chain_draws(rng, 3, n, 0.75, 8), _replay_draws(ref_rng, 3, n, 0.75, 8)
-        assert got[0] == ref[0] and got[2] == ref[2]
-        assert got[1].tobytes() == ref[1].tobytes()
+        _assert_same_draws(got, ref, rng, ref_rng)
         assert rng.random() == ref_rng.random()
+
+
+def test_a_shorter_chain_is_a_prefix_of_a_longer_one():
+    # Every block is drawn whole, so the chain's length never shifts its draws.
+    for X, seed in ((UNIFORM_8X3, 5), (np.random.default_rng(30).normal(size=(3000, 3)), 2)):
+        block = mcmc._BLOCK_WORDS // (X.shape[0] + 2)  # 1638 and 5 iterations
+        full = mcmc_block_ra(X, McmcConfig(n_iter=2 * block + 3, rng_seed=seed))
+        assert full.absorbed_at is None
+        for k in (3, block - 1, block + 1):
+            part = mcmc_block_ra(X, McmcConfig(n_iter=k, rng_seed=seed))
+            assert part.objective_per_iter.tobytes() == full.objective_per_iter[:k].tobytes()
+            assert part.accepted.tobytes() == full.accepted[:k].tobytes()

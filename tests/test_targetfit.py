@@ -234,6 +234,10 @@ def test_margin_spec_validation():
             MarginSpec.empirical(2, bad)
     emp = MarginSpec.empirical(2, [0.0, 1.0, 2.0])
     assert emp.unit_law().table.tolist() == [0.0, 1.0, 2.0]
+    # A fitted family used to keep a table and then ignore it without a word.
+    for family in ("uniform-symmetric", "normal"):
+        with pytest.raises(ValueError, match=f"{family} margins take no quantile table"):
+            MarginSpec(family=family, n=2, table=np.array([5.0, 1.0, np.nan]))
 
 
 def test_a_directly_built_empirical_margin_checks_its_table():
