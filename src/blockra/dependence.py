@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .matrix import _as_matrix, _canonical_columns, _mask_columns, _mask_sums, _row_masks
+from .matrix import _as_matrix, _canonical_columns, _fair_masks, _mask_columns, _mask_sums
 
 __all__ = [
     "DependenceReport",
@@ -192,17 +192,14 @@ def multivariate_dependence_exact(X) -> DependenceReport:
 def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> DependenceReport:
     """Monte-Carlo estimate of the exact measure.
 
-    Each draw is an iid Bernoulli(1/2) column indicator vector, rejected
-    unless both blocks are nonempty; the estimator is unbiased because every
-    unordered split is hit with equal probability.  Deterministic per seed.
+    Each draw is an iid Bernoulli(1/2) column indicator vector from the
+    package's one sampler, ``matrix._fair_masks``, rejected unless both
+    blocks are nonempty; the estimator is unbiased because every unordered
+    split is hit with equal probability.  Deterministic per seed.
     """
     arr = _as_matrix(X).values
     n = arr.shape[1]
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng_seed)
-    masks: list[int] = []
-    while len(masks) < n_samples:  # no more rows than drawing one at a time takes
-        rows = _row_masks(rng.integers(0, 2, size=(n_samples - len(masks), n)))
-        masks += (mask for mask in rows if 0 < mask < (1 << n) - 1)
+    masks = _fair_masks(np.random.default_rng(rng_seed), n, n_samples, (1 << n) - 1)
     return _dependence_report(arr, masks, "sampled")

@@ -42,35 +42,42 @@ _KS_MEDIAN_SQRT_M = 0.8276  # asymptotic median of sqrt(m) * D_m
 class TargetDistribution:
     """A law to compare row sums against: cdf, quantile, sampler.
 
-    Three families: normal(mu, sigma), uniform(lo, hi), and empirical (the
-    discrete uniform law on a fixed table of values).
+    Three families, checked however built: normal(mu, sigma), uniform(lo, hi),
+    and empirical (the discrete uniform law on a table, kept sorted, read-only).
     """
 
     family: str
     params: Tuple[float, ...] = ()
     table: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        params = tuple(float(p) for p in self.params)
+        if self.family == "empirical":
+            tab = np.array(self.table, dtype=np.float64)  # None reads as a 0-d NaN
+            if params or tab.ndim != 1 or tab.size == 0 or not np.isfinite(tab).all():
+                raise ValueError("empirical target needs a non-empty vector of finite values")
+            tab.sort()
+            tab.setflags(write=False)
+            object.__setattr__(self, "table", tab)
+        elif self.family not in ("normal", "uniform") or len(params) != 2 or self.table is not None:
+            raise ValueError(f"unknown target {self.family!r}, or not two parameters and no table")
+        elif self.family == "normal" and not (math.isfinite(params[0]) and 0 < params[1] < math.inf):
+            raise ValueError("normal target needs a finite mu and a finite sigma > 0")
+        elif self.family == "uniform" and not 0 < params[1] - params[0] < math.inf:
+            raise ValueError("uniform target needs lo < hi, a finite width apart")
+        object.__setattr__(self, "params", params)
+
     @classmethod
     def normal(cls, mu: float = 0.0, sigma: float = 1.0) -> "TargetDistribution":
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        return cls(family="normal", params=(float(mu), float(sigma)))
+        return cls("normal", (mu, sigma))
 
     @classmethod
     def uniform(cls, lo: float = -1.0, hi: float = 1.0) -> "TargetDistribution":
-        if not hi > lo:
-            raise ValueError("uniform target needs hi > lo")
-        return cls(family="uniform", params=(float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def empirical(cls, values: Sequence[float]) -> "TargetDistribution":
-        tab = np.sort(np.asarray(values, dtype=np.float64))
-        if tab.size == 0:
-            raise ValueError("empirical target table is empty")
-        if not np.all(np.isfinite(tab)):
-            raise ValueError("empirical target table has non-finite entries")
-        tab.setflags(write=False)
-        return cls(family="empirical", table=tab)
+        return cls("empirical", table=values)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -200,24 +200,30 @@ def _canonical_columns(n: int) -> Iterable[tuple[int, ...]]:
             yield pi + high_pi
 
 
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """The bitmask of each 0/1 row of ``bits`` (bit j for column j), a Python int of any width."""
-    weights = [1 << j for j in range(bits.shape[1])]  # 64 or more bits overflow an int64
-    return (bits @ np.array(weights, dtype=np.int64 if len(weights) < 64 else object)).tolist()
+def _fair_masks(rng: np.random.Generator, bits: int, count: int, top: int) -> list[int]:
+    """``count`` bitmasks k of ``bits`` fair bits (bit j for column j) with 0 < k < top.
+
+    The package's one fair-bit sampler: a block of the rows still missing at a
+    time, so its masks and the generator's state are a row-at-a-time loop's."""
+    weights = np.array([1 << j for j in range(bits)], dtype=np.int64 if bits < 64 else object)
+    masks: list[int] = []
+    while len(masks) < count:
+        rows = rng.integers(0, 2, size=(count - len(masks), bits)) @ weights
+        masks += (k for k in rows.tolist() if 0 < k < top)
+    return masks
 
 
 def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
     """Canonical split bitmasks of one pass (see ``_split_of_mask``).
 
-    All, in order, when n_sim covers them; else n_sim distinct nonzero draws of n-1
-    fair bits, in blocks of the rows still missing (as many as a row loop draws)."""
+    All, in order, when n_sim covers them; else the first n_sim distinct of
+    the canonical draws of :func:`_fair_masks` (n-1 fair bits, zero rejected)."""
     if n_sim >= (1 << (n - 1)) - 1:
         return range(1, 1 << (n - 1))
-    seen = {0: None}  # an insertion-ordered set; the empty mask counts as seen
-    while len(seen) <= n_sim:
-        rows = rng.integers(0, 2, size=(n_sim + 1 - len(seen), n - 1))
-        seen.update(dict.fromkeys(_row_masks(rows)))
-    return list(seen)[1:]
+    seen: dict[int, None] = {}  # an insertion-ordered set
+    while len(seen) < n_sim:
+        seen.update(dict.fromkeys(_fair_masks(rng, n - 1, n_sim - len(seen), 1 << (n - 1))))
+    return list(seen)
 
 
 def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:

@@ -5,7 +5,7 @@ joint ordering of the second block by ranking Gumbel-perturbed negative
 first-block sums, and accepts with probability min(1, f_current/f_proposed),
 i.e. a Metropolis step targeting a distribution proportional to 1/f.  States
 with objective at (numerical) zero absorb the chain.  The draws come in blocks
-of raw generator words with the values of one-at-a-time draws.
+of iterations, three generator calls a block: masks, noise, uniforms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .matrix import (RearrangementMatrix, _as_matrix, _pass_masks, _row_sum_variance,
+from .matrix import (RearrangementMatrix, _as_matrix, _fair_masks, _row_sum_variance,
                      _split_of_mask, sample_variance)
 
 __all__ = [
@@ -104,13 +104,6 @@ class ChainTrace:
     absorbed_at: Optional[int]
 
 
-def _gumbel(u: np.ndarray, r: float) -> np.ndarray:
-    """Gumbel(r) variates from uniforms ``u``, in place: ln(-ln max(u, tiny)) / -r."""
-    np.maximum(u, _TINY, out=u)
-    np.log(np.negative(np.log(u, out=u), out=u), out=u)
-    return np.divide(u, -r, out=u)
-
-
 def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float, np.ndarray]:
     """Inverse-CDF draw(s) from the Gumbel law with rate r (scale 1/r).
 
@@ -119,7 +112,10 @@ def _gumbel_sample(r: float, rng: np.random.Generator, size=None) -> Union[float
     """
     if not r > 0:
         raise ValueError("Gumbel rate r must be positive")
-    return _gumbel(np.asarray(rng.random(size)), r)
+    u = np.asarray(rng.random(size))  # computed in place: ln(-ln max(u, tiny)) / -r
+    np.maximum(u, _TINY, out=u)
+    np.log(np.negative(np.log(u, out=u), out=u), out=u)
+    return np.divide(u, -r, out=u)
 
 
 def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -138,19 +134,21 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
         return np.zeros(1, dtype=np.intp)
     w = _gumbel_sample(r, rng, m)
     w -= s_pi
-    slots = np.empty(m, dtype=np.intp)
-    slots[w.argsort(kind="stable")] = np.arange(m)  # ties broken by position
-    return slots
+    return _place(w, np.arange(m), np.empty(m, dtype=np.intp))
+
+
+def _place(w: np.ndarray, s_bar: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The proposal rule, into ``out``: rows ascending by ``s_bar`` fill slots ascending by ``w``."""
+    out[w.argsort(kind="stable")] = s_bar.argsort(kind="stable")
+    return out
 
 
 def _chain_draws(rng: np.random.Generator, m: int, n: int, rate: float,
                  count: int) -> tuple[list, np.ndarray, list]:
     """Masks, ``(count, m)`` Gumbel noise and acceptance uniforms of ``count`` iterations."""
-    if n <= 63:
-        masks = rng.integers(1, 1 << (n - 1), size=count).tolist()
-    else:  # rng.integers takes int64 bounds: rows of n - 1 fair bits, zero rejected
-        masks = [_pass_masks(n, 1, rng)[0] for _ in range(count)]
-    return masks, _gumbel(rng.random((count, m)), rate), rng.random(count).tolist()
+    masks = (rng.integers(1, 1 << (n - 1), size=count).tolist() if n <= 63  # int64 bounds
+             else _fair_masks(rng, n - 1, count, 1 << (n - 1)))
+    return masks, _gumbel_sample(rate, rng, (count, m)), rng.random(count).tolist()
 
 
 def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
@@ -173,7 +171,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     Deterministic given the seed: each iteration uses one partition mask,
     m Gumbel variates and one acceptance uniform.  A block of
     ``_BLOCK_WORDS // (m + 2)`` iterations draws its masks, then its noise,
-    then its uniforms, and every block is drawn whole.
+    then its uniforms, and every block is drawn whole.  The chain targets
+    1/f, so a negative objective, at the start or accepted, raises ValueError.
     """
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
@@ -188,6 +187,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         f_cur = spec(s_cur)
     if not np.isfinite(f_cur):
         raise ValueError("objective is not finite at the start")
+    if f_cur < 0:
+        raise ValueError("objective < 0 at the start: the chain targets 1/f")
     best_f = f_cur
     best_arr = mat.values
 
@@ -212,11 +213,12 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
                 for j in rest:
                     s_pi = s_pi + rows[j]
             s_bar = s_cur - s_pi
-            # propose_permutation's slots, then the block rows ascending by sum placed in them
-            sigma[(y - s_pi).argsort(kind="stable")] = s_bar.argsort(kind="stable")
+            _place(y - s_pi, s_bar, sigma)
             s_new = s_pi + s_bar.take(sigma)
             f_prop = spec(s_new)
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
+                if f_prop < 0:
+                    raise ValueError(f"objective < 0 at iteration {it + 1}: the chain targets 1/f")
                 if comp.size > _LOOP_COLUMNS:
                     cols[comp] = cols.take(comp, axis=0).take(sigma, axis=1)
                 else:

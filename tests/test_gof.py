@@ -157,6 +157,38 @@ def test_default_thresholds_reject_a_nonpositive_m(m, ks_asymptotic):
         default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=ks_asymptotic)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TargetDistribution.normal(0.0, math.inf), id="normal-infinite-sigma"),
+    pytest.param(lambda: TargetDistribution.normal(math.nan, 1.0), id="normal-nan-mu"),
+    pytest.param(lambda: TargetDistribution.normal(0.0, 0.0), id="normal-zero-sigma"),
+    pytest.param(lambda: TargetDistribution("normal", (0.0, -1.0)), id="direct-negative-sigma"),
+    pytest.param(lambda: TargetDistribution("normal"), id="direct-normal-no-params"),
+    pytest.param(lambda: TargetDistribution.uniform(-math.inf, 1.0), id="uniform-infinite-lo"),
+    pytest.param(lambda: TargetDistribution.uniform(1.0, 1.0), id="uniform-empty"),
+    pytest.param(lambda: TargetDistribution.uniform(-1e308, 1e308), id="uniform-width-overflows"),
+    pytest.param(lambda: TargetDistribution("uniform", (2.0, 1.0)), id="direct-uniform-hi-below-lo"),
+    pytest.param(lambda: TargetDistribution("uniform", (0.0, 1.0), np.ones(2)), id="direct-uniform-table"),
+    pytest.param(lambda: TargetDistribution("cauchy", (0.0, 1.0)), id="direct-unknown-family"),
+    pytest.param(lambda: TargetDistribution.empirical([]), id="empirical-empty"),
+    pytest.param(lambda: TargetDistribution.empirical([0.0, math.nan]), id="empirical-nan"),
+    pytest.param(lambda: TargetDistribution("empirical"), id="direct-empirical-no-table"),
+    pytest.param(lambda: TargetDistribution("empirical", table=[1.0, math.inf]), id="direct-empirical-inf"),
+    pytest.param(lambda: TargetDistribution("empirical", (1.0,), [1.0]), id="direct-empirical-params"),
+])
+def test_a_target_is_checked_however_it_is_built(build):
+    # normal(0, inf) used to give NaN thresholds and normal(nan, 1) was accepted;
+    # uniform(-inf, 1) died in numpy's sampler; direct construction checked nothing.
+    with pytest.raises(ValueError, match="target"):
+        build()
+
+
+def test_a_directly_built_empirical_target_is_sorted_and_read_only():
+    direct = TargetDistribution("empirical", table=[2.0, -1.0, 0.5])
+    assert direct.table.tolist() == [-1.0, 0.5, 2.0] and not direct.table.flags.writeable
+    assert direct.table.tobytes() == TargetDistribution.empirical([0.5, 2.0, -1.0]).table.tobytes()
+    assert TargetDistribution("normal", (0, 2)).params == (0.0, 2.0)
+
+
 def test_verdict_composition():
     target = TargetDistribution.normal()
     xs = _midpoint_sample(target, 10_000)

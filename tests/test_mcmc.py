@@ -326,7 +326,7 @@ def _assert_same_draws(got, ref, rng, ref_rng):
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
-@pytest.mark.parametrize("n", range(2, 35))
+@pytest.mark.parametrize("n", [*range(2, 35), 63, 64, 70])
 def test_chain_draws_match_the_replay_bit_for_bit(n):
     for m, seed in itertools.product((2, 3, 8, 20), range(3)):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -347,6 +347,46 @@ def test_chain_draws_from_a_buffered_half_match_the_replay(n):
             got = _chain_draws(rng, m, n, 0.75, count)
             _assert_same_draws(got, _replay_draws(ref_rng, m, n, 0.75, count), rng, ref_rng)
         assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+
+
+class _CountingRng:
+    """A real generator whose method calls are counted by name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_a_wide_chain_block_draws_its_masks_in_one_call(n):
+    # Masks past 63 bits used to cost one generator call each (3,276 a block at m = 3).
+    m = 3
+    count = mcmc._BLOCK_WORDS // (m + 2)
+    rng, ref_rng = _CountingRng(np.random.default_rng(5)), np.random.default_rng(5)
+    got = _chain_draws(rng, m, n, 0.75, count)
+    assert rng.calls == {"integers": 1, "random": 2}
+    _assert_same_draws(got, _replay_draws(ref_rng, m, n, 0.75, count), rng.rng, ref_rng)
+
+
+def test_chain_refuses_a_negative_objective():
+    # The chain targets 1/f. A sign-changing f used to pass for "absorbed" at
+    # its first negative proposal (absorbed_at=3, best -0.084 on this start).
+    X = np.random.default_rng(2).normal(size=(10, 4))
+    shifted = ObjectiveSpec(lambda s: s**2 - 1.0)
+    with pytest.raises(ValueError, match="objective < 0 at iteration 3: the chain targets 1/f"):
+        mcmc_block_ra(X, McmcConfig(objective=shifted, rng_seed=1))
+    with pytest.raises(ValueError, match="objective < 0 at the start"):
+        mcmc_block_ra(X, McmcConfig(objective=ObjectiveSpec(lambda s: s**2 - 100.0)))
+    # Zero stays a valid, absorbing objective.
+    trace = mcmc_block_ra(X, McmcConfig(objective=ObjectiveSpec(lambda s: 0.0 * s), rng_seed=1))
+    assert trace.absorbed_at == 0 and trace.best_objective == 0.0
 
 
 def test_capped_blocks_keep_the_draws_small():
