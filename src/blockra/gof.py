@@ -5,6 +5,7 @@ target law: the Kolmogorov-Smirnov sup-distance and the squared-quantile
 (L2-Wasserstein) distance, each compared against the median value the same
 statistic takes on genuine iid samples of equal size.  A sum is declared
 indistinguishable from the target when it beats both medians at once.
+One check refuses an empty or non-finite sample; one scorer takes both distances.
 """
 
 from __future__ import annotations
@@ -133,6 +134,41 @@ class GofVerdict:
     both_ok: bool
 
 
+def _sample(values, sort: bool) -> np.ndarray:
+    """A user's sample as a flat float vector: non-empty, finite, sorted or checked sorted."""
+    xs = np.asarray(values, dtype=np.float64).ravel()
+    if xs.size == 0 or not np.isfinite(xs).all():
+        raise ValueError("sum values must be a non-empty sample of finite numbers")
+    if not sort and np.any(np.diff(xs) < 0):
+        raise ValueError("sum values must be sorted ascending")
+    return np.sort(xs) if sort else xs
+
+
+def _nodes(target: TargetDistribution, tests: Sequence[str]):
+    """The midpoint nodes u, the target quantiles there, and their cdf if KS is asked."""
+    u = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
+    xg = target.quantile(u)
+    return u, xg, target.cdf(xg) if "ks" in tests else None
+
+
+def _distances(xs: np.ndarray, target: TargetDistribution, tests: Sequence[str],
+               nodes=None) -> list[float]:
+    """The distances named in ``tests`` ("ks", "w2") of the sorted sample ``xs``."""
+    u, xg, f_xg = nodes or _nodes(target, tests)
+    m = xs.size
+    out = []
+    for test in tests:
+        if test == "ks":
+            f_at = target.cdf(xs)
+            d = max(np.max(np.arange(1, m + 1) / m - f_at), np.max(f_at - np.arange(0, m) / m))
+            d_grid = float(np.max(np.abs(np.searchsorted(xs, xg, side="right") / m - f_xg)))
+            out.append(float(max(d, d_grid, 0.0)))
+        else:
+            gap = xs[np.minimum(np.ceil(u * m).astype(np.intp), m) - 1] - xg
+            out.append(float(np.mean(gap * gap)))
+    return out
+
+
 def ks_distance(sum_values, target: TargetDistribution) -> float:
     """sup_x |G_m(x) - F(x)| between the empirical cdf and the target.
 
@@ -141,28 +177,7 @@ def ks_distance(sum_values, target: TargetDistribution) -> float:
     grid refines between-step behavior, which matters when the target
     itself has jumps.
     """
-    values = np.asarray(sum_values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise ValueError("ks_distance needs at least one value")
-    xg = target.quantile(_midpoints())
-    return _ks_sorted(np.sort(values), target, xg, target.cdf(xg))
-
-
-def _midpoints() -> np.ndarray:
-    return (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
-
-
-def _ks_sorted(xs: np.ndarray, target: TargetDistribution, xg: np.ndarray,
-               f_xg: np.ndarray) -> float:
-    """KS distance of sorted values, given the target quantile grid and its cdf."""
-    m = xs.size
-    f_at = target.cdf(xs)
-    upper = np.max(np.arange(1, m + 1) / m - f_at)
-    lower = np.max(f_at - np.arange(0, m) / m)
-    d = max(upper, lower)
-    g_at = np.searchsorted(xs, xg, side="right") / m
-    d_grid = float(np.max(np.abs(g_at - f_xg)))
-    return float(max(d, d_grid, 0.0))
+    return _distances(_sample(sum_values, sort=True), target, ("ks",))[0]
 
 
 def w2_distance(sum_values_sorted, target: TargetDistribution) -> float:
@@ -173,21 +188,7 @@ def w2_distance(sum_values_sorted, target: TargetDistribution) -> float:
     [1/(2G), 1 - 1/(2G)] with G = 50,000 nodes is covered and the unbounded
     tails of e.g. a normal target are truncated at those endpoints.
     """
-    xs = np.asarray(sum_values_sorted, dtype=np.float64).ravel()
-    if xs.size == 0:
-        raise ValueError("w2_distance needs at least one value")
-    if np.any(np.diff(xs) < 0):
-        raise ValueError("sum values must be sorted ascending")
-    u = _midpoints()
-    return _w2_sorted(xs, u, target.quantile(u))
-
-
-def _w2_sorted(xs: np.ndarray, u: np.ndarray, xg: np.ndarray) -> float:
-    """W2 distance of sorted values, given the midpoint nodes and their target quantiles."""
-    m = xs.size
-    k = np.minimum(np.ceil(u * m).astype(np.intp), m)
-    gap = xs[k - 1] - xg
-    return float(np.mean(gap * gap))
+    return _distances(_sample(sum_values_sorted, sort=False), target, ("w2",))[0]
 
 
 def median_threshold(test: str, target: TargetDistribution, m: int,
@@ -199,8 +200,7 @@ def median_threshold(test: str, target: TargetDistribution, m: int,
     """
     if test not in ("ks", "w2"):
         raise ValueError("test must be 'ks' or 'w2'")
-    (med,) = _replicate_medians((test,), target, m, n_replicates, rng_seed)
-    return med
+    return _replicate_medians((test,), target, m, n_replicates, rng_seed)[0]
 
 
 def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
@@ -214,18 +214,11 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
         raise ValueError("n_replicates must be at least 11")
     if m < 1:
         raise ValueError("m must be positive")
-    u = _midpoints()
-    xg = target.quantile(u)
-    f_xg = target.cdf(xg) if "ks" in tests else None
+    nodes = _nodes(target, tests)
     stats = np.empty((len(tests), n_replicates), dtype=np.float64)
     for rep in range(n_replicates):
         rng = np.random.default_rng([rng_seed, rep])
-        xs = np.sort(target.sample(m, rng))
-        for i, test in enumerate(tests):
-            if test == "ks":
-                stats[i, rep] = _ks_sorted(xs, target, xg, f_xg)
-            else:
-                stats[i, rep] = _w2_sorted(xs, u, xg)
+        stats[:, rep] = _distances(np.sort(target.sample(m, rng)), target, tests, nodes)
     return [float(np.median(row)) for row in stats]
 
 
@@ -277,11 +270,10 @@ def verdict(sum_values, target: TargetDistribution,
     Without ``thresholds`` the levels are those for a sample as large as
     the values given.
     """
-    values = np.asarray(sum_values, dtype=np.float64).ravel()
+    xs = _sample(sum_values, sort=True)
     if thresholds is None:
-        thresholds = default_thresholds(target, values.size)
-    d_ks = ks_distance(values, target)
-    t_w2 = w2_distance(np.sort(values), target)
+        thresholds = default_thresholds(target, xs.size)
+    d_ks, t_w2 = _distances(xs, target, ("ks", "w2"))
     ks_ok = d_ks <= thresholds.ks
     w2_ok = t_w2 <= thresholds.w2
     return GofVerdict(

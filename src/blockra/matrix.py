@@ -205,11 +205,14 @@ def _fair_masks(rng: np.random.Generator, bits: int, count: int, top: int) -> li
 
     The package's one fair-bit sampler: a block of the rows still missing at a
     time, so its masks and the generator's state are a row-at-a-time loop's."""
-    weights = np.array([1 << j for j in range(bits)], dtype=np.int64 if bits < 64 else object)
+    weights = np.array([1 << j for j in range(bits)], dtype=np.int64) if bits < 64 else None
     masks: list[int] = []
     while len(masks) < count:
-        rows = rng.integers(0, 2, size=(count - len(masks), bits)) @ weights
-        masks += (k for k in rows.tolist() if 0 < k < top)
+        rows = rng.integers(0, 2, size=(count - len(masks), bits))
+        if bits >= 64:  # too wide for int64: read each row's little-endian bytes
+            packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        keys = (rows @ weights).tolist() if bits < 64 else [int.from_bytes(r, "little") for r in packed]
+        masks += (k for k in keys if 0 < k < top)
     return masks
 
 

@@ -208,3 +208,58 @@ def test_empirical_target_roundtrip():
     target = TargetDistribution.empirical(pool)
     assert ks_distance(pool, target) <= 1.0 / 2000 + 1e-12
     assert w2_distance(np.sort(pool), target) == pytest.approx(0.0, abs=1e-12)
+
+
+_TIED = TargetDistribution.empirical(np.repeat([-1.0, 0.0, 2.5], 40))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 10_000])
+@pytest.mark.parametrize("target", [
+    TargetDistribution.normal(0.5, 2.0), TargetDistribution.uniform(-1.0, 1.0), _TIED,
+], ids=["normal", "uniform", "tied-empirical"])
+def test_verdict_scores_as_the_two_distances_do(target, m):
+    values = target.sample(m, np.random.default_rng([m, 7])) + 0.01
+    v = verdict(values, target, Thresholds(ks=0.5, w2=0.5))
+    assert v.d_ks == ks_distance(values, target)
+    assert v.t_w2 == w2_distance(np.sort(values), target)
+
+
+def _count_target_calls(monkeypatch):
+    calls = {"quantile": 0, "cdf": 0}
+    for name in calls:
+        def counted(self, x, _name=name, _real=getattr(TargetDistribution, name)):
+            calls[_name] += 1
+            return _real(self, x)
+        monkeypatch.setattr(TargetDistribution, name, counted)
+    return calls
+
+
+def test_verdict_builds_one_grid_and_w2_paths_never_touch_the_cdf(monkeypatch):
+    target = TargetDistribution.normal()
+    xs = np.sort(target.sample(500, np.random.default_rng(5)))
+    calls = _count_target_calls(monkeypatch)
+    verdict(xs, target, Thresholds(ks=1e-3, w2=1e-5))
+    assert calls == {"quantile": 1, "cdf": 2}  # the grid's cdf and the sample's
+    calls.update(quantile=0, cdf=0)
+    w2_distance(xs, target)
+    median_threshold("w2", target, 50, n_replicates=11)
+    default_thresholds(target, 50, ks_asymptotic=True, n_replicates=11)
+    assert calls == {"quantile": 3, "cdf": 0}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("score", [
+    pytest.param(lambda xs, t: ks_distance(xs, t), id="ks"),
+    pytest.param(lambda xs, t: w2_distance(np.sort(xs), t), id="w2"),
+    pytest.param(lambda xs, t: verdict(xs, t, Thresholds(ks=1.0, w2=1.0)), id="verdict"),
+    pytest.param(lambda xs, t: verdict(xs, t), id="verdict-default-thresholds"),
+])
+def test_a_non_finite_sum_is_refused(score, bad, monkeypatch):
+    # A NaN passed the sortedness check and was scored as d_ks = t_w2 = NaN;
+    # an infinite sum gave t_w2 = inf.  No threshold is simulated first.
+    def no_thresholds(*args, **kwargs):
+        raise AssertionError("thresholds simulated before the sample was checked")
+
+    monkeypatch.setattr("blockra.gof.default_thresholds", no_thresholds)
+    with pytest.raises(ValueError, match="finite"):
+        score(np.array([0.1, bad, 0.3, 0.5, 0.7]), TargetDistribution.normal())
