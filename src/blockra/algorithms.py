@@ -15,7 +15,7 @@ rearrangement; they differ in which blocks they move and when they stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -109,30 +109,32 @@ class RunResult:
     objective_trace: tuple[float, ...]
 
 
-def _descend(arr: np.ndarray, max_sweeps: int, pass_masks: Callable[[], Iterable[int]],
+def _descend(arr: np.ndarray, max_sweeps: int, sweep: Callable[[Callable[[int], bool]], int],
              stop: Callable[[int, int, float, float], Optional[str]]) -> RunResult:
     """The countermonotone descent loop of all three algorithms.
 
-    Each sweep applies the block move to ``arr``, in place, for the split of
-    every bitmask ``pass_masks()`` returns, in order (decoded here alone, by
-    ``_split_of_mask``), then records the row-sum variance.  ``stop(sweep,
-    moves applied in the sweep, previous variance, new variance)`` returns
-    the stop reason, or None to go on; it stops with ``max-iterations`` after
-    ``max_sweeps`` sweeps.  Raises ValueError if the start's row-sum variance overflows.
+    Each sweep is ``sweep(move)`` and returns the moves it applied: ``move(mask)``
+    applies the block move for the split of bitmask ``mask`` (decoded here alone, by
+    ``_split_of_mask``) to ``arr`` in place and returns whether ``arr`` changed.  Then
+    ``stop(sweeps done, moves applied in the sweep, previous row-sum variance, new one)``
+    returns the stop reason, or None to go on; after ``max_sweeps`` sweeps it is
+    ``max-iterations``.  Raises ValueError if the start's row-sum variance overflows.
     """
-    n = arr.shape[1]
+    n, applied = arr.shape[1], 0
     trace = [_row_sum_variance(arr)]
-    applied = 0
-    for sweep in range(1, max_sweeps + 1):
-        moved = sum(_block_move(arr, *_split_of_mask(mask, n)) for mask in pass_masks())
+
+    def move(mask: int) -> bool:
+        return _block_move(arr, *_split_of_mask(mask, n))
+
+    for done in range(1, max_sweeps + 1):
+        moved = sweep(move)
         applied += moved
         trace.append(sample_variance(arr.sum(axis=1)))
-        reason = stop(sweep, moved, trace[-2], trace[-1])
-        if reason:
+        if reason := stop(done, moved, trace[-2], trace[-1]):
             break
     else:
         reason = "max-iterations"
-    return RunResult(RearrangementMatrix(arr), trace[-1], sweep, applied, reason, tuple(trace))
+    return RunResult(RearrangementMatrix(arr), trace[-1], done, applied, reason, tuple(trace))
 
 
 def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -146,7 +148,7 @@ def standard_ra(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     arr = _as_matrix(X).values.copy()
     n = arr.shape[1]
     masks = [(1 << n) - 1 - (1 << j) for j in range(n)]
-    return _descend(arr, cfg.max_sweeps, lambda: masks,
+    return _descend(arr, cfg.max_sweeps, lambda move: sum(map(move, masks)),
                     lambda sweep, moved, prev, var: None if moved else "no-improvement")
 
 
@@ -173,7 +175,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         masks = _pass_masks(n, n_sim, rng)
         scores, _ = _split_spearman(arr, masks)
         # np.argmax keeps the first split on ties.
-        return [masks[int(np.argmax(scores))]]
+        return masks[int(np.argmax(scores))]
 
     def stop(sweep, moved, prev, var):
         nonlocal flat
@@ -190,40 +192,36 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
             return "dependence-threshold"
         return "no-improvement" if stalled else None
 
-    return _descend(arr, cfg.max_sweeps, least_opposed, stop)
+    return _descend(arr, cfg.max_sweeps, lambda move: move(least_opposed()), stop)
 
 
-def _screened(arr: np.ndarray):
-    """The canonical split bitmasks of ``arr``'s columns in order, less those certified not to move it.
+def _screened(arr: np.ndarray, move: Callable[[int], bool]) -> int:
+    """``move`` over ``arr``'s canonical split bitmasks in order, less those certified not to move it.
 
-    Certified: over rows ordered by first-block sum, those sums rise and the
-    complement sums fall by more than the rounding bound ``tol`` at each
-    step, so counter_permutation returns the identity.  Screens read the live
-    ``arr``; after a move, splits go unscreened until one is a no-op, as
-    moves come in runs.
+    Certified: over rows ordered by first-block sum, those sums rise and the complement
+    sums fall by more than the rounding bound ``tol`` at each step, so counter_permutation
+    returns the identity.  Screens read the live ``arr``; after a move, splits go unscreened
+    until one is a no-op, as moves come in runs.  Returns the moves applied.
     """
     n = arr.shape[1]
     count = (1 << (n - 1)) - 1
     # Moves keep each column's values, so the bound is the same every pass.
     tol = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(arr).max(axis=0).sum()
-    rows, start, moved = np.arange(_SCREEN_CHUNK)[:, None], 0, False
+    rows, start, applied = np.arange(_SCREEN_CHUNK)[:, None], 0, 0
     while start < count:
-        before = arr.tobytes()  # the kernel writes only values that differ
-        if moved:
-            yield start + 1
-            start, moved = start + 1, arr.tobytes() != before
-            continue
         end = start + _SCREEN_CHUNK
         first = _split_masks(n)[start:end] @ arr.T  # and the complement: total - first
         at = (rows[:len(first)], first.argsort(axis=1))
         first, rest = first[at], (arr.sum(axis=1) - first)[at]
         gaps = np.minimum(first[:, 1:] - first[:, :-1], rest[:, :-1] - rest[:, 1:])
-        for k in start + np.flatnonzero(gaps.min(axis=1) <= tol):
-            yield int(k) + 1
-            if arr.tobytes() != before:
-                moved, end = True, k + 1
+        for mask in (start + 1 + np.flatnonzero(gaps.min(axis=1) <= tol)).tolist():
+            if move(mask):  # run on to the no-op at mask end; screening resumes at index end
+                applied, end = applied + 1, mask + 1
+                while end <= count and move(end):
+                    applied, end = applied + 1, end + 1
                 break
         start = end
+    return applied
 
 
 def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
@@ -232,8 +230,8 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     Each pass samples partitions (resampled every pass) and applies the
     countermonotone rearrangement for each in order; the run stops when a
     pass improves the row-sum variance by less than the relative tolerance
-    (absolute floor 1e-15).  Certified no-op moves of full passes over 8 to
-    10 columns never reach the kernel (:func:`_screened`).
+    (absolute floor 1e-15).  Full passes over 8 to 10 columns go through
+    :func:`_screened`, so certified no-op moves never reach the kernel.
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
@@ -242,10 +240,10 @@ def block_ra2(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     rng = np.random.default_rng(cfg.rng_seed)
     screen = 8 <= n <= 10 and n_sim == (1 << (n - 1)) - 1
 
-    def pass_masks():
-        return _screened(arr) if screen else _pass_masks(n, n_sim, rng)
+    def sweep(move):
+        return _screened(arr, move) if screen else sum(map(move, _pass_masks(n, n_sim, rng)))
 
     def stop(sweep, moved, prev, var):
         return "no-improvement" if prev - var < max(cfg.improvement_tol * var, 1e-15) else None
 
-    return _descend(arr, cfg.max_sweeps, pass_masks, stop)
+    return _descend(arr, cfg.max_sweeps, sweep, stop)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, gof
 from .algorithms import BlockRaConfig, RunResult, block_ra1, block_ra2, standard_ra
 from .bench import _DEFAULT_CELLS, enumerate_starts, run_table_benchmark
 from .dependence import (
@@ -259,7 +259,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
 
 
 def _cmd_gof(args: argparse.Namespace) -> dict:
-    values = _read_column(args.input, "input")
+    values = gof._sample(_read_column(args.input, "input"), sort=True)  # before any threshold
     target = _target_from_name(args.target)
     m = args.m if args.m is not None else int(values.size)
     thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,

@@ -20,6 +20,7 @@ from blockra import (
     spearman,
     write_matrix_csv,
 )
+from blockra import cli
 from blockra.cli import main
 from blockra.oracle import make_zero_sum_normal_matrix
 
@@ -282,13 +283,19 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: m must be positive"
 
 
-def test_gof_refuses_a_non_finite_sum(tmp_path, capsys):
-    # It used to print "d_ks": NaN, which is not JSON, and exit 0.
+def test_gof_refuses_a_non_finite_sum(tmp_path, capsys, monkeypatch):
+    # It used to print "d_ks": NaN, which is not JSON, and exit 0, and then
+    # to simulate the thresholds before refusing the sample.
+    simulated = []
+    real = cli.default_thresholds
+    monkeypatch.setattr(cli, "default_thresholds",
+                        lambda *a, **k: simulated.append(a) or real(*a, **k))
     path = tmp_path / "nan.csv"
     path.write_text("0.1\n-0.4\nnan\n0.9\n0.2\n")
     assert main(["gof", "--input", str(path), "--target", "normal", "--reps", "11"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "finite" in err
+    assert simulated == []
 
 
 def test_gof_verb_against_perfect_sample(tmp_path, capsys):

@@ -173,12 +173,31 @@ def _adversarial(draw, min_n=8, max_n=10):
 def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
     X = _adversarial(data.draw)
     n = X.shape[1]
-    # Nothing moves between yields, so every chunk is screened against X.
+    offered = []
+
+    def move(k):  # a no-op, so every chunk is screened against X
+        offered.append(k)
+        return False
+
     with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
-        offered = list(_screened(X.copy()))
+        assert _screened(X.copy(), move) == 0
     assert all(type(k) is int for k in offered) and offered == sorted(offered)
     for k in set(range(1, 1 << (n - 1))) - set(offered):
         assert not _block_move(X.copy(), *_split_of_mask(k, n)), k
+
+
+@given(st.data(), st.sampled_from([1, 5, 32]))
+@settings(max_examples=300, deadline=None)
+def test_a_screened_pass_ends_where_an_unscreened_pass_does(data, chunk):
+    # The real kernel: moves apply to ties, near-ties, +-2^53 terms and
+    # signed zeros, and a screened split must still be a no-op when reached.
+    X = _adversarial(data.draw)
+    n = X.shape[1]
+    screened, plain = X.copy(), X.copy()
+    with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
+        applied = _screened(screened, lambda k: _block_move(screened, *_split_of_mask(k, n)))
+    assert applied == sum(_block_move(plain, *_split_of_mask(k, n)) for k in range(1, 1 << (n - 1)))
+    assert screened.tobytes() == plain.tobytes()
 
 
 @given(st.data(), st.sampled_from(["one", "odd", "all"]))
