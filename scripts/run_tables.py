@@ -24,10 +24,10 @@ def main() -> int:
     args = parser.parse_args()
 
     for table in args.tables:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = run_table_benchmark(table, replicates=args.replicates,
                                      rng_seed=args.seed, jobs=args.jobs)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         print(f"\n{table}  ({args.replicates} replicates, seed {args.seed}, {dt:.0f}s)")
         if table == "t1b":
             print(f"{'cell':>10} {'gap RA':>12} {'gap BRA':>12} {'se RA':>10} {'se BRA':>10}")

@@ -15,6 +15,7 @@ rearrangement; they differ in which blocks they move and when they stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,14 +73,14 @@ class BlockRaConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_sim is not None and self.n_sim < 1:
-            raise ValueError("n_sim must be positive")
+        if self.n_sim is not None and not (isinstance(self.n_sim, Integral) and self.n_sim > 0):
+            raise ValueError("n_sim must be a positive integer")
         if not -1.0 <= self.rho_stop < 0.0:
             raise ValueError("rho_stop must lie in [-1, 0)")
         if not self.improvement_tol >= 0:
             raise ValueError("improvement_tol must be nonnegative")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
+        if not (isinstance(self.max_sweeps, Integral) and self.max_sweeps > 0):
+            raise ValueError("max_sweeps must be a positive integer")
 
     def resolve_n_sim(self, n_columns: int) -> int:
         """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""
@@ -120,11 +121,11 @@ def _descend(arr: np.ndarray, max_sweeps: int, sweep: Callable[[Callable[[int], 
     returns the stop reason, or None to go on; after ``max_sweeps`` sweeps it is
     ``max-iterations``.  Raises ValueError if the start's row-sum variance overflows.
     """
-    n, applied = arr.shape[1], 0
+    n, cols, applied = arr.shape[1], list(arr.T), 0
     trace = [_row_sum_variance(arr)]
 
     def move(mask: int) -> bool:
-        return _block_move(arr, *_split_of_mask(mask, n))
+        return _block_move(arr, cols, *_split_of_mask(mask, n))
 
     for done in range(1, max_sweeps + 1):
         moved = sweep(move)

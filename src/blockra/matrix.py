@@ -105,7 +105,7 @@ class Partition:
     @classmethod
     def from_mask(cls, mask: int, n_columns: int) -> "Partition":
         """Canonical partition from a nonzero bitmask over the first n-1 columns."""
-        if not 0 < mask < 1 << (n_columns - 1):
+        if n_columns < 2 or not 0 < mask < 1 << (n_columns - 1):
             raise ValueError(f"mask {mask} names no split of {n_columns} columns")
         return cls(_mask_columns(mask, n_columns - 1)[0], n_columns)
 
@@ -249,33 +249,53 @@ def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
     return first
 
 
-def _block_sums(arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row sums over the columns ``cols`` (intp indices); one column is a view.
+# A block of up to this many columns is summed and moved a column at a time,
+# a wider one by a single gather: below it, the per-column calls cost less.
+_LOOP_COLUMNS = 8
 
-    Fancy indexing gathers the block column-major, so the columns are added
-    left to right; a row-major gather (take) would sum eight or more columns
-    in another order and change the last bits.
+
+def _block_sums(arr: np.ndarray, cols: list, idx: np.ndarray) -> np.ndarray:
+    """Row sums over the columns ``idx`` (intp) of ``arr``; one column is a view.
+
+    ``cols`` is ``list(arr.T)``, in either layout.  The columns are added left
+    to right, by a loop or one reduce over a C-contiguous gather; a row-major
+    gather summed along its rows would add eight or more columns pairwise and
+    change the last bits.
     """
-    return arr[:, cols].sum(axis=1) if cols.size > 1 else arr[:, cols[0]]
+    if idx.size > _LOOP_COLUMNS:
+        return np.add.reduce(arr.T.take(idx, axis=0), axis=0)
+    s = cols[idx[0]]
+    for j in idx[1:].tolist():
+        s = s + cols[j]
+    return s
 
 
-def _block_move(arr: np.ndarray, pi: np.ndarray, comp: np.ndarray) -> bool:
-    """Apply the countermonotone rearrangement to ``arr`` in place.
+def _permute_rows(arr: np.ndarray, cols: list, idx: np.ndarray, sigma: np.ndarray) -> None:
+    """Row i of the columns ``idx`` of ``arr`` takes their row ``sigma[i]``, in place."""
+    if idx.size > _LOOP_COLUMNS:
+        arr.T[idx] = arr.T.take(idx, axis=0).take(sigma, axis=1)
+    else:
+        for j in idx.tolist():
+            cols[j][...] = cols[j][sigma]
+
+
+def _block_move(arr: np.ndarray, cols: list, pi: np.ndarray, comp: np.ndarray) -> bool:
+    """Apply the countermonotone rearrangement to ``arr`` (columns ``cols``) in place.
 
     ``pi`` and ``comp`` are intp column indices of the two blocks.  Rows of
     the complement block move jointly; the pi block is untouched.  Returns
-    True when the matrix changed.
+    True when the matrix changed, which only a sigma keeping every complement
+    sum in place can fail to do, so only then is the block gathered.
     """
-    s_pi = _block_sums(arr, pi)
-    block = arr[:, comp]
-    s_bar = block.sum(axis=1) if comp.size > 1 else block[:, 0]
-    sigma = counter_permutation(s_pi, s_bar)
+    s_bar = _block_sums(arr, cols, comp)
+    sigma = counter_permutation(_block_sums(arr, cols, pi), s_bar)
     if sigma.tobytes() == _identity_bytes(sigma.size):
         return False
-    moved = block.take(sigma, axis=0)
-    if (moved == block).all():
-        return False
-    arr[:, comp] = moved
+    if (s_bar.take(sigma) == s_bar).all():
+        block = arr.T.take(comp, axis=0)
+        if (block.take(sigma, axis=1) == block).all():
+            return False
+    _permute_rows(arr, cols, comp, sigma)
     return True
 
 
@@ -292,7 +312,8 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
     var_before = _row_sum_variance(arr)
-    _block_move(arr, np.array(pi.pi, dtype=np.intp), np.array(pi.complement(), dtype=np.intp))
+    _block_move(arr, list(arr.T), np.array(pi.pi, dtype=np.intp),
+                np.array(pi.complement(), dtype=np.intp))
     var_after = sample_variance(arr.sum(axis=1))
     # Rearrangement inequality guarantees this up to roundoff.
     assert var_after <= var_before + 1e-12 * max(1.0, var_before), \

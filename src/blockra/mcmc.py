@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .matrix import (RearrangementMatrix, _as_matrix, _fair_masks, _row_sum_variance,
-                     _split_of_mask, sample_variance)
+from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _fair_masks, _permute_rows,
+                     _row_sum_variance, _split_of_mask, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -33,9 +34,6 @@ _RATE_OVER_SD = 5.0
 _TINY = np.finfo(np.float64).tiny
 # A block of chain iterations draws at most about this many numbers.
 _BLOCK_WORDS = 1 << 14
-# A block of up to this many columns is summed and moved a column at a time,
-# a wider one by a single gather: below it, the per-column calls cost less.
-_LOOP_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,8 @@ class McmcConfig:
     def __post_init__(self) -> None:
         if self.r is not None and not self.r > 0:
             raise ValueError("Gumbel rate r must be positive")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be positive")
+        if not (isinstance(self.n_iter, Integral) and self.n_iter > 0):
+            raise ValueError("n_iter must be a positive integer")
         if not self.absorb_tol >= 0:
             raise ValueError("absorb_tol must be nonnegative")
 
@@ -177,8 +175,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
     m, n = mat.shape
-    cols = mat.values.T.copy()  # row j is column j, contiguous
-    rows = list(cols)  # views of those rows, for the column-at-a-time path
+    arr = np.array(mat.values, order="F")  # the state, each column contiguous
+    cols = list(arr.T)
     rng = np.random.default_rng(cfg.rng_seed)
     spec = cfg.objective
 
@@ -204,14 +202,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
         masks, noise, uniforms = _chain_draws(rng, m, n, rate, block)
         for mask, y, u in zip(masks[:cfg.n_iter - it], noise, uniforms):
             pi, comp = _split_of_mask(mask, n)
-            # _block_sums' left-to-right adds, none in place (s_pi may be a row of the state)
-            if pi.size > _LOOP_COLUMNS:
-                s_pi = np.add.reduce(cols.take(pi, axis=0), axis=0)
-            else:
-                first, *rest = pi.tolist()
-                s_pi = rows[first]
-                for j in rest:
-                    s_pi = s_pi + rows[j]
+            s_pi = _block_sums(arr, cols, pi)  # may view the state: never written in place
             s_bar = s_cur - s_pi
             _place(y - s_pi, s_bar, sigma)
             s_new = s_pi + s_bar.take(sigma)
@@ -219,17 +210,13 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
                 if f_prop < 0:
                     raise ValueError(f"objective < 0 at iteration {it + 1}: the chain targets 1/f")
-                if comp.size > _LOOP_COLUMNS:
-                    cols[comp] = cols.take(comp, axis=0).take(sigma, axis=1)
-                else:
-                    for j in comp.tolist():
-                        rows[j][...] = rows[j][sigma]
+                _permute_rows(arr, cols, comp, sigma)
                 s_cur = s_new
                 f_cur = f_prop
                 accepted[it] = True
                 if f_cur < best_f:
                     best_f = f_cur
-                    best_arr = cols.T.copy()
+                    best_arr = arr.copy()
             objectives[it] = f_cur
             it += 1
             if f_cur <= cfg.absorb_tol:

@@ -8,21 +8,22 @@ half-width whose margin sums can reach every target quantile.  Centered
 normal margins recalibrate sigma after every pass so the margin sums keep
 the target's variance.
 
-The pass loop keeps the matrix column-major, so every column it sums, moves
-or rescales is contiguous, and it tracks an ascending argsort of every
-margin column across moves.  A single-column side of a split then needs no
-sort: a lone margin column reads its tracked order, and the target column,
-whose values never change, is written in descending order along the other
-side's order.  A multi-column moved side is first stable-sorted along the
-other side's order; with no tie in its sums the move then rewrites only
-the rows it displaces, and otherwise takes a fresh argsort.  Where values
-tie exactly, the order within a tie class is whatever the argsorts give,
-which cannot change any row-sum variance.
+The pass loop keeps the matrix column-major, so each column is contiguous,
+sums and permutes its blocks with the matrix module's kernel, and tracks an
+ascending argsort of every margin column across moves.  A single-column side
+of a split then needs no sort: a lone margin column reads its tracked order,
+and the target column, whose values never change, is written in descending
+order along the other side's order.  A multi-column moved side is first
+stable-sorted along the other side's order; with no tie in its sums the move
+then rewrites only the rows it displaces, else a fresh argsort orders it.
+Where values tie exactly, the order within a tie class is whatever the
+argsorts give, which cannot change any row-sum variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,8 @@ from .algorithms import BlockRaConfig, _resolve_n_sim, block_ra2
 # perfbench/workloads.py patches ks_distance and w2_distance on this
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
-from .matrix import RearrangementMatrix, _block_sums, _pass_masks, _split_of_mask, sample_variance
+from .matrix import (RearrangementMatrix, _block_sums, _pass_masks, _permute_rows, _split_of_mask,
+                     sample_variance)
 
 __all__ = [
     "MarginSpec",
@@ -128,12 +130,12 @@ class FitConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_sim is not None and self.n_sim < 1:
-            raise ValueError("n_sim must be positive")
+        if self.n_sim is not None and not (isinstance(self.n_sim, Integral) and self.n_sim > 0):
+            raise ValueError("n_sim must be a positive integer")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be positive")
+        if not (isinstance(self.max_passes, Integral) and self.max_passes > 0):
+            raise ValueError("max_passes must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -166,29 +168,29 @@ def discretize_quantiles(dist: TargetDistribution, m: int) -> np.ndarray:
     return np.asarray(dist.quantile(probs), dtype=np.float64).reshape(m)
 
 
-def _ordered_move(arr: np.ndarray, order: list, target_desc: np.ndarray,
+def _ordered_move(arr: np.ndarray, cols: list, order: list, target_desc: np.ndarray,
                   pi: np.ndarray, comp: np.ndarray) -> None:
     """Countermonotone move of the fit loop on a column-major matrix.
 
-    ``order[j]`` is an ascending argsort of margin column j, kept current by
-    carrying it through the inverse row permutation whenever the column
-    moves, so a single-column pi side is read off its tracked order instead
-    of sorted; a multi-column one takes a plain argsort of its row sums.  The
-    negated-target column is last, so it is always moved, and it is the only
-    column ever moved alone: its values never change, so it then takes
-    ``target_desc``, its values in descending order, along the pi side's
-    order.  Other moved sides stable-sort their negated sums along the pi
-    order when it has at most m / _WARM_SORT_DESCENT_FRACTION descents; with
-    no tie among them that is their one argsort, and only the displaced rows
-    are rewritten, in the matrix and the tracked orders.  A busier order or
-    any tie takes a plain argsort instead, so the order within a tie class is
-    whichever the argsorts give, which cannot change any row-sum variance.
+    ``cols`` is ``list(arr.T)``.  ``order[j]``, an ascending argsort of margin
+    column j, is kept current through the inverse row permutation whenever
+    the column moves, so a single-column pi side is read off its tracked
+    order; a multi-column one argsorts its ``_block_sums``.  The negated-target
+    column is last, so it is always moved, and it is the only column ever
+    moved alone: its values never change, so it then takes ``target_desc``,
+    its values in descending order, along the pi side's order.  Other moved
+    sides stable-sort their negated sums along the pi order when it has at
+    most m / _WARM_SORT_DESCENT_FRACTION descents; with no tie among them
+    that is their one argsort, and only the displaced rows are rewritten, in
+    the matrix and the tracked orders.  A busier order or any tie takes a
+    plain argsort and ``_permute_rows`` instead, so the order within a tie
+    class is whichever the argsorts give, which cannot change any variance.
     """
-    o_pi = order[pi[0]] if pi.size == 1 else np.argsort(_block_sums(arr, pi))
+    o_pi = order[pi[0]] if pi.size == 1 else np.argsort(_block_sums(arr, cols, pi))
     if comp.size == 1:
         arr[:, comp[0]][o_pi] = target_desc
         return
-    keys = -_block_sums(arr, comp)
+    keys = -_block_sums(arr, cols, comp)
     kc = keys.take(o_pi)
     if np.count_nonzero(kc[1:] < kc[:-1]) <= kc.size // _WARM_SORT_DESCENT_FRACTION:
         p = kc.argsort(kind="stable")
@@ -210,8 +212,7 @@ def _ordered_move(arr: np.ndarray, order: list, target_desc: np.ndarray,
     sigma[o_pi] = o_bar
     inv = np.empty_like(o_bar)
     inv[o_bar] = o_pi
-    for j in comp:
-        arr[:, j] = arr[:, j].take(sigma)
+    _permute_rows(arr, cols, comp, sigma)
     for j in comp[:-1]:
         order[j] = inv.take(order[j])
 
@@ -272,6 +273,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     # Ascending argsort of every margin column, kept current by
     # _ordered_move; rescaling by a positive ratio keeps it valid.
     order = [np.argsort(arr[:, j], kind="stable") for j in range(n)]
+    cols = list(arr.T)
 
     n_sim = _resolve_n_sim(cfg.n_sim, n_cols)
     prev_var = np.inf
@@ -281,7 +283,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     for _ in range(cfg.max_passes):
         passes += 1
         for mask in _pass_masks(n_cols, n_sim, rng):
-            _ordered_move(arr, order, target_desc, *_split_of_mask(mask, n_cols))
+            _ordered_move(arr, cols, order, target_desc, *_split_of_mask(mask, n_cols))
         if walk:
             v = sample_variance(_row_sums(arr[:, :n]))
             if v == 0.0:

@@ -169,6 +169,11 @@ def test_config_validation():
         BlockRaConfig(n_sim=0)
     with pytest.raises(ValueError):
         BlockRaConfig(max_sweeps=0)
+    with pytest.raises(ValueError, match="max_sweeps must be a positive integer"):
+        BlockRaConfig(max_sweeps=1e3)
+    with pytest.raises(ValueError, match="n_sim must be a positive integer"):
+        BlockRaConfig(n_sim=100.0)
+    assert BlockRaConfig(n_sim=np.int64(100), max_sweeps=np.int32(10)).resolve_n_sim(12) == 100
     with pytest.raises(ValueError):
         BlockRaConfig(improvement_tol=-1.0)
     with pytest.raises(ValueError):
@@ -418,7 +423,8 @@ def _reference_block_ra2(X, cfg):
     for _ in range(cfg.max_sweeps):
         for mask in _pass_masks(n, n_sim, rng):
             p = Partition.from_mask(mask, n)
-            _block_move(arr, np.array(p.pi, dtype=np.intp), np.array(p.complement(), dtype=np.intp))
+            _block_move(arr, list(arr.T), np.array(p.pi, dtype=np.intp),
+                        np.array(p.complement(), dtype=np.intp))
         trace.append(sample_variance(arr.sum(axis=1)))
         if trace[-2] - trace[-1] < max(cfg.improvement_tol * trace[-1], 1e-15):
             break

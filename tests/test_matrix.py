@@ -131,6 +131,8 @@ def test_partition_from_mask_rejects_masks_outside_the_split_range(mask):
     # n = 3 has the splits 0b01, 0b10 and 0b11 over its first two columns
     with pytest.raises(ValueError, match="no split"):
         Partition.from_mask(mask, 3)
+    with pytest.raises(ValueError, match="no split"):  # and n = 0 has none
+        Partition.from_mask(mask, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -116,6 +116,9 @@ def test_config_validation():
         McmcConfig(r=-1.0)
     with pytest.raises(ValueError):
         McmcConfig(n_iter=0)
+    with pytest.raises(ValueError, match="n_iter must be a positive integer"):
+        McmcConfig(n_iter=1e4)
+    assert McmcConfig(n_iter=np.int64(10)).n_iter == 10
     with pytest.raises(ValueError):
         McmcConfig(absorb_tol=-1e-9)
     with pytest.raises(ValueError):
@@ -225,7 +228,7 @@ def _ref_mcmc(X, cfg):
             draws = _ref_block_draws(rng, m, n, rate)
         mask, noise, u = draws.pop(0)
         pi, comp = _split_of_mask(mask, n)
-        s_pi = _block_sums(arr, pi)
+        s_pi = _block_sums(arr, list(arr.T), pi)
         s_bar = s_cur - s_pi
         slots = _ref_propose_permutation(s_pi, noise)
         order_block = np.argsort(s_bar, kind="stable")

@@ -61,9 +61,9 @@ def test_block_moves_majorize_the_row_sums(X):
     # of the row sums and of their partial sums.
     tol = 4 * (X.shape[0] + X.shape[1]) * np.finfo(np.float64).eps * np.abs(X).sum()
 
-    def checked_move(arr, pi, comp):
+    def checked_move(arr, cols, pi, comp):
         before = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
-        moved = _block_move(arr, pi, comp)
+        moved = _block_move(arr, cols, pi, comp)
         after = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
         assert np.all(after <= before + tol), (pi.tolist(), comp.tolist())
         return moved
@@ -183,7 +183,8 @@ def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
         assert _screened(X.copy(), move) == 0
     assert all(type(k) is int for k in offered) and offered == sorted(offered)
     for k in set(range(1, 1 << (n - 1))) - set(offered):
-        assert not _block_move(X.copy(), *_split_of_mask(k, n)), k
+        Y = X.copy()
+        assert not _block_move(Y, list(Y.T), *_split_of_mask(k, n)), k
 
 
 @given(st.data(), st.sampled_from([1, 5, 32]))
@@ -195,8 +196,10 @@ def test_a_screened_pass_ends_where_an_unscreened_pass_does(data, chunk):
     n = X.shape[1]
     screened, plain = X.copy(), X.copy()
     with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
-        applied = _screened(screened, lambda k: _block_move(screened, *_split_of_mask(k, n)))
-    assert applied == sum(_block_move(plain, *_split_of_mask(k, n)) for k in range(1, 1 << (n - 1)))
+        applied = _screened(screened, lambda k: _block_move(screened, list(screened.T),
+                                                            *_split_of_mask(k, n)))
+    assert applied == sum(_block_move(plain, list(plain.T), *_split_of_mask(k, n))
+                          for k in range(1, 1 << (n - 1)))
     assert screened.tobytes() == plain.tobytes()
 
 
@@ -205,14 +208,17 @@ def test_a_screened_pass_ends_where_an_unscreened_pass_does(data, chunk):
 def test_mask_sums_are_block_sums_bit_for_bit(data, budget):
     # n = 2..12, so blocks of eight or more columns, whose sum depends on
     # the order of addition, occur; masks may hold the last column.  Budgets
-    # of one cell, an odd count and every subset's sums size the table.
+    # of one cell, an odd count and every subset's sums size the table.  The
+    # descent sums row-major matrices, the chain and the fit column-major ones.
     X = _adversarial(data.draw, 2, 12)
     m, n = X.shape
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))
     cells = {"one": 1, "odd": 10 * m + 1, "all": m << n}[budget]
     got = _mask_sums(X, masks, cells)
     blocks = [np.array([j for j in range(n) if mask >> j & 1], dtype=np.intp) for mask in masks]
-    ref = np.array([_block_sums(X, cols) for cols in blocks])
+    ref = np.array([_block_sums(X, list(X.T), cols) for cols in blocks])
+    F = np.asfortranarray(X)
+    assert np.array([_block_sums(F, list(F.T), cols) for cols in blocks]).tobytes() == ref.tobytes()
     # A one-column block of -0.0 sums to +0.0, which ranks the same.
     assert np.array_equal(got, ref)
     assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()

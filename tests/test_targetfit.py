@@ -118,18 +118,19 @@ def _move_start(case):
     """Row-major matrix and the split (pi, comp) one move test starts from.
 
     Every column holds distinct values, so each has exactly one ascending
-    argsort; "tied-sums" columns hold 0..m-1, so complement sums tie.
+    argsort; "tied-sums" columns hold 0..m-1, so complement sums tie;
+    "wide-random" has a 10-column complement, wider than the kernel's loop.
     """
     rng = np.random.default_rng(11)
     m = 200
     if case == "tied-sums":
         arr = np.column_stack([rng.permutation(m) for _ in range(3)]).astype(np.float64)
     else:
-        arr = rng.standard_normal((m, 4 if case == "two-column-pi" else 3))
+        arr = rng.standard_normal((m, {"two-column-pi": 4, "wide-random": 11}.get(case, 3)))
     pi, comp = np.array([0]), np.arange(1, arr.shape[1])
     if case == "two-column-pi":
         pi, comp = np.array([0, 1]), np.array([2, 3])
-    if case != "random":
+    if case not in ("random", "wide-random"):
         _reference_move(arr, pi, comp)  # countermonotone along (pi, comp)
     if case in ("adjacent-swaps", "tied-sums", "two-column-pi"):
         o_pi = np.argsort(arr[:, pi].sum(axis=1))
@@ -144,6 +145,7 @@ def _move_start(case):
     ("adjacent-swaps", True, False),
     ("tied-sums", True, True),  # tie fallback
     ("random", False, False),  # gate fallback
+    ("wide-random", False, False),  # gate fallback through the wide row permutation
     ("two-column-pi", True, False),
 ])
 def test_ordered_move_matches_reference_move_bit_for_bit(case, warm_gate, tied):
@@ -158,7 +160,7 @@ def test_ordered_move_matches_reference_move_bit_for_bit(case, warm_gate, tied):
 
     fitted = np.asfortranarray(arr)
     order = [np.argsort(fitted[:, j]) for j in range(arr.shape[1] - 1)]
-    _ordered_move(fitted, order, np.sort(arr[:, -1])[::-1], pi, comp)
+    _ordered_move(fitted, list(fitted.T), order, np.sort(arr[:, -1])[::-1], pi, comp)
     _reference_move(arr, pi, comp)
     assert np.ascontiguousarray(fitted).tobytes() == arr.tobytes()
     for j, o in enumerate(order):
@@ -238,6 +240,14 @@ def test_margin_spec_validation():
     for family in ("uniform-symmetric", "normal"):
         with pytest.raises(ValueError, match=f"{family} margins take no quantile table"):
             MarginSpec(family=family, n=2, table=np.array([5.0, 1.0, np.nan]))
+
+
+def test_fit_config_refuses_float_counts():
+    with pytest.raises(ValueError, match="max_passes must be a positive integer"):
+        FitConfig(max_passes=50.0)
+    with pytest.raises(ValueError, match="n_sim must be a positive integer"):
+        FitConfig(n_sim=100.0)
+    assert FitConfig(n_sim=np.int64(100), max_passes=np.int32(50)).max_passes == 50
 
 
 def test_a_directly_built_empirical_margin_checks_its_table():
