@@ -81,6 +81,8 @@ class BlockRaConfig:
             raise ValueError("improvement_tol must be nonnegative")
         if not (isinstance(self.max_sweeps, Integral) and self.max_sweeps > 0):
             raise ValueError("max_sweeps must be a positive integer")
+        if not (isinstance(self.rng_seed, Integral) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a nonnegative integer")
 
     def resolve_n_sim(self, n_columns: int) -> int:
         """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""

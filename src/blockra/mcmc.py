@@ -83,6 +83,8 @@ class McmcConfig:
             raise ValueError("n_iter must be a positive integer")
         if not self.absorb_tol >= 0:
             raise ValueError("absorb_tol must be nonnegative")
+        if not (isinstance(self.rng_seed, Integral) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

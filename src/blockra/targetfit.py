@@ -6,7 +6,9 @@ sums toward zero forces margin-sum order statistics onto the target grid.
 Symmetric uniform margins are fitted at their support bound, the smallest
 half-width whose margin sums can reach every target quantile.  Centered
 normal margins recalibrate sigma after every pass so the margin sums keep
-the target's variance.
+the target's variance.  Fixed-scale fits start from a seeded shuffle of
+each margin column, which settles in far fewer passes than the sorted,
+comonotone start; the normal walk keeps that sorted start.
 
 The pass loop keeps the matrix column-major, so each column is contiguous,
 sums and permutes its blocks with the matrix module's kernel, and tracks an
@@ -136,6 +138,8 @@ class FitConfig:
             raise ValueError("rel_tol must be positive")
         if not (isinstance(self.max_passes, Integral) and self.max_passes > 0):
             raise ValueError("max_passes must be a positive integer")
+        if not (isinstance(self.rng_seed, Integral) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -266,8 +270,10 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     var_target = sample_variance(target_grid)
 
     arr = np.empty((m, n_cols), dtype=np.float64, order="F")
+    # A fixed-scale fit starts from one seeded shuffle of each margin column;
+    # the walk keeps its sorted start, since where it settles depends on its start.
     for j in range(n):
-        arr[:, j] = scale * unit_grid
+        arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
     target_desc = -target_grid
     arr[:, n] = target_desc
     # Ascending argsort of every margin column, kept current by
@@ -346,8 +352,13 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
                   for tab in (fp_quantiles, fg_quantiles, fs_quantiles))
     if not fp.size == fg.size == fs.size:
         raise ValueError(f"quantile table lengths differ: fp={fp.size} fg={fg.size} fs={fs.size}")
-    X = np.column_stack([fp, -fg, -fs])
-    result = block_ra2(X, config or BlockRaConfig())
+    cfg = config or BlockRaConfig()
+    rng = np.random.default_rng(cfg.rng_seed)
+    # The tables as given can stall block_ra2 far from a compatible join, so a
+    # seeded shuffle of the two asset columns runs too; ties keep the given start.
+    starts = (np.column_stack([fp, -fg, -fs]),
+              np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]))
+    result = min((block_ra2(X, cfg) for X in starts), key=lambda r: r.final_objective)
     final = result.final_matrix.values
     return SpreadResult(
         copula=RearrangementMatrix(np.column_stack([final[:, 0], -final[:, 1]])),

@@ -9,6 +9,8 @@ import pytest
 
 from blockra import (
     BlockRaConfig,
+    FitConfig,
+    McmcConfig,
     Partition,
     block_ra1,
     block_ra2,
@@ -178,6 +180,15 @@ def test_config_validation():
         BlockRaConfig(improvement_tol=-1.0)
     with pytest.raises(ValueError):
         BlockRaConfig(improvement_tol=float("nan"))
+
+
+@pytest.mark.parametrize("config", [BlockRaConfig, FitConfig, McmcConfig])
+@pytest.mark.parametrize("seed", [1.5, -1, "7", None])
+def test_configs_refuse_a_seed_that_is_not_a_nonnegative_integer(config, seed):
+    # Such seeds used to fail inside numpy, in a message that named no field.
+    with pytest.raises(ValueError, match="rng_seed must be a nonnegative integer"):
+        config(rng_seed=seed)
+    assert config(rng_seed=np.uint64(2**64 - 1)).rng_seed == 2**64 - 1
 
 
 def test_partition_complement_roundtrip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockra import (
+    BlockRaConfig,
     FitConfig,
     RearrangementMatrix,
     MarginSpec,
@@ -41,8 +42,9 @@ def _reference_move(arr, pi_cols, comp_cols):
 def _reference_fit(margins, target, m, cfg):
     """The fit loop written plainly: fresh argsorts everywhere, row-major storage.
 
-    Uniform margins sit at the support bound, normal margins rescale every
-    pass.  Returns (scale, final matrix, passes, stop reason).
+    Uniform margins sit at the support bound and start from a seeded shuffle,
+    normal margins start sorted and rescale every pass.  Returns (scale,
+    final matrix, passes, stop reason).
     """
     n, n_cols = margins.n, margins.n + 1
     rng = np.random.default_rng(cfg.rng_seed)
@@ -53,6 +55,9 @@ def _reference_fit(margins, target, m, cfg):
     var_target = sample_variance(target_grid)
     arr = np.empty((m, n_cols))
     arr[:, :n] = (scale * unit_grid)[:, None]
+    if not walk:  # a fixed-scale fit shuffles each margin column once, in column order
+        for j in range(n):
+            arr[:, j] = arr[rng.permutation(m), j]
     arr[:, n] = -target_grid
     n_sim = cfg.n_sim if cfg.n_sim is not None else min(512, (1 << (n_cols - 1)) - 1)
 
@@ -266,15 +271,32 @@ def test_a_directly_built_empirical_margin_checks_its_table():
 
 
 def test_fit_is_deterministic():
-    margins = MarginSpec.uniform_symmetric(2)
-    cfg = FitConfig(rng_seed=5)
-    r1 = fit_sum_to_target(margins, TargetDistribution.normal(), 2000, cfg,
-                           thresholds=WIDE_THRESHOLDS)
-    r2 = fit_sum_to_target(margins, TargetDistribution.normal(), 2000, cfg,
-                           thresholds=WIDE_THRESHOLDS)
-    assert r1.fitted_scale == r2.fitted_scale
-    assert np.array_equal(r1.final_matrix.values, r2.final_matrix.values)
-    assert r1.iterations == r2.iterations
+    # A fixed-scale fit shuffles its start with the seed; the normal walk
+    # keeps its sorted start, so its seed reads nothing.
+    fixed = (MarginSpec.uniform_symmetric(2), TargetDistribution.normal())
+    walk = (MarginSpec.normal(2), TargetDistribution.uniform(-1.0, 1.0))
+    runs = {(law, seed): fit_sum_to_target(*spec, 2000, FitConfig(rng_seed=seed),
+                                           thresholds=WIDE_THRESHOLDS)
+            for law, spec in (("fixed", fixed), ("walk", walk)) for seed in (5, 9)}
+    again = fit_sum_to_target(*fixed, 2000, FitConfig(rng_seed=5), thresholds=WIDE_THRESHOLDS)
+    for a, b in ((runs["fixed", 5], again), (runs["walk", 5], runs["walk", 9])):
+        assert replace(a, final_matrix=None) == replace(b, final_matrix=None)
+        assert a.final_matrix.values.tobytes() == b.final_matrix.values.tobytes()
+    one, other = runs["fixed", 5].final_matrix.values, runs["fixed", 9].final_matrix.values
+    assert one.tobytes() != other.tobytes()
+    for j in range(3):
+        assert np.array_equal(np.sort(one[:, j]), np.sort(other[:, j]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_empirical_fit_leaves_the_comonotone_stall(seed):
+    # From sorted columns this compatible law settled at pass 2 with verdict "neither".
+    m = 2000
+    margins = MarginSpec.empirical(2, discretize_quantiles(TargetDistribution.normal(), m))
+    rep = fit_sum_to_target(margins, TargetDistribution.normal(0.0, 1.8), m,
+                            FitConfig(rng_seed=seed))
+    assert rep.stop_reason == "settled" and rep.iterations > 2
+    assert rep.verdict == "indistinguishable"
 
 
 def test_fit_margins_stay_exactly_on_scaled_grid():
@@ -383,6 +405,18 @@ def test_spread_matches_small_oracle():
     res = spread_dependence(p, g, s)
     oracle = brute_force_minimum(np.column_stack([p, -g, -s]))
     assert res.residual_variance == pytest.approx(oracle.min_variance, abs=1e-12)
+
+
+def test_spread_leaves_the_given_start_stall_on_a_compatible_law():
+    # Correlation 0.75 gives this spread exactly; block_ra2 from the sorted
+    # tables stopped at a residual of 0.356.
+    m = 1000
+    fp, fg, fs = (discretize_quantiles(TargetDistribution.normal(0.0, sd), m)
+                  for sd in (1.0, 1.2, 0.8))
+    res = spread_dependence(fp, fg, fs, BlockRaConfig(rng_seed=1))
+    assert res.residual_variance < 1e-3
+    assert np.array_equal(np.sort(res.copula.values[:, 0]), fp)
+    assert np.array_equal(np.sort(res.copula.values[:, 1]), fg)
 
 
 def test_spread_incompatible_law_leaves_residual():
