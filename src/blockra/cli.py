@@ -254,6 +254,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
         "residual_variance": result.residual_variance,
         "rows": result.copula.m,
         "rho_joint": spearman(result.copula.values[:, 0], result.copula.values[:, 1]),
+        **_fields(result, "copula", "residual_variance"),
     }
     return _report(body, args, m=int(fp.size))
 

@@ -136,6 +136,11 @@ def _split_spearman(arr: np.ndarray, masks: Iterable[int]) -> tuple[np.ndarray, 
     return _spearman_pairs(np.concatenate((first, total - first)) for first in firsts)
 
 
+def _mean_score(values: np.ndarray) -> float:
+    """The measure from its split scores: their mean, summed exactly."""
+    return math.fsum(values) / len(values)
+
+
 @dataclass(frozen=True)
 class DependenceReport:
     """Result of a dependence-measure evaluation.
@@ -161,7 +166,7 @@ def _dependence_report(arr: np.ndarray, masks, mode: str) -> DependenceReport:
     worst = int(np.argmax(values))
     mask = masks[worst]
     return DependenceReport(
-        rho=math.fsum(values) / len(values),
+        rho=_mean_score(values),
         mode=mode,
         partitions_evaluated=len(values),
         constant_splits=constant,

@@ -144,27 +144,25 @@ def _sample(values, sort: bool) -> np.ndarray:
     return np.sort(xs) if sort else xs
 
 
-def _nodes(target: TargetDistribution, tests: Sequence[str]):
-    """The midpoint nodes u, the target quantiles there, and their cdf if KS is asked."""
+def _nodes(target: TargetDistribution, m: int):
+    """The target quantiles at the W2 nodes u, the sample index each u reads, and i/m, i = 0..m."""
     u = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
-    xg = target.quantile(u)
-    return u, xg, target.cdf(xg) if "ks" in tests else None
+    return target.quantile(u), np.minimum(np.ceil(u * m).astype(np.intp), m) - 1, np.arange(m + 1) / m
 
 
 def _distances(xs: np.ndarray, target: TargetDistribution, tests: Sequence[str],
                nodes=None) -> list[float]:
     """The distances named in ``tests`` ("ks", "w2") of the sorted sample ``xs``."""
-    u, xg, f_xg = nodes or _nodes(target, tests)
-    m = xs.size
+    xg, at, steps = nodes or _nodes(target, xs.size)
     out = []
     for test in tests:
-        if test == "ks":
+        if test == "ks":  # i/m - F(x_(i)) and F(x_(i)-) - (i-1)/m; a table's F(x-) is its share < x
             f_at = target.cdf(xs)
-            d = max(np.max(np.arange(1, m + 1) / m - f_at), np.max(f_at - np.arange(0, m) / m))
-            d_grid = float(np.max(np.abs(np.searchsorted(xs, xg, side="right") / m - f_xg)))
-            out.append(float(max(d, d_grid, 0.0)))
+            f_below = (f_at if target.table is None
+                       else np.searchsorted(target.table, xs, side="left") / target.table.size)
+            out.append(float(max(np.max(steps[1:] - f_at), np.max(f_below - steps[:-1]))))
         else:
-            gap = xs[np.minimum(np.ceil(u * m).astype(np.intp), m) - 1] - xg
+            gap = xs[at] - xg
             out.append(float(np.mean(gap * gap)))
     return out
 
@@ -172,10 +170,8 @@ def _distances(xs: np.ndarray, target: TargetDistribution, tests: Sequence[str],
 def ks_distance(sum_values, target: TargetDistribution) -> float:
     """sup_x |G_m(x) - F(x)| between the empirical cdf and the target.
 
-    The supremum against a continuous target is attained at the empirical
-    step locations; both one-sided gaps are taken there.  A target-quantile
-    grid refines between-step behavior, which matters when the target
-    itself has jumps.
+    The supremum lies at the empirical steps for any target; the gap below
+    a step reads a tabulated target's left limit there.
     """
     return _distances(_sample(sum_values, sort=True), target, ("ks",))[0]
 
@@ -208,13 +204,13 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
     """Medians of each statistic in ``tests`` over the same iid replicates.
 
     Replicate ``rep`` draws from the child stream ``[rng_seed, rep]`` and is
-    sorted once for every statistic; the quantile grid is evaluated once.
+    sorted once for every statistic; the size-m nodes are built once.
     """
     if n_replicates < 11:
         raise ValueError("n_replicates must be at least 11")
     if m < 1:
         raise ValueError("m must be positive")
-    nodes = _nodes(target, tests)
+    nodes = _nodes(target, m)
     stats = np.empty((len(tests), n_replicates), dtype=np.float64)
     for rep in range(n_replicates):
         rng = np.random.default_rng([rng_seed, rep])

@@ -335,6 +335,9 @@ class SpreadResult:
 
     copula: RearrangementMatrix
     residual_variance: float
+    start: str  # the kept block_ra2 run's start: "given" or "shuffled"
+    sweeps: int
+    stop_reason: str
 
 
 def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
@@ -358,9 +361,11 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
     # seeded shuffle of the two asset columns runs too; ties keep the given start.
     starts = (np.column_stack([fp, -fg, -fs]),
               np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]))
-    result = min((block_ra2(X, cfg) for X in starts), key=lambda r: r.final_objective)
+    start, result = min(zip(("given", "shuffled"), (block_ra2(X, cfg) for X in starts)),
+                        key=lambda run: run[1].final_objective)
     final = result.final_matrix.values
     return SpreadResult(
         copula=RearrangementMatrix(np.column_stack([final[:, 0], -final[:, 1]])),
         residual_variance=result.final_objective,
+        start=start, sweeps=result.sweeps, stop_reason=result.stop_reason,
     )

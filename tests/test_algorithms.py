@@ -83,6 +83,19 @@ def test_block_ra1_limit_depends_on_start():
     assert res_global.final_objective == pytest.approx(0.0, abs=1e-12)
 
 
+def test_block_ra1_rechecks_the_exact_measure_without_its_report(monkeypatch):
+    # The recheck reads only rho, so it averages the split scores and builds
+    # no per-split dict; it still stops on the report's rho.
+    def no_report(X):
+        raise AssertionError("block_ra1 built the full dependence report")
+
+    monkeypatch.setattr("blockra.algorithms.multivariate_dependence_exact", no_report)
+    res = block_ra1(np.random.default_rng(0).normal(size=(20, 8)),
+                    BlockRaConfig(rng_seed=0, rho_stop=-0.999))
+    assert (res.stop_reason, res.sweeps) == ("dependence-threshold", 20)
+    assert dependence.multivariate_dependence_exact(res.final_matrix).rho <= -0.999
+
+
 @pytest.mark.parametrize("n_sim", [None, 4])
 def test_block_ra1_stalls_on_moves_that_only_reorder_ties(n_sim):
     # Entries 0..2: after a move or two the least-opposed split only

@@ -206,8 +206,62 @@ def test_empirical_target_roundtrip():
     rng = np.random.default_rng(3)
     pool = rng.normal(size=2000)
     target = TargetDistribution.empirical(pool)
-    assert ks_distance(pool, target) <= 1.0 / 2000 + 1e-12
+    assert ks_distance(pool, target) == 0.0
     assert w2_distance(np.sort(pool), target) == pytest.approx(0.0, abs=1e-12)
+
+
+def _brute_ks(values, table):
+    """max |G - F| over the union of both laws' jump points, at each point and just below it."""
+    xs, points = np.sort(values), np.union1d(values, table)
+    return float(max(np.max(np.abs(np.searchsorted(xs, points, side) / xs.size
+                                   - np.searchsorted(table, points, side) / table.size))
+                     for side in ("right", "left")))
+
+
+def test_ks_against_a_table_is_the_supremum_over_its_jumps():
+    # The gap below a step reads the table's left limit, so a sample sitting
+    # on the table's jumps reads 0 here; F at the jump would read 1/3.
+    assert ks_distance([1.0, 2.0, 3.0], TargetDistribution.empirical([1.0, 2.0, 3.0])) == 0.0
+    for case in range(300):
+        rng = np.random.default_rng([33, case])
+        digits = int(rng.integers(0, 2))  # rounded values: ties within and across the two
+        table = np.round(rng.normal(size=int(rng.integers(1, 61))), digits)
+        values = np.round(rng.normal(scale=rng.uniform(0.5, 2.0), size=int(rng.integers(1, 80))),
+                          digits)
+        target = TargetDistribution.empirical(table)
+        assert ks_distance(values, target) == _brute_ks(values, target.table), case
+
+
+_REF_NODES = (np.arange(50_000) + 0.5) / 50_000
+
+
+def _reference_ks(xs, target):
+    """KS as it was computed with the quantile-grid term: the steps, then 50,000 target nodes."""
+    m = xs.size
+    f_at = target.cdf(xs)
+    d = max(np.max(np.arange(1, m + 1) / m - f_at), np.max(f_at - np.arange(0, m) / m))
+    xg = target.quantile(_REF_NODES)
+    d_grid = float(np.max(np.abs(np.searchsorted(xs, xg, side="right") / m - target.cdf(xg))))
+    return float(max(d, d_grid, 0.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 10_000, 100_000])
+@pytest.mark.parametrize("target", [
+    TargetDistribution.normal(0.5, 2.0), TargetDistribution.uniform(-1.0, 1.0),
+], ids=["normal", "uniform"])
+def test_ks_at_the_steps_equals_the_two_term_ks_bit_for_bit(target, m):
+    # The grid term can never win the max against a cdf that does not decrease;
+    # scipy's ndtr is not monotone to the ulp, so for the normal target this pins it.
+    ref_median = float(np.median([
+        _reference_ks(np.sort(target.sample(m, np.random.default_rng([0, rep]))), target)
+        for rep in range(41)]))
+    assert median_threshold("ks", target, m) == ref_median
+    values = target.sample(m, np.random.default_rng([m, 33])) + 0.01
+    for xs in (values, np.round(values, 2)):  # and with ties
+        ref = _reference_ks(np.sort(xs), target)
+        assert ks_distance(xs, target) == ref
+        v = verdict(xs, target)
+        assert (v.d_ks, v.med_ks) == (ref, ref_median)
 
 
 _TIED = TargetDistribution.empirical(np.repeat([-1.0, 0.0, 2.5], 40))
@@ -239,7 +293,7 @@ def test_verdict_builds_one_grid_and_w2_paths_never_touch_the_cdf(monkeypatch):
     xs = np.sort(target.sample(500, np.random.default_rng(5)))
     calls = _count_target_calls(monkeypatch)
     verdict(xs, target, Thresholds(ks=1e-3, w2=1e-5))
-    assert calls == {"quantile": 1, "cdf": 2}  # the grid's cdf and the sample's
+    assert calls == {"quantile": 1, "cdf": 1}  # the sample's; KS reads no grid
     calls.update(quantile=0, cdf=0)
     w2_distance(xs, target)
     median_threshold("w2", target, 50, n_replicates=11)

@@ -389,6 +389,8 @@ def test_spread_recovers_comonotone_join():
     s = p - g
     res = spread_dependence(p, g, s)
     assert res.residual_variance == pytest.approx(0.0, abs=1e-12)
+    assert res.start == "given"  # the shuffled start cannot beat 0, and a tie keeps the given one
+    assert (res.sweeps, res.stop_reason) == (1, "no-improvement")
     rho = spearman(res.copula.values[:, 0], res.copula.values[:, 1])
     assert rho == pytest.approx(1.0, abs=1e-12)
     # margins come back intact
@@ -415,6 +417,12 @@ def test_spread_leaves_the_given_start_stall_on_a_compatible_law():
                   for sd in (1.0, 1.2, 0.8))
     res = spread_dependence(fp, fg, fs, BlockRaConfig(rng_seed=1))
     assert res.residual_variance < 1e-3
+    assert res.start == "shuffled"
+    rng = np.random.default_rng(1)  # the shuffle spread draws: column 0, then column 1
+    kept = block_ra2(np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]),
+                     BlockRaConfig(rng_seed=1))
+    assert (res.sweeps, res.stop_reason) == (kept.sweeps, kept.stop_reason)
+    assert res.residual_variance == kept.final_objective
     assert np.array_equal(np.sort(res.copula.values[:, 0]), fp)
     assert np.array_equal(np.sort(res.copula.values[:, 1]), fg)
 
