@@ -32,6 +32,7 @@ from .matrix import (
     _block_move,
     _as_matrix,
     _pass_masks,
+    _resolve_n_sim,
     _row_sum_variance,
     _split_masks,
     _split_of_mask,
@@ -88,11 +89,6 @@ class BlockRaConfig:
     def resolve_n_sim(self, n_columns: int) -> int:
         """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""
         return _resolve_n_sim(self.n_sim, n_columns)
-
-
-def _resolve_n_sim(n_sim: Optional[int], n_columns: int) -> int:
-    # The one n_sim rule, shared with the target-sum fit: None means up to 512.
-    return min(512 if n_sim is None else n_sim, (1 << (n_columns - 1)) - 1)
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"quantile tables disagree on length: fp={fp.size} fg={fg.size} fs={fs.size}"
         )
-    cfg = BlockRaConfig(rng_seed=args.rng_seed, max_sweeps=args.max_sweeps)
+    cfg = FitConfig(rng_seed=args.rng_seed, max_passes=args.max_passes)
     result = spread_dependence(fp, fg, fs, cfg)
     if args.emit_joint:
         write_matrix_csv(result.copula, args.emit_joint)
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fp", required=True, help="first asset quantile CSV")
     sp.add_argument("--fg", required=True, help="second asset quantile CSV")
     sp.add_argument("--fs", required=True, help="spread quantile CSV")
-    sp.add_argument("--max-sweeps", type=int, default=BlockRaConfig.max_sweeps)
+    sp.add_argument("--max-passes", type=int, default=FitConfig.max_passes)
     sp.add_argument("--emit-joint", help="write the recovered joint sample CSV here")
 
     sp = add("gof", _cmd_gof, "distance verdict of a value sample against a target law",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -214,6 +214,11 @@ def _fair_masks(rng: np.random.Generator, bits: int, count: int, top: int) -> li
         keys = (rows @ weights).tolist() if bits < 64 else [int.from_bytes(r, "little") for r in packed]
         masks += (k for k in keys if 0 < k < top)
     return masks
+
+
+def _resolve_n_sim(n_sim: Optional[int], n_columns: int) -> int:
+    """The one n_sim rule: splits a pass scores, None meaning up to 512, capped at all of them."""
+    return min(512 if n_sim is None else n_sim, (1 << (n_columns - 1)) - 1)
 
 
 def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):

@@ -8,7 +8,9 @@ half-width whose margin sums can reach every target quantile.  Centered
 normal margins recalibrate sigma after every pass so the margin sums keep
 the target's variance.  Fixed-scale fits start from a seeded shuffle of
 each margin column, which settles in far fewer passes than the sorted,
-comonotone start; the normal walk keeps that sorted start.
+comonotone start; the normal walk keeps that sorted start.  The spread
+workflow is the same problem, three columns with a fixed negated target,
+and settles on the same pass loop.
 
 The pass loop keeps the matrix column-major, so each column is contiguous,
 sums and permutes its blocks with the matrix module's kernel, and tracks an
@@ -30,12 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import BlockRaConfig, _resolve_n_sim, block_ra2
 # perfbench/workloads.py patches ks_distance and w2_distance on this
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
-from .matrix import (RearrangementMatrix, _block_sums, _pass_masks, _permute_rows, _split_of_mask,
-                     sample_variance)
+from .matrix import (RearrangementMatrix, _block_sums, _pass_masks, _permute_rows, _resolve_n_sim,
+                     _row_sum_variance, _split_of_mask, sample_variance)
 
 __all__ = [
     "MarginSpec",
@@ -231,6 +232,44 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
+def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, scale: float = 1.0,
+            var_target: Optional[float] = None) -> tuple[list, float, int, str]:
+    """The one pass loop of both target-law workflows, on column-major ``arr`` in place.
+
+    ``arr`` holds the margin columns, then the negated target in descending
+    order.  Given ``var_target`` (the normal walk), each pass then rescales the
+    margin columns and ``scale`` so the margin sums keep that variance.  Returns
+    the margin columns' tracked ascending orders, the scale, the passes and the
+    stop reason (see FitReport); ValueError if the start's row-sum variance overflows.
+    """
+    _row_sum_variance(arr)
+    n = arr.shape[1] - 1
+    target_desc = arr[:, n].copy()
+    # Ascending argsort of every margin column, kept current by
+    # _ordered_move; rescaling by a positive ratio keeps it valid.
+    order = [np.argsort(arr[:, j], kind="stable") for j in range(n)]
+    cols = list(arr.T)
+    n_sim = _resolve_n_sim(cfg.n_sim, n + 1)
+    prev_var, prev_scale = np.inf, scale
+    for passes in range(1, cfg.max_passes + 1):
+        for mask in _pass_masks(n + 1, n_sim, rng):
+            _ordered_move(arr, cols, order, target_desc, *_split_of_mask(mask, n + 1))
+        if var_target is not None:
+            v = sample_variance(_row_sums(arr[:, :n]))
+            if v == 0.0:
+                return order, scale, passes, "degenerate"
+            ratio = float(np.sqrt(var_target / v))
+            scale *= ratio
+            arr[:, :n] *= ratio
+        var_all = sample_variance(_row_sums(arr))
+        # The first pass has no previous variance to settle against.
+        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
+        if var_settled and abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18):
+            return order, scale, passes, "settled"
+        prev_var, prev_scale = var_all, scale
+    return order, scale, passes, "max-passes"
+
+
 def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
                       config: Optional[FitConfig] = None,
                       thresholds: Optional[Thresholds] = None) -> FitReport:
@@ -250,7 +289,6 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         raise ValueError("m must be at least 2")
 
     n = margins.n
-    n_cols = n + 1
     rng = np.random.default_rng(cfg.rng_seed)
 
     unit_grid = discretize_quantiles(margins.unit_law(), m)
@@ -267,46 +305,15 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     # number leaves the per-pass rescale ratio bounded away from 1 and the
     # scale inflates without an absorbing state.  Against the grid's own
     # variance the settled coupling makes the ratio exactly 1.
-    var_target = sample_variance(target_grid)
+    var_target = sample_variance(target_grid) if walk else None
 
-    arr = np.empty((m, n_cols), dtype=np.float64, order="F")
+    arr = np.empty((m, n + 1), dtype=np.float64, order="F")
     # A fixed-scale fit starts from one seeded shuffle of each margin column;
     # the walk keeps its sorted start, since where it settles depends on its start.
     for j in range(n):
         arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
-    target_desc = -target_grid
-    arr[:, n] = target_desc
-    # Ascending argsort of every margin column, kept current by
-    # _ordered_move; rescaling by a positive ratio keeps it valid.
-    order = [np.argsort(arr[:, j], kind="stable") for j in range(n)]
-    cols = list(arr.T)
-
-    n_sim = _resolve_n_sim(cfg.n_sim, n_cols)
-    prev_var = np.inf
-    prev_scale = scale
-    passes = 0
-    stop_reason = "max-passes"
-    for _ in range(cfg.max_passes):
-        passes += 1
-        for mask in _pass_masks(n_cols, n_sim, rng):
-            _ordered_move(arr, cols, order, target_desc, *_split_of_mask(mask, n_cols))
-        if walk:
-            v = sample_variance(_row_sums(arr[:, :n]))
-            if v == 0.0:
-                stop_reason = "degenerate"
-                break
-            ratio = float(np.sqrt(var_target / v))
-            scale *= ratio
-            arr[:, :n] *= ratio
-        var_all = sample_variance(_row_sums(arr))
-        # The first pass has no previous variance to settle against.
-        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
-        scale_settled = abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18)
-        if var_settled and scale_settled:
-            stop_reason = "settled"
-            break
-        prev_var = var_all
-        prev_scale = scale
+    arr[:, n] = -target_grid
+    order, scale, passes, stop_reason = _settle(arr, cfg, rng, scale, var_target)
 
     if walk:
         # Each margin column becomes one multiply of the pristine unit grid,
@@ -316,17 +323,10 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         for j in range(n):
             arr[order[j], j] = scaled
     gof = verdict(_row_sums(arr[:, :n]), target, thresholds)
-    return FitReport(
-        fitted_scale=scale,
-        final_matrix=RearrangementMatrix(arr),
-        ks=gof.d_ks,
-        w2=gof.t_w2,
-        ks_threshold=gof.med_ks,
-        w2_threshold=gof.med_w2,
-        verdict=_VERDICTS[gof.ks_ok, gof.w2_ok],
-        iterations=passes,
-        stop_reason=stop_reason,
-    )
+    return FitReport(fitted_scale=scale, final_matrix=RearrangementMatrix(arr), ks=gof.d_ks,
+                     w2=gof.t_w2, ks_threshold=gof.med_ks, w2_threshold=gof.med_w2,
+                     verdict=_VERDICTS[gof.ks_ok, gof.w2_ok], iterations=passes,
+                     stop_reason=stop_reason)
 
 
 @dataclass(frozen=True)
@@ -335,37 +335,35 @@ class SpreadResult:
 
     copula: RearrangementMatrix
     residual_variance: float
-    start: str  # the kept block_ra2 run's start: "given" or "shuffled"
-    sweeps: int
+    start: str  # the kept run's start: "given" or "shuffled"
+    iterations: int
     stop_reason: str
 
 
 def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
-                      config: Optional[BlockRaConfig] = None) -> SpreadResult:
+                      config: Optional[FitConfig] = None) -> SpreadResult:
     """Joint law of two assets consistent with a given spread law.
 
     Stacks the three quantile tables as [first asset, -(second asset),
-    -(spread)] and minimizes the row-sum variance; the joint sample is the
-    first column paired with the second negated back to asset scale, and
-    the achieved variance reports how close asset1 - asset2 - spread came
-    to zero row by row.  An incompatible spread law just leaves a positive
-    residual.
+    -(spread), descending] and settles it on the fit's pass loop; the joint
+    sample is the first column paired with the second negated back to asset
+    scale, and the achieved variance reports how close asset1 - asset2 -
+    spread came to zero row by row.  An incompatible spread law just leaves
+    a positive residual.
     """
     fp, fg, fs = (np.asarray(tab, dtype=np.float64).ravel()
                   for tab in (fp_quantiles, fg_quantiles, fs_quantiles))
     if not fp.size == fg.size == fs.size:
         raise ValueError(f"quantile table lengths differ: fp={fp.size} fg={fg.size} fs={fs.size}")
-    cfg = config or BlockRaConfig()
+    cfg = config or FitConfig()
     rng = np.random.default_rng(cfg.rng_seed)
-    # The tables as given can stall block_ra2 far from a compatible join, so a
-    # seeded shuffle of the two asset columns runs too; ties keep the given start.
-    starts = (np.column_stack([fp, -fg, -fs]),
-              np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]))
-    start, result = min(zip(("given", "shuffled"), (block_ra2(X, cfg) for X in starts)),
-                        key=lambda run: run[1].final_objective)
-    final = result.final_matrix.values
-    return SpreadResult(
-        copula=RearrangementMatrix(np.column_stack([final[:, 0], -final[:, 1]])),
-        residual_variance=result.final_objective,
-        start=start, sweeps=result.sweeps, stop_reason=result.stop_reason,
-    )
+    # The tables as given can stall far from a compatible join, so a seeded
+    # shuffle of the two asset columns runs too; ties keep the given start.
+    target, runs = -np.sort(fs), []
+    for start, a, g in (("given", fp, fg), ("shuffled", rng.permutation(fp), rng.permutation(fg))):
+        arr = np.array(RearrangementMatrix(np.column_stack([a, -g, target])).values, order="F")
+        passes, stop_reason = _settle(arr, cfg, rng)[2:]
+        runs.append((sample_variance(_row_sums(arr)), start, arr, passes, stop_reason))
+    residual, start, arr, passes, stop_reason = min(runs, key=lambda run: run[0])
+    copula = RearrangementMatrix(np.column_stack([arr[:, 0], -arr[:, 1]]))
+    return SpreadResult(copula, residual, start, passes, stop_reason)

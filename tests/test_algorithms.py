@@ -10,10 +10,13 @@ import pytest
 from blockra import (
     BlockRaConfig,
     FitConfig,
+    MarginSpec,
     McmcConfig,
     Partition,
+    TargetDistribution,
     block_ra1,
     block_ra2,
+    fit_sum_to_target,
     make_zero_sum_normal_matrix,
     mcmc_block_ra,
     multivariate_dependence_exact,
@@ -421,11 +424,14 @@ def test_overflowing_row_sums_rejected_up_front(algo):
 
 def test_overflowing_row_sum_variance_rejected_up_front():
     # Finite row sums whose squared deviations overflow: each run used to go
-    # on to report an infinite objective, block_ra2 after all 1000 sweeps.
+    # on to report an infinite objective, block_ra2 after all 1000 sweeps and
+    # the fit after all its passes, with a verdict.
     X = np.random.default_rng(0).normal(size=(6, 4)) * 3e155
     q = np.linspace(-1, 1, 50) * 1e300
     calls = [lambda: standard_ra(X), lambda: block_ra1(X), lambda: block_ra2(X),
-             lambda: spread_dependence(q, q, q / 2)]
+             lambda: spread_dependence(q, q, q / 2),
+             lambda: fit_sum_to_target(MarginSpec.empirical(2, q), TargetDistribution.normal(), 50,
+                                       FitConfig(max_passes=50))]
     for call in calls:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")

@@ -388,7 +388,7 @@ GOLDEN_CASES = {
     "fit-sum": ["fit-sum", "--margins", "uniform", "--target", "normal", "--m", "500",
                 "--seed", "5"],
     "spread": ["spread", "--fp", "fp.csv", "--fg", "fg.csv", "--fs", "fs.csv",
-               "--seed", "1", "--max-sweeps", "200"],
+               "--seed", "1", "--max-passes", "200"],
     "gof": ["gof", "--input", "sums.csv", "--target", "normal", "--reps", "11", "--seed", "2"],
     "thresholds": ["thresholds", "--test", "w2", "--target", "uniform", "--m", "200",
                    "--reps", "11", "--seed", "1"],
@@ -407,7 +407,7 @@ VERB_OPTIONS = {
     "measure": {"input", "mode", "n_samples", "rng_seed"},
     "fit-sum": {"margins", "n", "target", "m", "rng_seed", "n_sim", "rel_tol", "max_passes",
                 "matrix_out", "emit_joint"},
-    "spread": {"fp", "fg", "fs", "rng_seed", "max_sweeps", "emit_joint"},
+    "spread": {"fp", "fg", "fs", "rng_seed", "max_passes", "emit_joint"},
     "gof": {"input", "target", "m", "ks_asymptotic", "reps", "rng_seed"},
     "thresholds": {"test", "target", "m", "reps", "rng_seed"},
     "bench": {"table", "replicates", "rng_seed", "m", "n", "jobs"},

@@ -390,7 +390,7 @@ def test_spread_recovers_comonotone_join():
     res = spread_dependence(p, g, s)
     assert res.residual_variance == pytest.approx(0.0, abs=1e-12)
     assert res.start == "given"  # the shuffled start cannot beat 0, and a tie keeps the given one
-    assert (res.sweeps, res.stop_reason) == (1, "no-improvement")
+    assert (res.iterations, res.stop_reason) == (2, "settled")  # a second pass to settle
     rho = spearman(res.copula.values[:, 0], res.copula.values[:, 1])
     assert rho == pytest.approx(1.0, abs=1e-12)
     # margins come back intact
@@ -415,16 +415,45 @@ def test_spread_leaves_the_given_start_stall_on_a_compatible_law():
     m = 1000
     fp, fg, fs = (discretize_quantiles(TargetDistribution.normal(0.0, sd), m)
                   for sd in (1.0, 1.2, 0.8))
-    res = spread_dependence(fp, fg, fs, BlockRaConfig(rng_seed=1))
+    res = spread_dependence(fp, fg, fs, FitConfig(rng_seed=1))
     assert res.residual_variance < 1e-3
-    assert res.start == "shuffled"
-    rng = np.random.default_rng(1)  # the shuffle spread draws: column 0, then column 1
-    kept = block_ra2(np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]),
-                     BlockRaConfig(rng_seed=1))
-    assert (res.sweeps, res.stop_reason) == (kept.sweeps, kept.stop_reason)
-    assert res.residual_variance == kept.final_objective
+    assert (res.start, res.stop_reason) == ("shuffled", "settled")
     assert np.array_equal(np.sort(res.copula.values[:, 0]), fp)
     assert np.array_equal(np.sort(res.copula.values[:, 1]), fg)
+
+
+# (fp, fg, fs) standard deviations: an exactly compatible law, the
+# independent join's law and one no join reaches (sd(p - g) is at most 2).
+_SPREAD_LAWS = {"compatible": (1.0, 1.2, 0.8), "independent": (1.0, 0.5, 1.25 ** 0.5),
+                "incompatible": (1.0, 1.0, 3.0)}
+
+
+@pytest.mark.parametrize("law", sorted(_SPREAD_LAWS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spread_is_no_worse_than_block_ra2_from_the_same_starts(law, seed):
+    m = 1000
+    fp, fg, fs = (discretize_quantiles(TargetDistribution.normal(0.0, sd), m)
+                  for sd in _SPREAD_LAWS[law])
+    res = spread_dependence(fp, fg, fs, FitConfig(rng_seed=seed))
+    rng = np.random.default_rng(seed)  # the shuffle spread draws: column 0, then column 1
+    starts = (np.column_stack([fp, -fg, -fs]),
+              np.column_stack([rng.permutation(fp), -rng.permutation(fg), -fs]))
+    best = min(block_ra2(X, BlockRaConfig(rng_seed=seed)).final_objective for X in starts)
+    assert res.residual_variance <= 1.05 * best
+    assert res.stop_reason == "settled"
+
+
+def test_spread_reads_its_table_in_any_order():
+    # The fixed target column is the spread table sorted and negated, so the
+    # order it comes in cannot change the result.
+    fp, fg, fs = (discretize_quantiles(TargetDistribution.normal(0.0, sd), 300)
+                  for sd in _SPREAD_LAWS["compatible"])
+    for seed in (0, 1):
+        cfg = FitConfig(rng_seed=seed)
+        res, rev = spread_dependence(fp, fg, fs, cfg), spread_dependence(fp, fg, fs[::-1], cfg)
+        assert rev.copula.values.tobytes() == res.copula.values.tobytes()
+        assert (rev.residual_variance, rev.start, rev.iterations, rev.stop_reason) == \
+            (res.residual_variance, res.start, res.iterations, res.stop_reason)
 
 
 def test_spread_incompatible_law_leaves_residual():
