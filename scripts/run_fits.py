@@ -8,9 +8,9 @@ to U[-1,1] (sigma settles near 0.337: any sigma from about 0.32 to 0.42 fits
 equally well at m=10^4, and the walk, started at 0.4, stops at the lower
 edge of that plateau).  Each case prints the fitted scale, the pass count and why the fit stopped (settled or out of
 passes), both distances against their m=10^6 median thresholds, and the
-wall time.  Defaults reproduce both at m=10^6: U->N took 3.9-4.7 s (34
-passes, from its seeded shuffle) and N->U 17-19 s (138 passes) on a 2-core
-Xeon (BENCH_31.json).
+wall time.  Defaults reproduce both at m=10^6: U->N took about 4 s (16
+passes, from its seeded shuffle) and N->U about 28 s (154 passes) on a
+2-core Xeon, both `indistinguishable`.
 """
 
 import argparse

@@ -15,7 +15,6 @@ rearrangement; they differ in which blocks they move and when they stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +30,7 @@ from .matrix import (
     RearrangementMatrix,
     _block_move,
     _as_matrix,
+    _count,
     _pass_masks,
     _resolve_n_sim,
     _row_sum_variance,
@@ -75,16 +75,14 @@ class BlockRaConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_sim is not None and not (isinstance(self.n_sim, Integral) and self.n_sim > 0):
-            raise ValueError("n_sim must be a positive integer")
+        if self.n_sim is not None:
+            _count("n_sim", self.n_sim)
         if not -1.0 <= self.rho_stop < 0.0:
             raise ValueError("rho_stop must lie in [-1, 0)")
         if not self.improvement_tol >= 0:
             raise ValueError("improvement_tol must be nonnegative")
-        if not (isinstance(self.max_sweeps, Integral) and self.max_sweeps > 0):
-            raise ValueError("max_sweeps must be a positive integer")
-        if not (isinstance(self.rng_seed, Integral) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be a nonnegative integer")
+        _count("max_sweeps", self.max_sweeps)
+        _count("rng_seed", self.rng_seed, 0)
 
     def resolve_n_sim(self, n_columns: int) -> int:
         """Splits a pass scores on an n-column matrix; n_sim or more means all of them."""

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, standard_ra
-from .matrix import _as_matrix
+from .matrix import _as_matrix, _count
 from .oracle import _MAX_ARRANGEMENTS, _orders, brute_force_minimum, make_zero_sum_normal_matrix
 
 __all__ = [
@@ -146,10 +146,8 @@ def run_table_benchmark(
     """
     if table not in _DEFAULT_CELLS:
         raise ValueError(f"unknown table {table!r}; expected one of {tuple(_DEFAULT_CELLS)}")
-    if replicates < 10:
-        raise ValueError("benchmark needs at least 10 replicates")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    _count("replicates", replicates, 10)
+    rng_seed, jobs = _count("rng_seed", rng_seed, 0), _count("jobs", jobs)
 
     if m is None and n is None:
         cells = _DEFAULT_CELLS[table]
@@ -160,10 +158,8 @@ def run_table_benchmark(
             m = 10
         if m is None or n is None:
             raise ValueError(f"table {table!r} needs both m and n for a single cell")
-        cells = ((int(m), int(n)),)
+        cells = ((_count("m", m, 2), _count("n", n, 2)),)
     for cm, cn in cells:
-        if cm < 2 or cn < 2:
-            raise ValueError(f"cell ({cm},{cn}) is degenerate")
         # Refuse t1b cells whose per-replicate oracle would pass its budget.
         if table == "t1b" and math.factorial(cm) ** (cn - 2) > _MAX_ARRANGEMENTS:
             raise ValueError(

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .matrix import _as_matrix, _canonical_columns, _fair_masks, _mask_columns, _mask_sums
+from .matrix import _as_matrix, _canonical_columns, _count, _fair_masks, _mask_columns, _mask_sums
 
 __all__ = [
     "DependenceReport",
@@ -204,7 +204,6 @@ def multivariate_dependence_sampled(X, n_samples: int, rng_seed: int) -> Depende
     """
     arr = _as_matrix(X).values
     n = arr.shape[1]
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    masks = _fair_masks(np.random.default_rng(rng_seed), n, n_samples, (1 << n) - 1)
+    rng = np.random.default_rng(_count("rng_seed", rng_seed, 0))
+    masks = _fair_masks(rng, n, _count("n_samples", n_samples), (1 << n) - 1)
     return _dependence_report(arr, masks, "sampled")

@@ -16,6 +16,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .matrix import _count
+
 __all__ = [
     "TargetDistribution",
     "GofVerdict",
@@ -206,8 +208,7 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
     Replicate ``rep`` draws from the child stream ``[rng_seed, rep]`` and is
     sorted once for every statistic; the size-m nodes are built once.
     """
-    if n_replicates < 11:
-        raise ValueError("n_replicates must be at least 11")
+    n_replicates, rng_seed = _count("n_replicates", n_replicates, 11), _count("rng_seed", rng_seed, 0)
     if m < 1:
         raise ValueError("m must be positive")
     nodes = _nodes(target, m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
@@ -66,6 +67,14 @@ class RearrangementMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer (numpy's too) of at least ``least``, else ValueError."""
+    if not (isinstance(value, Integral) and value >= least):
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}")
+    return int(value)
 
 
 def _as_matrix(X) -> RearrangementMatrix:

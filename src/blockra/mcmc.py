@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _fair_masks, _permute_rows,
-                     _row_sum_variance, _split_of_mask, sample_variance)
+from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _count, _fair_masks,
+                     _permute_rows, _row_sum_variance, _split_of_mask, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -79,12 +78,10 @@ class McmcConfig:
     def __post_init__(self) -> None:
         if self.r is not None and not self.r > 0:
             raise ValueError("Gumbel rate r must be positive")
-        if not (isinstance(self.n_iter, Integral) and self.n_iter > 0):
-            raise ValueError("n_iter must be a positive integer")
+        _count("n_iter", self.n_iter)
         if not self.absorb_tol >= 0:
             raise ValueError("absorb_tol must be nonnegative")
-        if not (isinstance(self.rng_seed, Integral) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be a nonnegative integer")
+        _count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_matrix, counter_permutation, sample_variance
+from .matrix import RearrangementMatrix, _as_matrix, _count, counter_permutation, sample_variance
 
 __all__ = [
     "OracleResult",
@@ -149,8 +149,7 @@ def haus_integer_minimum(m: int, n: int) -> tuple[float, int, int]:
     (min_variance, low_row_sum_value, count_of_low_rows); an integer mean
     gives variance 0 with all rows equal.
     """
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
+    m, n = _count("m", m, 2), _count("n", n, 2)
     total = n * m * (m + 1) // 2
     lo, rem = divmod(total, m)
     if rem == 0:
@@ -176,9 +175,8 @@ def make_zero_sum_normal_matrix(m: int, n: int, rng_seed: int = 0) -> Rearrangem
     expectation.  The known global minimum of the row-sum variance is 0, by
     construction, which makes these matrices calibration targets.
     """
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
-    rng = np.random.default_rng(rng_seed)
+    m, n = _count("m", m, 2), _count("n", n, 2)
+    rng = np.random.default_rng(_count("rng_seed", rng_seed, 0))
     z = rng.standard_normal((m, n))
     # A row's rounding grows with its length: each of the n entries carries
     # the mean's error, about eps * max|z| (the 4 is headroom).

@@ -64,3 +64,21 @@ def test_enumerate_starts_small_grid():
     assert values == sorted(values)
     with pytest.raises(ValueError, match="refuse"):
         enumerate_starts(np.zeros((6, 4)))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(m=4.5, n=3), "m"),  # used to run and report the 4-row cell
+    (dict(m=4, n=3.0), "n"),
+    (dict(m=4, n=3, replicates=10.0), "replicates"),
+    (dict(m=4, n=3, jobs=2.0), "jobs"),
+    (dict(m=4, n=3, rng_seed=-1), "rng_seed"),
+])
+def test_benchmark_refuses_bad_counts_by_name(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        run_table_benchmark("tcomp", **{"replicates": 10, **kwargs})
+
+
+def test_benchmark_takes_numpy_integers():
+    rep = run_table_benchmark("tcomp", replicates=np.int64(10), rng_seed=np.uint8(1),
+                              m=np.int32(8), n=np.int64(3), jobs=np.int8(1))
+    assert rep.cells == run_table_benchmark("tcomp", replicates=10, rng_seed=1, m=8, n=3).cells

@@ -1,6 +1,9 @@
 """End-to-end tests of the command line entry point, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -440,10 +443,9 @@ def golden_reports() -> dict:
     return reports
 
 
-def test_verb_reports_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _assert_golden(got: dict) -> None:
+    """The reports ``got`` (case id -> parsed JSON) read the recorded values."""
     golden = json.loads(GOLDEN_PATH.read_text())
-    got = golden_reports()
     assert sorted(got) == sorted(golden)
     for case, expected in golden.items():
         report = dict(got[case])
@@ -455,3 +457,33 @@ def test_verb_reports_golden(tmp_path, monkeypatch):
             assert key in config and config[key] == value, (case, key)
         extra = set(config) - set(expected_config)
         assert extra <= VERB_OPTIONS[report["verb"]], (case, sorted(extra))
+
+
+def test_verb_reports_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_golden(golden_reports())
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
+except ImportError:
+    _CPU_FEATURES = {}
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not all(_CPU_FEATURES.get(f) for f in _AVX512),
+                    reason="numpy reports no AVX-512 dispatch to turn off")
+def test_verb_reports_do_not_depend_on_the_cpu_dispatch(tmp_path):
+    # numpy's default argsort orders tied keys by the SIMD kernel it picks;
+    # with AVX-512 dispatch turned off every verb must still print the
+    # recorded report.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
+    code = ("import json, pathlib, test_cli; "
+            "pathlib.Path('reports.json').write_text(json.dumps(test_cli.golden_reports()))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _assert_golden(json.loads((tmp_path / "reports.json").read_text()))

@@ -385,3 +385,17 @@ def test_exact_measure_at_the_partition_cap():
     # Spot-check splits across the enumeration against the per-split loop.
     probe = keys[:: 4099] + [keys[-1]]
     assert [report.per_partition[k] for k in probe] == _ref_split_values(X, probe)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((3.5, 0), "n_samples"),
+    ((0, 0), "n_samples"),
+    ((3, -1), "rng_seed"),
+    ((3, 0.5), "rng_seed"),
+])
+def test_sampled_measure_refuses_bad_counts_by_name(args, name):
+    X = np.random.default_rng(0).normal(size=(6, 4))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        multivariate_dependence_sampled(X, *args)
+    assert multivariate_dependence_sampled(X, np.int64(3), np.uint8(0)).rho == \
+        multivariate_dependence_sampled(X, 3, 0).rho

@@ -317,3 +317,16 @@ def test_a_non_finite_sum_is_refused(score, bad, monkeypatch):
     monkeypatch.setattr("blockra.gof.default_thresholds", no_thresholds)
     with pytest.raises(ValueError, match="finite"):
         score(np.array([0.1, bad, 0.3, 0.5, 0.7]), TargetDistribution.normal())
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_replicates=11.5), "n_replicates"),
+    (dict(n_replicates=5), "n_replicates"),
+    (dict(rng_seed=-1), "rng_seed"),
+    (dict(ks_asymptotic=True, n_replicates=11.5), "n_replicates"),
+])
+def test_thresholds_refuse_bad_counts_by_name(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        default_thresholds(TargetDistribution.normal(), 100, **kwargs)
+    assert default_thresholds(TargetDistribution.normal(), 100, n_replicates=np.int64(11)) == \
+        default_thresholds(TargetDistribution.normal(), 100, n_replicates=11)

@@ -169,3 +169,16 @@ def test_orders_decode_in_product_order(r):
     assert len(orders) == r
     got = [tuple(tuple(order[t]) for order in orders) for t in range(len(expect))]
     assert got == expect
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: haus_integer_minimum(4.5, 3), "m"),  # used to return (0.222, 8.0, 3.5)
+    (lambda: haus_integer_minimum(4, 1), "n"),
+    (lambda: make_zero_sum_normal_matrix(4.5, 3), "m"),
+    (lambda: make_zero_sum_normal_matrix(4, 3.0), "n"),
+    (lambda: make_zero_sum_normal_matrix(4, 3, -1), "rng_seed"),
+])
+def test_oracle_helpers_refuse_bad_counts_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+    assert haus_integer_minimum(np.int64(5), np.int32(3)) == haus_integer_minimum(5, 3)

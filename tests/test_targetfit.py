@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockra import (
     BlockRaConfig,
@@ -22,20 +24,25 @@ from blockra import (
     spearman,
     w2_distance,
 )
+from blockra import targetfit
 from blockra.algorithms import _pass_masks
-from blockra.matrix import _split_of_mask
+from blockra.matrix import _block_move, _split_of_mask, counter_permutation
 from blockra.targetfit import _NORMAL_START_SIGMA, _WARM_SORT_DESCENT_FRACTION, _ordered_move
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
 
 
 def _reference_move(arr, pi_cols, comp_cols):
-    # Row-major matrix, two argsorts and an np.ix_ gather per move.
+    # Row-major matrix, block sums added left to right, counter_permutation's
+    # rows and an np.ix_ gather per move.
+    def block_sum(cols):
+        s = arr[:, cols[0]].copy()
+        for j in cols[1:]:
+            s = s + arr[:, j]
+        return s
+
     pi_cols, comp_cols = list(pi_cols), list(comp_cols)
-    s_pi = arr[:, pi_cols].sum(axis=1) if len(pi_cols) > 1 else arr[:, pi_cols[0]]
-    s_bar = arr[:, comp_cols].sum(axis=1) if len(comp_cols) > 1 else arr[:, comp_cols[0]]
-    sigma = np.empty(arr.shape[0], dtype=np.intp)
-    sigma[np.argsort(s_pi)] = np.argsort(-s_bar)
+    sigma = counter_permutation(block_sum(pi_cols), block_sum(comp_cols))
     arr[:, comp_cols] = arr[np.ix_(sigma, comp_cols)]
 
 
@@ -148,9 +155,9 @@ def _move_start(case):
 @pytest.mark.parametrize("case, warm_gate, tied", [
     ("countermonotone", True, False),  # no row moves
     ("adjacent-swaps", True, False),
-    ("tied-sums", True, True),  # tie fallback
-    ("random", False, False),  # gate fallback
-    ("wide-random", False, False),  # gate fallback through the wide row permutation
+    ("tied-sums", True, True),  # the tie rule
+    ("random", False, False),  # the default argsort
+    ("wide-random", False, False),  # the default argsort, 10-column complement sums
     ("two-column-pi", True, False),
 ])
 def test_ordered_move_matches_reference_move_bit_for_bit(case, warm_gate, tied):
@@ -164,12 +171,80 @@ def test_ordered_move_matches_reference_move_bit_for_bit(case, warm_gate, tied):
     assert (np.unique(keys).size < m) == tied
 
     fitted = np.asfortranarray(arr)
-    order = [np.argsort(fitted[:, j]) for j in range(arr.shape[1] - 1)]
-    _ordered_move(fitted, list(fitted.T), order, np.sort(arr[:, -1])[::-1], pi, comp)
+    order = [np.argsort(fitted[:, j]) for j in range(arr.shape[1])]
+    repeats = [np.unique(fitted[:, j]).size < m for j in range(arr.shape[1])]
+    _ordered_move(fitted, list(fitted.T), order, repeats, pi, comp)
     _reference_move(arr, pi, comp)
     assert np.ascontiguousarray(fitted).tobytes() == arr.tobytes()
     for j, o in enumerate(order):
         assert np.array_equal(o, np.argsort(fitted[:, j]))
+
+
+def _tie_heavy_start(kind, m, n, seed):
+    """Column-major m x (n+1) start whose columns repeat values, as "integer"
+    counts, a "grid" on multiples of 2^-7 or a repeating "table"; the last
+    column is negated like a fit's target column."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        arr = rng.integers(-3, 4, size=(m, n + 1)).astype(np.float64)
+    elif kind == "grid":
+        arr = rng.integers(-128, 129, size=(m, n + 1)) / 128.0
+    else:
+        arr = rng.normal(size=5)[rng.integers(0, 5, size=(m, n + 1))]
+    arr += 0.0  # no -0.0 beside +0.0 in a column
+    arr[:, n] = -arr[:, n]
+    return np.asfortranarray(arr)
+
+
+@given(st.sampled_from(["integer", "grid", "table"]), st.integers(2, 40), st.integers(2, 6),
+       st.integers(0, 2**16), st.sampled_from([1, _WARM_SORT_DESCENT_FRACTION, 10**9]))
+@settings(max_examples=60, deadline=None)
+def test_ordered_move_is_block_move_on_tie_heavy_starts(kind, m, n, seed, fraction):
+    # Three passes over every canonical split, multi-column pi sides too,
+    # with the hinted sort forced on (1), the default gate, or forced off
+    # unless the hint already sorts (10**9).
+    arr = _tie_heavy_start(kind, m, n, seed)
+    ref = arr.copy(order="F")
+    order = [np.argsort(arr[:, j]) for j in range(n + 1)]
+    tied = [np.unique(arr[:, j]).size < m for j in range(n + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(targetfit, "_WARM_SORT_DESCENT_FRACTION", fraction)
+        for _ in range(3):
+            for mask in range(1, 1 << n):
+                pi, comp = _split_of_mask(mask, n + 1)
+                _ordered_move(arr, list(arr.T), order, tied, pi, comp)
+                _block_move(ref, list(ref.T), pi, comp)
+                assert arr.tobytes() == ref.tobytes()
+                for j, o in enumerate(order):
+                    assert np.all(np.diff(arr[o, j]) >= 0)
+
+
+def _gate_cases():
+    wide = WIDE_THRESHOLDS
+    tab = np.repeat([-2.0, -0.5, 0.0, 0.5, 3.0], 120)
+    laws = [discretize_quantiles(TargetDistribution.normal(0.0, sd), 1000) for sd in (1.0, 1.2, 0.8)]
+    return {
+        "u2n": lambda: fit_sum_to_target(MarginSpec.uniform_symmetric(2), TargetDistribution.normal(),
+                                         10**4, FitConfig(rng_seed=59), thresholds=wide),
+        "n2u": lambda: fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.uniform(-1.0, 1.0),
+                                         10**4, FitConfig(rng_seed=59), thresholds=wide),
+        "tie-heavy": lambda: fit_sum_to_target(
+            MarginSpec.empirical(3, tab), TargetDistribution.empirical(np.repeat([-4.0, 0.0, 1.0, 3.0], 150)),
+            600, FitConfig(rng_seed=3, max_passes=30), thresholds=wide),
+        "spread": lambda: spread_dependence(*laws, FitConfig(rng_seed=1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_gate_cases()))
+def test_the_sort_gate_changes_no_result(case, monkeypatch):
+    # Always the hinted stable sort (1), or only when the hint already sorts (10**9).
+    runs = []
+    for fraction in (1, 10**9):
+        monkeypatch.setattr(targetfit, "_WARM_SORT_DESCENT_FRACTION", fraction)
+        runs.append(_gate_cases()[case]())
+    (a, b), field = runs, "copula" if case == "spread" else "final_matrix"
+    assert replace(a, **{field: None}) == replace(b, **{field: None})
+    assert getattr(a, field).values.tobytes() == getattr(b, field).values.tobytes()
 
 
 def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
@@ -253,6 +328,19 @@ def test_fit_config_refuses_float_counts():
     with pytest.raises(ValueError, match="n_sim must be a positive integer"):
         FitConfig(n_sim=100.0)
     assert FitConfig(n_sim=np.int64(100), max_passes=np.int32(50)).max_passes == 50
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.normal(), 50.5), "m"),
+    (lambda: fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.normal(), 1), "m"),
+    (lambda: discretize_quantiles(TargetDistribution.normal(), 4.5), "m"),
+])
+def test_counts_are_refused_up_front_by_name(call, name):
+    # A float m used to die inside numpy, naming no argument.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+    assert fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.normal(), np.int64(50),
+                             thresholds=WIDE_THRESHOLDS).final_matrix.m == 50
 
 
 def test_a_directly_built_empirical_margin_checks_its_table():
