@@ -29,16 +29,12 @@ def main() -> int:
                                      rng_seed=args.seed, jobs=args.jobs)
         dt = time.perf_counter() - t0
         print(f"\n{table}  ({args.replicates} replicates, seed {args.seed}, {dt:.0f}s)")
-        if table == "t1b":
-            print(f"{'cell':>10} {'gap RA':>12} {'gap BRA':>12} {'se RA':>10} {'se BRA':>10}")
-            for c in report.cells:
-                print(f"({c.m:>3},{c.n:>2}) {c.mean_gap_ra:>12.3e} {c.mean_gap_bra:>12.3e} "
-                      f"{c.se_gap_ra:>10.1e} {c.se_gap_bra:>10.1e}")
-        else:
-            print(f"{'cell':>10} {'V RA':>12} {'V BRA':>12} {'se RA':>10} {'se BRA':>10}")
-            for c in report.cells:
-                print(f"({c.m:>3},{c.n:>2}) {c.mean_v_ra:>12.3e} {c.mean_v_bra:>12.3e} "
-                      f"{c.se_v_ra:>10.1e} {c.se_v_bra:>10.1e}")
+        field, label = ("gap", "gap ") if table == "t1b" else ("v", "V ")
+        print(f"{'cell':>10} {label + 'RA':>12} {label + 'BRA':>12} {'se RA':>10} {'se BRA':>10}")
+        for c in report.cells:
+            mean_ra, mean_bra, se_ra, se_bra = (getattr(c, f"{stat}_{field}_{stage}")
+                                                for stat in ("mean", "se") for stage in ("ra", "bra"))
+            print(f"({c.m:>3},{c.n:>2}) {mean_ra:>12.3e} {mean_bra:>12.3e} {se_ra:>10.1e} {se_bra:>10.1e}")
     return 0
 
 

@@ -24,13 +24,13 @@ from .dependence import (
     _mean_score,
     _split_spearman,
     multivariate_dependence_exact,  # unused here, but perfbench wraps it under this module's name
-    multivariate_dependence_sampled,
 )
 from .matrix import (
     RearrangementMatrix,
     _block_move,
     _as_matrix,
     _count,
+    _fair_masks,
     _pass_masks,
     _resolve_n_sim,
     _row_sum_variance,
@@ -181,11 +181,11 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         stalled = flat >= _STALL_LIMIT or (full_enumeration and not moved)
         if sweep % 10 and moved and not stalled:
             return None
-        if n <= EXACT_PARTITION_CAP:
-            rho = _mean_score(_split_spearman(arr, range(1, 1 << (n - 1)))[0])  # no per-split report
-        else:
+        masks = range(1, 1 << (n - 1))
+        if n > EXACT_PARTITION_CAP:  # the sampled measure's draws, from a seed taken off rng
             seed = int(rng.integers(0, 2**63 - 1))
-            rho = multivariate_dependence_sampled(arr, n_samples=n_sim, rng_seed=seed).rho
+            masks = _fair_masks(np.random.default_rng(seed), n, n_sim, (1 << n) - 1)
+        rho = _mean_score(_split_spearman(arr, masks)[0])
         if rho <= cfg.rho_stop:
             return "dependence-threshold"
         return "no-improvement" if stalled else None

@@ -103,30 +103,15 @@ def _run_replicate(args: tuple) -> tuple[int, float, float, Optional[float]]:
 
 
 def _aggregate(table: str, m: int, n: int, rows: Sequence[tuple]) -> BenchCell:
-    rows = sorted(rows)  # merge by replicate index
-    v_ra = np.array([r[1] for r in rows])
-    v_bra = np.array([r[2] for r in rows])
-    k = len(rows)
-    cell = {
-        "m": m,
-        "n": n,
-        "replicates": k,
-        "mean_v_ra": float(v_ra.mean()),
-        "mean_v_bra": float(v_bra.mean()),
-        "se_v_ra": float(v_ra.std(ddof=1) / math.sqrt(k)),
-        "se_v_bra": float(v_bra.std(ddof=1) / math.sqrt(k)),
-    }
+    _, v_ra, v_bra, v_star = (np.array(col) for col in zip(*sorted(rows)))  # merge by replicate index
+    stages = {"v_ra": v_ra, "v_bra": v_bra}
     if table == "t1b":
-        v_star = np.array([r[3] for r in rows])
-        gap_ra = v_ra - v_star
-        gap_bra = v_bra - v_star
-        cell.update(
-            mean_gap_ra=float(gap_ra.mean()),
-            mean_gap_bra=float(gap_bra.mean()),
-            se_gap_ra=float(gap_ra.std(ddof=1) / math.sqrt(k)),
-            se_gap_bra=float(gap_bra.std(ddof=1) / math.sqrt(k)),
-        )
-    return BenchCell(**cell)
+        stages.update(gap_ra=v_ra - v_star, gap_bra=v_bra - v_star)
+    cell = {}
+    for name, x in stages.items():
+        cell["mean_" + name] = float(x.mean())
+        cell["se_" + name] = float(x.std(ddof=1) / math.sqrt(len(rows)))
+    return BenchCell(m=m, n=n, replicates=len(rows), **cell)
 
 
 def run_table_benchmark(

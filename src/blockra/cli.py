@@ -91,10 +91,8 @@ def _write_json(report: dict, out_path: Optional[str]) -> None:
 
 def _write_trace(path: str, objectives: Sequence[float], accepted: Sequence[bool]) -> None:
     # Row 0 is the starting objective, never accepted.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,objective,accepted\n")
-        for k, (obj, acc) in enumerate(zip(objectives, accepted)):
-            fh.write(f"{k},{obj:.17g},{int(acc)}\n")
+    rows = np.column_stack((np.arange(len(objectives)), objectives, accepted))
+    np.savetxt(path, rows, "%d,%.17g,%d", header="iter,objective,accepted", comments="")
 
 
 def _read_column(path: str, name: str) -> np.ndarray:

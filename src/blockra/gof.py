@@ -189,6 +189,13 @@ def w2_distance(sum_values_sorted, target: TargetDistribution) -> float:
     return _distances(_sample(sum_values_sorted, sort=False), target, ("w2",))[0]
 
 
+def _size(m) -> int:
+    """Sample size ``m`` as an int: "m must be positive" below 1, and by name if not an integer."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    return _count("m", m)
+
+
 def median_threshold(test: str, target: TargetDistribution, m: int,
                      n_replicates: int = 41, rng_seed: int = 0) -> float:
     """Median of the chosen statistic over iid target samples of size m.
@@ -198,7 +205,7 @@ def median_threshold(test: str, target: TargetDistribution, m: int,
     """
     if test not in ("ks", "w2"):
         raise ValueError("test must be 'ks' or 'w2'")
-    return _replicate_medians((test,), target, m, n_replicates, rng_seed)[0]
+    return _replicate_medians((test,), target, _size(m), n_replicates, rng_seed)[0]
 
 
 def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
@@ -206,11 +213,9 @@ def _replicate_medians(tests: Sequence[str], target: TargetDistribution, m: int,
     """Medians of each statistic in ``tests`` over the same iid replicates.
 
     Replicate ``rep`` draws from the child stream ``[rng_seed, rep]`` and is
-    sorted once for every statistic; the size-m nodes are built once.
+    sorted once for every statistic; the size-m nodes are built once.  ``m`` comes checked by ``_size``.
     """
     n_replicates, rng_seed = _count("n_replicates", n_replicates, 11), _count("rng_seed", rng_seed, 0)
-    if m < 1:
-        raise ValueError("m must be positive")
     nodes = _nodes(target, m)
     stats = np.empty((len(tests), n_replicates), dtype=np.float64)
     for rep in range(n_replicates):
@@ -241,23 +246,16 @@ def default_thresholds(target: TargetDistribution, m: int, *,
     half-width).  Other sizes simulate, except that the KS level may come
     from the asymptotic 0.8276/sqrt(m) when ks_asymptotic is set.
     """
-    if m == 10**6:
-        ks = _KS_MEDIAN_1E6
-        if target.family == "normal":
-            return Thresholds(ks=ks, w2=_W2_MEDIAN_NORMAL_1E6 * target.params[1] ** 2)
-        if target.family == "uniform":
-            lo, hi = target.params
-            half = (hi - lo) / 2.0
-            return Thresholds(ks=ks, w2=_W2_MEDIAN_UNIFORM_1E6 * half * half)
-        return Thresholds(
-            ks=ks,
-            w2=median_threshold("w2", target, m, n_replicates, rng_seed),
-        )
-    if ks_asymptotic:
-        w2 = median_threshold("w2", target, m, n_replicates, rng_seed)  # rejects m <= 0 first
-        return Thresholds(ks=_KS_MEDIAN_SQRT_M / math.sqrt(m), w2=w2)
-    ks, w2 = _replicate_medians(("ks", "w2"), target, m, n_replicates, rng_seed)
-    return Thresholds(ks=ks, w2=w2)
+    m = _size(m)
+    if m == 10**6 and target.family == "normal":
+        return Thresholds(ks=_KS_MEDIAN_1E6, w2=_W2_MEDIAN_NORMAL_1E6 * target.params[1] ** 2)
+    if m == 10**6 and target.family == "uniform":
+        half = (target.params[1] - target.params[0]) / 2.0
+        return Thresholds(ks=_KS_MEDIAN_1E6, w2=_W2_MEDIAN_UNIFORM_1E6 * half * half)
+    ks = _KS_MEDIAN_1E6 if m == 10**6 else _KS_MEDIAN_SQRT_M / math.sqrt(m) if ks_asymptotic else None
+    tests = ("ks", "w2") if ks is None else ("w2",)
+    *simulated, w2 = _replicate_medians(tests, target, m, n_replicates, rng_seed)
+    return Thresholds(ks=simulated[0] if ks is None else ks, w2=w2)
 
 
 def verdict(sum_values, target: TargetDistribution,

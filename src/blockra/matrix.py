@@ -144,9 +144,9 @@ def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarra
     """Permutation placing block rows countermonotonically against target sums.
 
     Returns sigma with new_block[i] = old_block[sigma[i]]: the row whose
-    target sum is smallest receives the largest block sum.  Ties in the
-    target keep the current relative block assignment, so an input that is
-    already countermonotone (up to ties) maps to the identity.
+    target sum is smallest receives the largest block sum.  Tied targets keep
+    the current relative block assignment; tied block sums go by row index, not
+    where they sit, so [[1, 1, 2], [0, 0, 3]] with pi = {0} swaps its rows every call.
     """
     target = np.asarray(target, dtype=np.float64)
     neg = -np.asarray(block_sums, dtype=np.float64)
@@ -338,9 +338,7 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
 def write_matrix_csv(X, path) -> None:
     """Comma-separated rows, no header, 17 significant digits (lossless round-trip)."""
     arr = X.values if isinstance(X, RearrangementMatrix) else np.asarray(X, dtype=np.float64)
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path) -> RearrangementMatrix:

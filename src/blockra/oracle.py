@@ -163,6 +163,7 @@ def haus_integer_minimum(m: int, n: int) -> tuple[float, int, int]:
 
 def haus_integer_matrix(m: int, n: int) -> RearrangementMatrix:
     """The integer test matrix itself: every column is 1..m in ascending order."""
+    m, n = _count("m", m, 2), _count("n", n, 2)
     col = np.arange(1, m + 1, dtype=np.float64)
     return RearrangementMatrix(np.tile(col[:, None], (1, n)))
 

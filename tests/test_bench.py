@@ -1,9 +1,13 @@
 """Tests for the replicated benchmark harness and the start census."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from blockra import enumerate_starts, run_table_benchmark
+from blockra.bench import BenchCell, _aggregate, _run_replicate
 
 
 def test_tcomp_single_cell_small():
@@ -82,3 +86,20 @@ def test_benchmark_takes_numpy_integers():
     rep = run_table_benchmark("tcomp", replicates=np.int64(10), rng_seed=np.uint8(1),
                               m=np.int32(8), n=np.int64(3), jobs=np.int8(1))
     assert rep.cells == run_table_benchmark("tcomp", replicates=10, rng_seed=1, m=8, n=3).cells
+
+
+@pytest.mark.parametrize("table, m, n", [("tcomp", 10, 4), ("t1b", 4, 4)])
+def test_aggregate_keeps_the_mean_and_se_of_each_stage_bit_for_bit(table, m, n):
+    rows = [_run_replicate((table, m, n, 11, rep)) for rep in range(12)]
+    v_ra, v_bra = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    k = len(rows)
+    expect = BenchCell(m, n, k, float(v_ra.mean()), float(v_bra.mean()),
+                       float(v_ra.std(ddof=1) / math.sqrt(k)), float(v_bra.std(ddof=1) / math.sqrt(k)))
+    if table == "t1b":
+        gap_ra = v_ra - np.array([r[3] for r in rows])
+        gap_bra = v_bra - np.array([r[3] for r in rows])
+        expect = dataclasses.replace(
+            expect, mean_gap_ra=float(gap_ra.mean()), mean_gap_bra=float(gap_bra.mean()),
+            se_gap_ra=float(gap_ra.std(ddof=1) / math.sqrt(k)),
+            se_gap_bra=float(gap_bra.std(ddof=1) / math.sqrt(k)))
+    assert _aggregate(table, m, n, rows[::-1]) == expect  # merged back into replicate order

@@ -123,6 +123,9 @@ def test_trace_csv_matches_the_result(verb, matrix_file, tmp_path, capsys):
     assert [float(r[1]) for r in rows] == objectives
     assert [int(r[2]) for r in rows] == accepted
     assert float(rows[0][1]) == doc["start_objective"]
+    expect = "iter,objective,accepted\n" + "".join(
+        f"{k},{obj:.17g},{acc}\n" for k, (obj, acc) in enumerate(zip(objectives, accepted)))
+    assert trace.read_bytes() == expect.encode()  # the writer's bytes, not just its values
 
 
 def test_mcmc_absorbing_start_runs_no_iteration(matrix_file, tmp_path, capsys):

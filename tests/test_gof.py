@@ -157,6 +157,27 @@ def test_default_thresholds_reject_a_nonpositive_m(m, ks_asymptotic):
         default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=ks_asymptotic)
 
 
+@pytest.mark.parametrize("m", [50.5, 1e6, 10**6 + 0.5])
+@pytest.mark.parametrize("call", [
+    lambda m: default_thresholds(TargetDistribution.normal(), m),
+    lambda m: default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=True),
+    lambda m: median_threshold("ks", TargetDistribution.normal(), m),
+], ids=["simulated", "asymptotic", "median"])
+def test_thresholds_refuse_a_non_integer_m_by_name(call, m):
+    # 50.5 died inside numpy with a TypeError; a float 1e6 took the calibrated constants.
+    with pytest.raises(ValueError, match="^m must be a positive integer$"):
+        call(m)
+
+
+@pytest.mark.parametrize("ks_asymptotic", [False, True])
+def test_thresholds_at_the_calibrated_size_are_the_lookup_formulas_bit_for_bit(ks_asymptotic):
+    normal = default_thresholds(TargetDistribution.normal(0.3, 1.7), 10**6, ks_asymptotic=ks_asymptotic)
+    assert normal == Thresholds(ks=8.2e-4, w2=3.5e-6 * 1.7 ** 2)
+    uniform = default_thresholds(TargetDistribution.uniform(-2.0, 3.1), 10**6, ks_asymptotic=ks_asymptotic)
+    half = (3.1 - -2.0) / 2.0
+    assert uniform == Thresholds(ks=8.2e-4, w2=4.7e-7 * half * half)
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: TargetDistribution.normal(0.0, math.inf), id="normal-infinite-sigma"),
     pytest.param(lambda: TargetDistribution.normal(math.nan, 1.0), id="normal-nan-mu"),

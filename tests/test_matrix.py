@@ -119,6 +119,18 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert open(path).readline().count(",") == 3  # no header row
 
 
+@pytest.mark.parametrize("X", [
+    [[0.0, -0.0, 5e-324], [1e308, -1e308, 1 / 3]],
+    np.arange(12).reshape(4, 3),
+], ids=["signed-zeros-subnormal-extremes", "integers"])
+def test_csv_rows_are_17_digit_joins_byte_for_byte(tmp_path, X):
+    # Any lossless format passes the round trip; this pins the bytes themselves.
+    path = tmp_path / "mat.csv"
+    write_matrix_csv(X, path)
+    rows = np.asarray(X, dtype=np.float64)
+    assert path.read_bytes() == "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows).encode()
+
+
 def test_partition_complement_and_mask():
     pi = Partition.from_mask(0b101, 4)
     assert tuple(pi.pi) == (0, 2)

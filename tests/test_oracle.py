@@ -182,3 +182,15 @@ def test_oracle_helpers_refuse_bad_counts_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
     assert haus_integer_minimum(np.int64(5), np.int32(3)) == haus_integer_minimum(5, 3)
+
+
+@pytest.mark.parametrize("m, n, name", [
+    (4.5, 3, "m"),  # used to return a 5 x 3 matrix
+    (4, 2.5, "n"),  # used to die inside numpy's tile
+    (1, 3, "m"),
+    (4, 1, "n"),
+])
+def test_haus_integer_matrix_refuses_bad_counts_by_name(m, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        haus_integer_matrix(m, n)
+    assert haus_integer_matrix(np.int64(4), np.int32(3)).values.tolist() == [[k] * 3 for k in (1, 2, 3, 4)]
