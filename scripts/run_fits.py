@@ -6,14 +6,18 @@ The two headline cases: two U[-a,a] margins whose sum is driven to N(0,1)
 n(m-1)/(m+1): 2.3767 at m=10^6 and n=2), and two N(0,sigma) margins driven
 to U[-1,1] (sigma settles near 0.337: any sigma from about 0.32 to 0.42 fits
 equally well at m=10^4, and the walk, started at 0.4, stops at the lower
-edge of that plateau).  Each case prints the fitted scale, the pass count and why the fit stopped (settled or out of
-passes), both distances against their m=10^6 median thresholds, and the
-wall time.  Defaults reproduce both at m=10^6: U->N took about 4 s (16
-passes, from its seeded shuffle) and N->U about 28 s (154 passes) on a
-2-core Xeon, both `indistinguishable`.
+edge of that plateau).  Each case prints the fitted scale, the pass count
+and why the fit stopped (settled or out of passes), both distances against
+their m=10^6 median thresholds, the wall time and the process's peak RSS so
+far, so one case per process (--cases) reads that case's own peak.  Defaults
+reproduce both at m=10^6: U->N took about 4 s (16 passes, from its seeded
+shuffle) and N->U about 28 s (154 passes) on a 2-core Xeon, both
+`indistinguishable`; run one to a process, U->N peaked at 163 MB and N->U
+at 177 MB of RSS.
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -30,7 +34,8 @@ def run_case(name: str, margins: MarginSpec, target: TargetDistribution,
           f"stop={report.stop_reason} "
           f"ks={report.ks:.2e} (<= {report.ks_threshold:.1e}) "
           f"w2={report.w2:.2e} (<= {report.w2_threshold:.1e}) "
-          f"verdict={report.verdict} ({dt:.0f}s)")
+          f"verdict={report.verdict} ({dt:.0f}s, "
+          f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB)")
 
 
 def main() -> int:

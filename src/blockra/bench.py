@@ -178,6 +178,7 @@ def enumerate_starts(
     after rounding to ``decimals`` places.  Exhaustive, so only sensible
     for small fixtures.
     """
+    decimals = _count("decimals", decimals, None)
     arr = _as_matrix(X).values
     m, n = arr.shape
     total = math.factorial(m) ** (n - 1)

@@ -69,11 +69,11 @@ class RearrangementMatrix:
         return self.values.shape
 
 
-def _count(name: str, value, least: int = 1) -> int:
-    """``value`` as an int if it is an integer (numpy's too) of at least ``least``, else ValueError."""
-    if not (isinstance(value, Integral) and value >= least):
-        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
-        raise ValueError(f"{name} must be {kind}")
+def _count(name: str, value, least: Optional[int] = 1) -> int:
+    """``value`` as an int if it is an integer (numpy's too) >= ``least`` (any, if None), else ValueError."""
+    if not (isinstance(value, Integral) and (least is None or value >= least)):
+        kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+        raise ValueError(f"{name} must be {kinds.get(least, f'an integer >= {least}')}")
     return int(value)
 
 
@@ -96,8 +96,8 @@ class Partition:
     n_columns: int
 
     def __post_init__(self) -> None:
-        pi = tuple(sorted(int(j) for j in self.pi))
-        n = int(self.n_columns)
+        pi = tuple(sorted(_count("pi index", j, None) for j in self.pi))
+        n = _count("n_columns", self.n_columns, None)
         if not 0 < len(pi) < n:
             raise ValueError("empty partition side")
         if len(set(pi)) != len(pi):
@@ -114,6 +114,7 @@ class Partition:
     @classmethod
     def from_mask(cls, mask: int, n_columns: int) -> "Partition":
         """Canonical partition from a nonzero bitmask over the first n-1 columns."""
+        mask, n_columns = _count("mask", mask, None), _count("n_columns", n_columns, None)
         if n_columns < 2 or not 0 < mask < 1 << (n_columns - 1):
             raise ValueError(f"mask {mask} names no split of {n_columns} columns")
         return cls(_mask_columns(mask, n_columns - 1)[0], n_columns)

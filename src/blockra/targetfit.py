@@ -78,8 +78,7 @@ class MarginSpec:
     table: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least two margin columns")
+        object.__setattr__(self, "n", _count("n", self.n, 2))
         if self.family == "empirical":
             if self.table is None:
                 raise ValueError("empirical margins need a quantile table")
@@ -210,11 +209,16 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: np.n
     without a tie, whose order it is.  Only the displaced rows are
     rewritten, in the matrix and the tracked orders.
     """
-    t, neg = _block_sums(arr, cols, pi), -_block_sums(arr, cols, comp)
-    lone = pi.size == 1
+    t, lone = _block_sums(arr, cols, pi), pi.size == 1
     hint = order[pi[0]] if lone else order[comp[0]][::-1] if comp.size == 1 else t.argsort()
-    r = hint if not lone and comp.size == 1 and not tied[comp[0]] else _ascending(neg, hint)
+    if not lone and comp.size == 1 and not tied[comp[0]]:
+        r = hint  # an untied lone complement column is read off its order, its sums unbuilt
+    else:  # a one-column block is a view of the matrix, so it is negated into a copy
+        s = _block_sums(arr, cols, comp)
+        r = _ascending(np.negative(s, out=s if comp.size > 1 else None), hint)
+        del s
     p = hint if lone and not tied[pi[0]] else _ascending(t, r, by_hint=True)
+    del t  # the rewrite below holds no block sums
     moved = np.flatnonzero(p != r)  # the move takes row r[k] to row p[k]
     if not moved.size:
         return
@@ -243,21 +247,24 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, scale: fl
 
     ``arr`` holds the margin columns, then the negated target in descending
     order.  Given ``var_target`` (the normal walk), each pass then rescales the
-    margin columns and ``scale`` so the margin sums keep that variance.  Returns
+    margin columns and ``scale`` so the margin sums keep that variance; those
+    columns must hold one multiset, as each ``scale * unit_grid`` does.  Returns
     every column's tracked ascending order, the scale, the passes and the stop
     reason (see FitReport); ValueError if the start's row-sum variance overflows.
     """
     _row_sum_variance(arr)
     n = arr.shape[1] - 1
     # Ascending argsort of every column, kept current by _ordered_move, and
-    # each margin column's sorted values; rescaling by a positive ratio keeps both.
+    # whether it repeats a value: a move keeps each column's values, and a
+    # rescale by a positive ratio keeps the orders but may merge two values,
+    # so the walk reads its margins' ties again off one sorted copy.
     order = [np.argsort(arr[:, j], kind="stable") for j in range(n + 1)]
-    ranked = [arr[o, j] for j, o in enumerate(order)]
+    tied = [bool(np.any(v[1:] == v[:-1])) for v in (arr[o, j] for j, o in enumerate(order))]
+    ranked = arr[order[0], 0] if var_target is not None else None
     cols = list(arr.T)
     n_sim = _resolve_n_sim(cfg.n_sim, n + 1)
     prev_var, prev_scale = np.inf, scale
     for passes in range(1, cfg.max_passes + 1):
-        tied = [bool(np.any(v[1:] == v[:-1])) for v in ranked]
         for mask in _pass_masks(n + 1, n_sim, rng):
             _ordered_move(arr, cols, order, tied, *_split_of_mask(mask, n + 1))
         if var_target is not None:
@@ -266,8 +273,9 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, scale: fl
                 return order, scale, passes, "degenerate"
             ratio = float(np.sqrt(var_target / v))
             scale *= ratio
-            for block in [arr[:, :n]] + ranked[:n]:
+            for block in (arr[:, :n], ranked):
                 block *= ratio
+            tied[:n] = [bool(np.any(ranked[1:] == ranked[:-1]))] * n
         var_all = sample_variance(_row_sums(arr))
         # The first pass has no previous variance to settle against.
         var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
@@ -319,6 +327,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     for j in range(n):
         arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
     arr[:, n] = -target_grid
+    del target_grid  # the matrix holds it
     order, scale, passes, stop_reason = _settle(arr, cfg, rng, scale, var_target)
 
     if walk:
@@ -328,6 +337,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         scaled = scale * unit_grid
         for j in range(n):
             arr[order[j], j] = scaled
+    del order  # the verdict reads only the margin sums
     gof = verdict(_row_sums(arr[:, :n]), target, thresholds)
     return FitReport(fitted_scale=scale, final_matrix=RearrangementMatrix(arr), ks=gof.d_ks,
                      w2=gof.t_w2, ks_threshold=gof.med_ks, w2_threshold=gof.med_w2,
@@ -357,8 +367,11 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
     spread came to zero row by row.  An incompatible spread law just leaves
     a positive residual.
     """
-    fp, fg, fs = (np.asarray(tab, dtype=np.float64).ravel()
-                  for tab in (fp_quantiles, fg_quantiles, fs_quantiles))
+    fp, fg, fs = tabs = [np.asarray(tab, dtype=np.float64)
+                         for tab in (fp_quantiles, fg_quantiles, fs_quantiles)]
+    for name, tab in zip(("fp", "fg", "fs"), tabs):
+        if tab.ndim != 1:
+            raise ValueError(f"{name}_quantiles must be a vector, got ndim={tab.ndim}")
     if not fp.size == fg.size == fs.size:
         raise ValueError(f"quantile table lengths differ: fp={fp.size} fg={fg.size} fs={fs.size}")
     cfg = config or FitConfig()

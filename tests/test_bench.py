@@ -70,6 +70,14 @@ def test_enumerate_starts_small_grid():
         enumerate_starts(np.zeros((6, 4)))
 
 
+def test_enumerate_starts_refuses_non_integer_decimals_up_front():
+    # 1.5 used to run block_ra2 from the first start, then die inside round.
+    X = np.random.default_rng(0).normal(size=(3, 3))
+    with pytest.raises(ValueError, match="^decimals must be an integer$"):
+        enumerate_starts(X, decimals=1.5)
+    assert enumerate_starts(X, decimals=np.int64(-1)).limits == ((0.0, 36),)
+
+
 @pytest.mark.parametrize("kwargs, name", [
     (dict(m=4.5, n=3), "m"),  # used to run and report the 4-row cell
     (dict(m=4, n=3.0), "n"),

@@ -147,6 +147,19 @@ def test_partition_from_mask_rejects_masks_outside_the_split_range(mask):
         Partition.from_mask(mask, 0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: Partition((0,), 2.9), "n_columns"),  # used to become a 2-column split
+    (lambda: Partition((0.7, 1), 3), "pi index"),  # used to become the split (0, 1)
+    (lambda: Partition.from_mask(1, 2.5), "n_columns"),  # used to die inside <<
+    (lambda: Partition.from_mask(1.5, 3), "mask"),
+])
+def test_partition_refuses_non_integer_counts_and_indices_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        build()
+    assert Partition((np.int64(1),), np.int32(3)) == Partition((1,), 3)
+    assert Partition.from_mask(np.int64(1), np.int8(3)) == Partition((0,), 3)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_split_of_mask_decodes_canonical_and_column_masks(n):
     full = (1 << n) - 1
