@@ -9,33 +9,45 @@ equally well at m=10^4, and the walk, started at 0.4, stops at the lower
 edge of that plateau).  Each case prints the fitted scale, the pass count
 and why the fit stopped (settled or out of passes), both distances against
 their m=10^6 median thresholds, the wall time and the process's peak RSS so
-far, so one case per process (--cases) reads that case's own peak.  Defaults
-reproduce both at m=10^6: U->N took about 4 s (16 passes, from its seeded
-shuffle) and N->U about 28 s (154 passes) on a 2-core Xeon, both
-`indistinguishable`; run one to a process, U->N peaked at 163 MB and N->U
-at 177 MB of RSS.
+far, so one case per process (--cases, or --jobs 2, which runs each case in
+its own worker process and prints the lines in case order) reads that case's
+own peak.  Defaults reproduce both at m=10^6: U->N took about 4 s (16
+passes, from its seeded shuffle) and N->U about 28 s (154 passes) on a
+2-core Xeon, both `indistinguishable`; run one to a process, U->N peaked at
+163 MB and N->U at 177 MB of RSS.
 """
 
 import argparse
+import multiprocessing
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from blockra.gof import TargetDistribution, default_thresholds
 from blockra.targetfit import FitConfig, MarginSpec, fit_sum_to_target
 
 
-def run_case(name: str, margins: MarginSpec, target: TargetDistribution,
-             m: int, seed: int) -> None:
+CASES = ("uniform-to-normal", "normal-to-uniform")
+
+
+def run_case(case: str, n: int, m: int, seed: int) -> str:
+    if case == "uniform-to-normal":
+        name, margins, target = (f"U[-a,a]^{n} -> N(0,1), m={m}", MarginSpec.uniform_symmetric(n),
+                                 TargetDistribution.normal(0.0, 1.0))
+    else:
+        name, margins, target = (f"N(0,s)^{n} -> U[-1,1], m={m}", MarginSpec.normal(n),
+                                 TargetDistribution.uniform(-1.0, 1.0))
     t0 = time.perf_counter()
     report = fit_sum_to_target(margins, target, m, FitConfig(rng_seed=seed))
     dt = time.perf_counter() - t0
-    print(f"{name}: scale={report.fitted_scale:.4f} passes={report.iterations} "
-          f"stop={report.stop_reason} "
-          f"ks={report.ks:.2e} (<= {report.ks_threshold:.1e}) "
-          f"w2={report.w2:.2e} (<= {report.w2_threshold:.1e}) "
-          f"verdict={report.verdict} ({dt:.0f}s, "
-          f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB)")
+    return (f"{name}: scale={report.fitted_scale:.4f} passes={report.iterations} "
+            f"stop={report.stop_reason} "
+            f"ks={report.ks:.2e} (<= {report.ks_threshold:.1e}) "
+            f"w2={report.w2:.2e} (<= {report.w2_threshold:.1e}) "
+            f"verdict={report.verdict} ({dt:.0f}s, "
+            f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB)")
 
 
 def main() -> int:
@@ -43,24 +55,22 @@ def main() -> int:
     parser.add_argument("--m", type=int, default=10**6)
     parser.add_argument("--n", type=int, default=2, help="margin columns")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", nargs="+", default=["uniform-to-normal", "normal-to-uniform"],
-                        choices=["uniform-to-normal", "normal-to-uniform"])
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--cases", nargs="+", default=list(CASES), choices=CASES)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
-    if "uniform-to-normal" in args.cases:
-        run_case(
-            f"U[-a,a]^{args.n} -> N(0,1), m={args.m}",
-            MarginSpec.uniform_symmetric(args.n),
-            TargetDistribution.normal(0.0, 1.0),
-            args.m, args.seed,
-        )
-    if "normal-to-uniform" in args.cases:
-        run_case(
-            f"N(0,s)^{args.n} -> U[-1,1], m={args.m}",
-            MarginSpec.normal(args.n),
-            TargetDistribution.uniform(-1.0, 1.0),
-            args.m, args.seed,
-        )
+    cases = [case for case in CASES if case in args.cases]
+    case_args = (cases, repeat(args.n), repeat(args.m), repeat(args.seed))
+    if args.jobs == 1:
+        for line in map(run_case, *case_args):
+            print(line, flush=True)
+        return 0
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for line in pool.map(run_case, *case_args):  # in case order
+            print(line, flush=True)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,43 @@ def test_exact_measure_at_the_partition_cap():
     # Spot-check splits across the enumeration against the per-split loop.
     probe = keys[:: 4099] + [keys[-1]]
     assert [report.per_partition[k] for k in probe] == _ref_split_values(X, probe)
+
+
+def test_per_partition_is_built_on_first_read(monkeypatch):
+    calls = []
+    canonical = dependence._canonical_columns
+    monkeypatch.setattr(dependence, "_canonical_columns", lambda n: calls.append(n) or canonical(n))
+    X = np.random.default_rng(5).normal(size=(7, 6))
+    report = multivariate_dependence_exact(X)
+    assert calls == []
+    assert len(report.per_partition) == report.partitions_evaluated == 31
+    assert calls == []
+    keys = list(report.per_partition)
+    assert calls == [6]
+    assert keys == list(canonical(6))
+    assert list(report.per_partition.values()) == _split_spearman(X, range(1, 32))[0].tolist()
+    assert calls == [6]
+
+
+def test_per_partition_is_read_only():
+    X = np.random.default_rng(6).normal(size=(7, 5))
+    report = multivariate_dependence_exact(X)
+    with pytest.raises(TypeError):
+        report.per_partition[(0,)] = 0.0
+    assert report.rho == math.fsum(report.per_partition.values()) / len(report.per_partition)
+
+
+def test_exact_measure_at_the_cap_holds_no_per_split_table():
+    # The 2^19 - 1 key tuples and their dict take about 90 MB; the scores 4 MB.
+    X = np.random.default_rng(20).normal(size=(6, dependence.EXACT_PARTITION_CAP))
+    tracemalloc.start()
+    try:
+        report = multivariate_dependence_exact(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.partitions_evaluated == (1 << (dependence.EXACT_PARTITION_CAP - 1)) - 1
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("args, name", [

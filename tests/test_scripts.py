@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/, run as subprocesses."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,15 @@ def test_run_fits_settles_both_cases_at_small_m():
     lines = out.splitlines()
     assert len(lines) == 2
     assert all("stop=settled" in line for line in lines), out
+
+
+def test_run_fits_prints_the_same_lines_from_worker_processes():
+    def results(out):  # each line less its seconds and peak RSS
+        return [re.sub(r"\(\d+s, peak RSS [\d.]+ MB\)$", "", line) for line in out.splitlines()]
+
+    inline = results(_run("run_fits.py", "--m", "2000", "--jobs", "1"))
+    assert len(inline) == 2 and inline[0].startswith("U[-a,a]^2 -> N(0,1)"), inline
+    assert results(_run("run_fits.py", "--m", "2000", "--jobs", "2")) == inline
 
 
 def test_run_tables_prints_all_three_tables():
