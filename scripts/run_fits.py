@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
-from blockra.gof import TargetDistribution, default_thresholds
+from blockra.gof import TargetDistribution
 from blockra.targetfit import FitConfig, MarginSpec, fit_sum_to_target
 
 

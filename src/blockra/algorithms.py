@@ -21,16 +21,15 @@ import numpy as np
 
 from .dependence import (
     EXACT_PARTITION_CAP,
-    _mean_score,
     _split_spearman,
-    multivariate_dependence_exact,  # unused here, but perfbench wraps it under this module's name
+    multivariate_dependence_exact,
+    multivariate_dependence_sampled,
 )
 from .matrix import (
     RearrangementMatrix,
     _block_move,
     _as_matrix,
     _count,
-    _fair_masks,
     _pass_masks,
     _resolve_n_sim,
     _row_sum_variance,
@@ -155,11 +154,11 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
 
     Each iteration samples partitions, finds the one whose block sums are
     least opposed (largest Spearman), and rearranges its complement block.
-    The dependence measure is rechecked every 10 iterations and before a
-    stall is declared, exactly up to EXACT_PARTITION_CAP columns and sampled
-    beyond, and the run stops once it reaches ``rho_stop``.  It stalls at
-    the first no-op under full enumeration, or after _STALL_LIMIT iterations
-    in a row that do not lower the variance.
+    The dependence measure is rechecked every 10 iterations and before a stall
+    is declared, exactly up to EXACT_PARTITION_CAP columns and sampled beyond
+    (seeded off the run's generator), and the run stops once it reaches
+    ``rho_stop``.  It stalls at the first no-op under full enumeration, or
+    after _STALL_LIMIT iterations in a row that do not lower the variance.
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
@@ -181,11 +180,8 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         stalled = flat >= _STALL_LIMIT or (full_enumeration and not moved)
         if sweep % 10 and moved and not stalled:
             return None
-        masks = range(1, 1 << (n - 1))
-        if n > EXACT_PARTITION_CAP:  # the sampled measure's draws, from a seed taken off rng
-            seed = int(rng.integers(0, 2**63 - 1))
-            masks = _fair_masks(np.random.default_rng(seed), n, n_sim, (1 << n) - 1)
-        rho = _mean_score(_split_spearman(arr, masks)[0])
+        rho = (multivariate_dependence_exact(arr) if n <= EXACT_PARTITION_CAP else
+               multivariate_dependence_sampled(arr, n_sim, int(rng.integers(0, 2**63 - 1)))).rho
         if rho <= cfg.rho_stop:
             return "dependence-threshold"
         return "no-improvement" if stalled else None

@@ -138,11 +138,6 @@ def _split_spearman(arr: np.ndarray, masks: Iterable[int]) -> tuple[np.ndarray, 
     return _spearman_pairs(np.concatenate((first, total - first)) for first in firsts)
 
 
-def _mean_score(values: np.ndarray) -> float:
-    """The measure from its split scores: their mean, summed exactly."""
-    return math.fsum(values) / len(values)
-
-
 @dataclass(frozen=True)
 class DependenceReport:
     """Result of a dependence-measure evaluation.
@@ -165,7 +160,7 @@ class DependenceReport:
 
 
 class _SplitScores(Mapping):
-    """Exact split scores keyed by first-block columns; the dict is built on first read."""
+    """Exact split scores keyed by first-block columns: a dict built on first read, which whole reads use."""
 
     def __init__(self, n: int, values: np.ndarray):
         self._n, self._values = n, values
@@ -183,6 +178,15 @@ class _SplitScores(Mapping):
     def __len__(self) -> int:
         return len(self._values)
 
+    def values(self):
+        return self._table.values()
+
+    def items(self):
+        return self._table.items()
+
+    def __eq__(self, other):
+        return self._table == other
+
     def __repr__(self) -> str:
         return repr(self._table)
 
@@ -194,7 +198,7 @@ def _dependence_report(arr: np.ndarray, masks, mode: str) -> DependenceReport:
     worst = int(np.argmax(values))
     mask = masks[worst]
     return DependenceReport(
-        rho=_mean_score(values),
+        rho=math.fsum(values) / len(values),  # the mean, summed exactly
         mode=mode,
         partitions_evaluated=len(values),
         constant_splits=constant,

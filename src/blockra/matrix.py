@@ -70,8 +70,8 @@ class RearrangementMatrix:
 
 
 def _count(name: str, value, least: Optional[int] = 1) -> int:
-    """``value`` as an int if it is an integer (numpy's too) >= ``least`` (any, if None), else ValueError."""
-    if not (isinstance(value, Integral) and (least is None or value >= least)):
+    """``value`` as an int if an integer (numpy's too; no bool) >= ``least`` (any, if None), else ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and (least is None or value >= least)):
         kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
         raise ValueError(f"{name} must be {kinds.get(least, f'an integer >= {least}')}")
     return int(value)

@@ -86,14 +86,14 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     one tiled matrix product, and the argmin is rebuilt from the winning
     pair.  Refuses to start when the pair count exceeds the budget.
     """
-    arr = _as_matrix(X).values
+    budget, arr = _count("max_arrangements", max_arrangements), _as_matrix(X).values
     m, n = arr.shape
     n_perms = math.factorial(m)
     n_arrangements = n_perms ** (n - 2)
-    if n_arrangements > max_arrangements:
+    if n_arrangements > budget:
         raise ValueError(
             f"brute force needs {n_arrangements} arrangements for shape ({m},{n}), "
-            f"over the budget of {max_arrangements}"
+            f"over the budget of {budget}"
         )
     k = 1 + (n - 2) // 2
     # Centred columns keep the sums of squares small; the shift is the same

@@ -1,6 +1,7 @@
 """Tests for the column-wise and block rearrangement algorithms."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -87,16 +88,30 @@ def test_block_ra1_limit_depends_on_start():
 
 
 def test_block_ra1_rechecks_the_exact_measure_without_its_report(monkeypatch):
-    # The recheck reads only rho, so it averages the split scores and builds
-    # no per-split dict; it still stops on the report's rho.
-    def no_report(X):
-        raise AssertionError("block_ra1 built the full dependence report")
-
-    monkeypatch.setattr("blockra.algorithms.multivariate_dependence_exact", no_report)
+    # The recheck reads only the report's rho, so the per-split table, which
+    # only _canonical_columns builds, is never made.
+    calls = []
+    monkeypatch.setattr(dependence, "_canonical_columns", lambda n: calls.append(n))
     res = block_ra1(np.random.default_rng(0).normal(size=(20, 8)),
                     BlockRaConfig(rng_seed=0, rho_stop=-0.999))
     assert (res.stop_reason, res.sweeps) == ("dependence-threshold", 20)
     assert dependence.multivariate_dependence_exact(res.final_matrix).rho <= -0.999
+    assert calls == []
+
+
+def test_block_ra1_at_the_exact_cap_builds_no_per_split_table(monkeypatch):
+    # Each recheck scores 2^19 - 1 splits; their table would take about 90 MB.
+    calls = []
+    monkeypatch.setattr(dependence, "_canonical_columns", lambda n: calls.append(n))
+    X = np.random.default_rng(0).normal(size=(6, dependence.EXACT_PARTITION_CAP))
+    tracemalloc.start()
+    try:
+        res = block_ra1(X, BlockRaConfig(max_sweeps=10, rng_seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sweeps <= 10 and calls == []
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("n_sim", [None, 4])

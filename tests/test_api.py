@@ -6,6 +6,7 @@ test.  The package's public names are pinned below, so adding or removing
 one is a deliberate edit here.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ import pytest
 
 import blockra
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _workloads():
@@ -69,3 +71,37 @@ def test_public_surface_is_pinned():
                     for name in importlib.import_module(f"blockra.{module}").__all__]
     assert len(module_names) == len(set(module_names))  # no name exported twice
     assert set(blockra.__all__) == set(module_names) | {"__version__"}
+
+
+def _unused_imports(path):
+    """(line, name) of each name ``path`` imports and never reads.
+
+    Names in ``__all__``, star imports, ``__future__`` imports and lines
+    marked ``# noqa: F401`` (a re-export, or a name perfbench wraps) are exempt.
+    """
+    source = path.read_text()
+    lines, tree = source.splitlines(), ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], alias.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "blockra").glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_check_sees_an_unused_name(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nimport sys  # noqa: F401\nfrom math import *\n"
+                      "from json import dumps, loads\n__all__ = ['loads']\nprint(os.sep)\n")
+    assert _unused_imports(module) == [(4, "dumps")]

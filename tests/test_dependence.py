@@ -404,6 +404,22 @@ def test_per_partition_is_built_on_first_read(monkeypatch):
     assert calls == [6]
 
 
+def test_per_partition_whole_reads_go_to_the_table(monkeypatch):
+    # The Mapping mixins would read values(), items() and == one key at a time.
+    X = np.random.default_rng(7).normal(size=(7, 6))
+    table = dict(multivariate_dependence_exact(X).per_partition)
+    scores = multivariate_dependence_exact(X).per_partition
+    calls = []
+    getitem = dependence._SplitScores.__getitem__
+    monkeypatch.setattr(dependence._SplitScores, "__getitem__",
+                        lambda self, key: calls.append(key) or getitem(self, key))
+    assert list(scores.values()) == list(table.values())
+    assert list(scores.items()) == list(table.items())
+    assert scores == table and table == scores and scores == multivariate_dependence_exact(X).per_partition
+    assert scores != {**table, (0,): 2.0} and scores != list(table)
+    assert calls == []
+
+
 def test_per_partition_is_read_only():
     X = np.random.default_rng(6).normal(size=(7, 5))
     report = multivariate_dependence_exact(X)

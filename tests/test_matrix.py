@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from blockra.algorithms import BlockRaConfig
 from blockra.dependence import _midranks
+from blockra.gof import TargetDistribution
 from blockra.matrix import (
     Partition,
     RearrangementMatrix,
@@ -16,7 +18,8 @@ from blockra.matrix import (
     sample_variance,
     write_matrix_csv,
 )
-from blockra.mcmc import propose_permutation
+from blockra.mcmc import McmcConfig, propose_permutation
+from blockra.targetfit import discretize_quantiles
 
 from conftest import SIGMA_CM_LOCAL_MIN, COMPLETE_MIX
 
@@ -158,6 +161,18 @@ def test_partition_refuses_non_integer_counts_and_indices_by_name(build, name):
         build()
     assert Partition((np.int64(1),), np.int32(3)) == Partition((1,), 3)
     assert Partition.from_mask(np.int64(1), np.int8(3)) == Partition((0,), 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BlockRaConfig(max_sweeps=True), "max_sweeps must be a positive integer"),  # ran one sweep
+    (lambda: Partition((True,), 3), "pi index must be an integer"),  # became the split (1,)
+    (lambda: McmcConfig(rng_seed=False), "rng_seed must be a nonnegative integer"),
+    (lambda: discretize_quantiles(TargetDistribution.normal(), True), "m must be a positive integer"),
+], ids=["BlockRaConfig", "Partition", "McmcConfig", "discretize_quantiles"])
+def test_counts_refuse_bools_by_name(build, message):
+    # bool is an Integral, but a flag is never a count, an index or a seed.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -71,6 +71,14 @@ def test_brute_force_budget_guard():
         brute_force_minimum(np.zeros((4, 4)), max_arrangements=500)
 
 
+@pytest.mark.parametrize("budget", [-1, 0, 1e6, True])
+def test_brute_force_refuses_a_budget_that_is_not_a_positive_integer(budget):
+    # -1 used to be reported as a 4 x 4 input needing 576 arrangements "over the budget of -1".
+    with pytest.raises(ValueError, match="^max_arrangements must be a positive integer$"):
+        brute_force_minimum(np.zeros((4, 4)), max_arrangements=budget)
+    assert brute_force_minimum(np.zeros((4, 4)), max_arrangements=np.int64(576)).arrangements_scanned == 576
+
+
 def test_brute_force_shape_guard():
     with pytest.raises(ValueError):
         brute_force_minimum(np.zeros((1, 3)))
