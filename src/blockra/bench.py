@@ -19,6 +19,7 @@ reports are identical whether replicates run inline or on a worker pool.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .algorithms import BlockRaConfig, block_ra2, standard_ra
 from .matrix import _as_matrix, _count
-from .oracle import _MAX_ARRANGEMENTS, _orders, brute_force_minimum, make_zero_sum_normal_matrix
+from .oracle import _arrangements, _orders, brute_force_minimum, make_zero_sum_normal_matrix
 
 __all__ = [
     "BenchCell",
@@ -126,12 +127,13 @@ def run_table_benchmark(
 
     With ``m``/``n`` omitted the table's default cell grid runs; passing
     them selects a single cell (``t1b`` defaults n=4, ``t3b`` defaults
-    m=10).  ``jobs`` > 1 spreads replicates over a process pool; the merge
-    is by replicate index either way.
+    m=10).  ``jobs`` > 1 spreads replicates over a process pool of at most
+    one worker per core and per chunk of 8 replicates; the merge is by
+    replicate index either way.
     """
     if table not in _DEFAULT_CELLS:
         raise ValueError(f"unknown table {table!r}; expected one of {tuple(_DEFAULT_CELLS)}")
-    _count("replicates", replicates, 10)
+    replicates = _count("replicates", replicates, 10)
     rng_seed, jobs = _count("rng_seed", rng_seed, 0), _count("jobs", jobs)
 
     if m is None and n is None:
@@ -145,19 +147,16 @@ def run_table_benchmark(
             raise ValueError(f"table {table!r} needs both m and n for a single cell")
         cells = ((_count("m", m, 2), _count("n", n, 2)),)
     for cm, cn in cells:
-        # Refuse t1b cells whose per-replicate oracle would pass its budget.
-        if table == "t1b" and math.factorial(cm) ** (cn - 2) > _MAX_ARRANGEMENTS:
-            raise ValueError(
-                f"t1b cell ({cm},{cn}) needs {math.factorial(cm) ** (cn - 2)} "
-                f"oracle arrangements, over the budget of {_MAX_ARRANGEMENTS}"
-            )
+        if table == "t1b":  # refuse cells whose per-replicate oracle would pass its budget
+            _arrangements(cm, cn - 2)
+    workers = min(jobs, -(-replicates // 8), os.cpu_count() or 1)
 
     out = []
     for cm, cn in cells:
         args = [(table, cm, cn, rng_seed, rep) for rep in range(replicates)]
-        if jobs > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_run_replicate, args, chunksize=8))
         else:
             rows = [_run_replicate(a) for a in args]
@@ -181,9 +180,7 @@ def enumerate_starts(
     decimals = _count("decimals", decimals, None)
     arr = _as_matrix(X).values
     m, n = arr.shape
-    total = math.factorial(m) ** (n - 1)
-    if total > 200_000:
-        raise ValueError(f"{total} starts for shape ({m},{n}); refuse to enumerate")
+    total = _arrangements(m, n - 1, 200_000)
     cfg = config or BlockRaConfig()
     orders = _orders(np.arange(total), m, n - 1)
     buckets: dict[float, int] = {}

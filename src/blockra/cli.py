@@ -102,11 +102,9 @@ def _read_column(path: str, name: str) -> np.ndarray:
     return values
 
 
-def _target_from_name(name: str) -> TargetDistribution:
-    # The two laws of the fit workflow: standard normal and U[-1,1].
-    if name == "normal":
-        return TargetDistribution.normal(0.0, 1.0)
-    return TargetDistribution.uniform(-1.0, 1.0)
+def _config(cls, args: argparse.Namespace):
+    """A ``cls`` from the verb's flags that name its fields; the rest keep their defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------- verbs
@@ -118,10 +116,7 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
         raise UsageError("--enumerate-starts writes no matrix or trace; "
                          "drop --matrix-out and --trace-out")
     mat = read_matrix_csv(args.input)
-    # Each verb has only the options its algorithm reads; the rest keep
-    # their BlockRaConfig defaults.
-    knobs = {f.name for f in fields(BlockRaConfig)}
-    cfg = BlockRaConfig(**{k: v for k, v in vars(args).items() if k in knobs})
+    cfg = _config(BlockRaConfig, args)
     if census:
         result = enumerate_starts(mat, cfg)
         body = {
@@ -148,8 +143,7 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
 
 def _cmd_mcmc(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
-    cfg = McmcConfig(r=args.r, n_iter=args.n_iter, rng_seed=args.rng_seed,
-                     absorb_tol=args.absorb_tol)
+    cfg = _config(McmcConfig, args)
     start_objective = _row_sum_variance(mat.values)
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
@@ -219,13 +213,9 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fit_sum(args: argparse.Namespace) -> dict:
-    if args.margins == "uniform":
-        margins = MarginSpec.uniform_symmetric(args.n)
-    else:
-        margins = MarginSpec.normal(args.n)
-    cfg = FitConfig(n_sim=args.n_sim, rel_tol=args.rel_tol, max_passes=args.max_passes,
-                    rng_seed=args.rng_seed)
-    report = fit_sum_to_target(margins, _target_from_name(args.target), args.m, cfg)
+    margins = {"uniform": MarginSpec.uniform_symmetric, "normal": MarginSpec.normal}[args.margins]
+    report = fit_sum_to_target(margins(args.n), getattr(TargetDistribution, args.target)(),
+                               args.m, _config(FitConfig, args))
     if args.matrix_out:
         write_matrix_csv(report.final_matrix, args.matrix_out)
     if args.emit_joint:
@@ -244,8 +234,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
         raise UsageError(
             f"quantile tables disagree on length: fp={fp.size} fg={fg.size} fs={fs.size}"
         )
-    cfg = FitConfig(rng_seed=args.rng_seed, max_passes=args.max_passes)
-    result = spread_dependence(fp, fg, fs, cfg)
+    result = spread_dependence(fp, fg, fs, _config(FitConfig, args))
     if args.emit_joint:
         write_matrix_csv(result.copula, args.emit_joint)
     body = {
@@ -259,7 +248,7 @@ def _cmd_spread(args: argparse.Namespace) -> dict:
 
 def _cmd_gof(args: argparse.Namespace) -> dict:
     values = gof._sample(_read_column(args.input, "input"), sort=True)  # before any threshold
-    target = _target_from_name(args.target)
+    target = getattr(TargetDistribution, args.target)()
     m = args.m if args.m is not None else int(values.size)
     thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,
                                     n_replicates=args.reps, rng_seed=args.rng_seed)
@@ -267,7 +256,7 @@ def _cmd_gof(args: argparse.Namespace) -> dict:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> dict:
-    level = median_threshold(args.test, _target_from_name(args.target), args.m,
+    level = median_threshold(args.test, getattr(TargetDistribution, args.target)(), args.m,
                              n_replicates=args.reps, rng_seed=args.rng_seed)
     return _report({"test": args.test, "threshold": level}, args)
 

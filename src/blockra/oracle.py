@@ -35,6 +35,8 @@ _MAX_ARRANGEMENTS = 100_000_000
 
 @dataclass(frozen=True)
 class OracleResult:
+    """``arrangements_scanned`` counts the arrangements the scan covers, (m!)^(n-2)."""
+
     min_variance: float
     argmin_matrix: RearrangementMatrix
     arrangements_scanned: int
@@ -73,6 +75,18 @@ def _half_sums(anchor: np.ndarray, free: np.ndarray, index: np.ndarray) -> np.nd
     return sums
 
 
+def _arrangements(m: int, r: int, budget: int = _MAX_ARRANGEMENTS) -> int:
+    """(m!)^r, multiplied up and refused at the first product past ``budget``."""
+    count = 1
+    for _ in range(r):
+        for i in range(2, m + 1):
+            count *= i
+            if count > budget:
+                raise ValueError(f"({m}!)^{r} arrangements pass the budget of {budget}; "
+                                 "refuse to enumerate them")
+    return count
+
+
 def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleResult:
     """Global minimum of the row-sum variance over all column rearrangements.
 
@@ -88,19 +102,15 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     """
     budget, arr = _count("max_arrangements", max_arrangements), _as_matrix(X).values
     m, n = arr.shape
-    n_perms = math.factorial(m)
-    n_arrangements = n_perms ** (n - 2)
-    if n_arrangements > budget:
-        raise ValueError(
-            f"brute force needs {n_arrangements} arrangements for shape ({m},{n}), "
-            f"over the budget of {budget}"
-        )
+    n_arrangements = _arrangements(m, n - 2, budget)
     k = 1 + (n - 2) // 2
+    n_front = _arrangements(m, k - 1, budget)
+    n_back = n_arrangements // n_front
     # Centred columns keep the sums of squares small; the shift is the same
     # for every arrangement, so each sum of squares is (m-1) * variance.
     centred = arr - arr.mean(axis=0)
     # front <= back and front * back <= the budget: the front is built whole.
-    front = _half_sums(np.sort(centred[:, 0]), centred[:, 1:k].T, np.arange(n_perms ** (k - 1)))
+    front = _half_sums(np.sort(centred[:, 0]), centred[:, 1:k].T, np.arange(n_front))
     front.sort(axis=1)
     # Rows [2 a(descending), |a|^2, 1] against [b(ascending), 1, |b|^2]: one
     # product gives every pair's sum of squares.
@@ -111,17 +121,14 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     back_rows = max(1, _TILE // max(min(len(lhs), math.isqrt(_TILE)), m))
     front_rows = max(1, _TILE // back_rows)
     back_anchor, back_free = np.sort(centred[:, -1]), centred[:, k:n - 1].T
-    n_back = n_perms ** (n - k - 1)
     best_q = np.inf
     best = 0  # the winning pair, numbered over all n-2 free columns
-    scanned = 0
     for lo in range(0, n_back, back_rows):
         back = _half_sums(back_anchor, back_free, np.arange(lo, min(lo + back_rows, n_back)))
         back.sort(axis=1)
         rhs = np.column_stack([back, np.ones(len(back)), np.einsum("ij,ij->i", back, back)])
         for a0 in range(0, len(lhs), front_rows):
             q = lhs[a0 : a0 + front_rows] @ rhs.T
-            scanned += q.size
             i, j = divmod(int(np.argmin(q)), q.shape[1])
             if q[i, j] < best_q:
                 best_q, best = float(q[i, j]), (a0 + i) * n_back + lo + j
@@ -137,7 +144,7 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     assert abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)), \
         "oracle bookkeeping drifted from the direct variance"
     return OracleResult(min_variance=direct, argmin_matrix=RearrangementMatrix(out),
-                        arrangements_scanned=scanned)
+                        arrangements_scanned=n_arrangements)
 
 
 def haus_integer_minimum(m: int, n: int) -> tuple[float, int, int]:

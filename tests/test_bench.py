@@ -1,5 +1,6 @@
 """Tests for the replicated benchmark harness and the start census."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -111,3 +112,38 @@ def test_aggregate_keeps_the_mean_and_se_of_each_stage_bit_for_bit(table, m, n):
             se_gap_ra=float(gap_ra.std(ddof=1) / math.sqrt(k)),
             se_gap_bra=float(gap_bra.std(ddof=1) / math.sqrt(k)))
     assert _aggregate(table, m, n, rows[::-1]) == expect  # merged back into replicate order
+
+
+def test_tall_inputs_are_refused_by_the_budget_and_the_cap():
+    # (1000!)^2 and more: both refusals used to die on Python's 4,300-digit
+    # limit for printing an integer.
+    with pytest.raises(ValueError, match="budget") as err:
+        run_table_benchmark("t1b", 10, m=1000, n=4)
+    assert "digits" not in str(err.value)
+    with pytest.raises(ValueError, match="refuse") as err:
+        enumerate_starts(np.zeros((1000, 3)))
+    assert "digits" not in str(err.value)
+
+
+def test_the_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # jobs=5000 used to ask the pool for 5,000 workers, each forked at the
+    # first submit.
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rep = run_table_benchmark("tcomp", replicates=10, rng_seed=7, m=8, n=3, jobs=5000)
+    assert all(w <= 2 for w in asked)  # 10 replicates make 2 chunks of 8
+    assert rep.cells == run_table_benchmark("tcomp", replicates=10, rng_seed=7, m=8, n=3).cells

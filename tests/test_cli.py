@@ -1,5 +1,6 @@
 """End-to-end tests of the command line entry point, run in process."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from blockra import (
     BlockRaConfig,
+    FitConfig,
     McmcConfig,
     TargetDistribution,
     __version__,
@@ -490,3 +492,59 @@ def test_verb_reports_do_not_depend_on_the_cpu_dispatch(tmp_path):
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     _assert_golden(json.loads((tmp_path / "reports.json").read_text()))
+
+
+_EVERY_FLAG = {  # verb -> (library call, flags setting every config field it offers, its config)
+    "ra": ("standard_ra", ["--max-sweeps", "7"], BlockRaConfig(max_sweeps=7)),
+    "bra1": ("block_ra1", ["--max-sweeps", "7", "--n-sim", "3", "--rho-stop", "-0.5",
+                           "--seed", "9"],
+             BlockRaConfig(max_sweeps=7, n_sim=3, rho_stop=-0.5, rng_seed=9)),
+    "bra2": ("block_ra2", ["--max-sweeps", "7", "--n-sim", "3", "--improvement-tol", "1e-6",
+                           "--seed", "9"],
+             BlockRaConfig(max_sweeps=7, n_sim=3, improvement_tol=1e-6, rng_seed=9)),
+    "mcmc": ("mcmc_block_ra", ["--iterations", "50", "--rate", "2.5", "--absorb-tol", "1e-3",
+                               "--seed", "9"],
+             McmcConfig(n_iter=50, r=2.5, absorb_tol=1e-3, rng_seed=9)),
+    "fit-sum": ("fit_sum_to_target", ["--margins", "uniform", "--target", "normal", "--m", "50",
+                                      "--n-sim", "1", "--rel-tol", "1e-4", "--max-passes", "7",
+                                      "--seed", "9"],
+                FitConfig(n_sim=1, rel_tol=1e-4, max_passes=7, rng_seed=9)),
+    "spread": ("spread_dependence", ["--fp", "fp.csv", "--fg", "fg.csv", "--fs", "fs.csv",
+                                     "--max-passes", "7", "--seed", "9"],
+               FitConfig(max_passes=7, rng_seed=9)),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_EVERY_FLAG))
+def test_every_config_flag_reaches_its_config(verb, tmp_path, monkeypatch, capsys):
+    call, flags, expected = _EVERY_FLAG[verb]
+    # The flags cover every config field the verb offers, each off its default.
+    offered = VERB_OPTIONS[verb] & {f.name for f in dataclasses.fields(expected)}
+    assert {f.name for f in dataclasses.fields(expected)
+            if getattr(expected, f.name) != f.default} == offered
+    monkeypatch.chdir(tmp_path)
+    _write_golden_inputs(tmp_path)
+    seen = []
+
+    def record(*args):
+        seen.append(args[-1])
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(cli, call, record)
+    inputs = [] if verb in ("fit-sum", "spread") else ["--input", "local.csv"]
+    assert main([verb, *inputs, *flags]) == 1
+    assert capsys.readouterr().err == "error: recorded\n"
+    assert seen == [expected]
+
+
+def test_the_cli_starts_without_scipy_or_a_process_pool():
+    # Verbs that never touch a normal law or a pool load neither.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, blockra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -154,7 +154,7 @@ def test_oracle_matches_full_scan(m, n, kind, seed):
     _check_against_scan(X, brute_force_minimum(X))
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5), (5, 2)])
 def test_oracle_small_tiles_match_full_scan(monkeypatch, shape):
     X = _oracle_start("shared-values", *shape, seed=sum(shape))
     _check_against_scan(X, brute_force_minimum(X))
@@ -202,3 +202,11 @@ def test_haus_integer_matrix_refuses_bad_counts_by_name(m, n, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         haus_integer_matrix(m, n)
     assert haus_integer_matrix(np.int64(4), np.int32(3)).values.tolist() == [[k] * 3 for k in (1, 2, 3, 4)]
+
+
+def test_an_over_budget_input_is_refused_by_the_budget():
+    # (1000!)^2 has 5,130 digits: the refusal used to die on Python's
+    # 4,300-digit limit for printing an integer.
+    with pytest.raises(ValueError, match="budget") as err:
+        brute_force_minimum(np.zeros((1000, 4)))
+    assert "digits" not in str(err.value) and "(1000!)^2" in str(err.value)
