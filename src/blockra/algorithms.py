@@ -32,7 +32,6 @@ from .matrix import (
     _count,
     _pass_masks,
     _resolve_n_sim,
-    _row_sum_variance,
     _split_masks,
     _split_of_mask,
     sample_variance,
@@ -115,10 +114,10 @@ def _descend(arr: np.ndarray, max_sweeps: int, sweep: Callable[[Callable[[int], 
     ``_split_of_mask``) to ``arr`` in place and returns whether ``arr`` changed.  Then
     ``stop(sweeps done, moves applied in the sweep, previous row-sum variance, new one)``
     returns the stop reason, or None to go on; after ``max_sweeps`` sweeps it is
-    ``max-iterations``.  Raises ValueError if the start's row-sum variance overflows.
+    ``max-iterations``.
     """
     n, cols, applied = arr.shape[1], list(arr.T), 0
-    trace = [_row_sum_variance(arr)]
+    trace = [sample_variance(arr.sum(axis=1))]
 
     def move(mask: int) -> bool:
         return _block_move(arr, cols, *_split_of_mask(mask, n))

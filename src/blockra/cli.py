@@ -28,7 +28,7 @@ from .dependence import (
     spearman,
 )
 from .gof import _GRID_POINTS, TargetDistribution, default_thresholds, median_threshold, verdict
-from .matrix import _row_sum_variance, read_matrix_csv, write_matrix_csv
+from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
     _MAX_ARRANGEMENTS,
@@ -144,7 +144,7 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
 def _cmd_mcmc(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
     cfg = _config(McmcConfig, args)
-    start_objective = _row_sum_variance(mat.values)
+    start_objective = sample_variance(mat.values.sum(axis=1))
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
         write_matrix_csv(trace.best_matrix, args.matrix_out)
@@ -192,13 +192,13 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.rng_seed)
     if args.matrix_out:
         write_matrix_csv(mat, args.matrix_out)
-    body = {"row_sum_variance": _row_sum_variance(mat.values), "m": args.m, "n": args.n}
+    body = {"row_sum_variance": sample_variance(mat.values.sum(axis=1)), "m": args.m, "n": args.n}
     return _report(body, args)
 
 
 def _cmd_measure(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
-    row_sum_variance = _row_sum_variance(mat.values)
+    row_sum_variance = sample_variance(mat.values.sum(axis=1))
     mode = args.mode
     if mode == "auto":
         mode = "exact" if mat.n <= EXACT_PARTITION_CAP else "sampled"

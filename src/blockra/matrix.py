@@ -9,6 +9,7 @@ target-sum fitting workflow) is built on the handful of primitives here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Optional
@@ -31,6 +32,8 @@ class RearrangementMatrix:
 
     Rows index joint realizations, columns index components.  m >= 2 and
     n >= 2; a single-row matrix admits no rearrangement and is rejected.
+    Invariant: entries, row sums and the row-sum variance are finite (the one
+    rule, ``_row_sum_variance``), so every entry point refuses other input here.
     """
 
     values: np.ndarray
@@ -44,15 +47,7 @@ class RearrangementMatrix:
             raise ValueError(f"need at least 2 rows, got m={m}")
         if n < 2:
             raise ValueError(f"need at least 2 columns, got n={n}")
-        # A non-finite entry makes its row sum non-finite too, so one check
-        # on the row sums covers entries and overflowing sums alike.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = arr.sum(axis=1)
-        if not np.isfinite(sums).all():
-            row = int(np.flatnonzero(~np.isfinite(sums))[0])
-            if not np.isfinite(arr[row]).all():
-                raise ValueError("matrix entries must be finite")
-            raise ValueError(f"row {row} sums to {sums[row]}: row sums must be finite")
+        _row_sum_variance(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -132,12 +127,21 @@ def sample_variance(s: np.ndarray) -> float:
     return float(np.add.reduce(np.square(d, out=d), axis=None) / (s.size - 1))
 
 
-def _row_sum_variance(arr: np.ndarray) -> float:
-    """``sample_variance`` of the row sums of ``arr``; ValueError, with no warning, if it overflows."""
+def _row_sum_variance(arr: np.ndarray, given: str = "the matrix") -> float:
+    """``sample_variance`` of the row sums of ``arr``: the package's one overflow rule.
+
+    ValueError, with no warning, names the first of a non-finite entry, row
+    sum or variance; the last asks to rescale ``given``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = sample_variance(arr.sum(axis=1))
-    if not np.isfinite(v):
-        raise ValueError("the row-sum variance overflows: rescale the matrix")
+        sums = arr.sum(axis=1)
+        v = sample_variance(sums)
+    if not math.isfinite(v):
+        bad = np.flatnonzero(~np.isfinite(sums)).tolist()  # a non-finite entry's row sum is too
+        if bad and not np.isfinite(arr[bad[0]]).all():
+            raise ValueError("matrix entries must be finite")
+        if bad:
+            raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]}: row sums must be finite")
+        raise ValueError(f"the row-sum variance overflows: rescale {given}")
     return v
 
 
@@ -319,14 +323,13 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
 
     The first block of ``pi`` stays fixed; rows of the complement block are
     jointly reordered so the complement sums are ordered opposite to the
-    pi-block sums.  Never increases the variance of the full row sums;
-    raises ValueError when that variance overflows.
+    pi-block sums.  Never increases the variance of the full row sums.
     """
     mat = _as_matrix(X)
     if pi.n_columns != mat.n:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
-    var_before = _row_sum_variance(arr)
+    var_before = sample_variance(arr.sum(axis=1))
     _block_move(arr, list(arr.T), np.array(pi.pi, dtype=np.intp),
                 np.array(pi.complement(), dtype=np.intp))
     var_after = sample_variance(arr.sum(axis=1))

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _count, _fair_masks,
-                     _permute_rows, _row_sum_variance, _split_of_mask, sample_variance)
+                     _permute_rows, _split_of_mask, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -158,7 +158,7 @@ def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
     cfg = config or McmcConfig()
     if cfg.r is not None:
         return cfg.r
-    sd = math.sqrt(_row_sum_variance(_as_matrix(X).values))  # ValueError if it overflows
+    sd = math.sqrt(sample_variance(_as_matrix(X).values.sum(axis=1)))
     return _RATE_OVER_SD / sd if sd > 0 else 1e12
 
 

@@ -98,7 +98,8 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     squares |a|^2 + |b|^2 + 2 a(ascending).b(descending).  Every pair of
     front and back arrangements, (m!)^(n-2) in all, is scored that way as
     one tiled matrix product, and the argmin is rebuilt from the winning
-    pair.  Refuses to start when the pair count exceeds the budget.
+    pair.  Refuses a pair count past the budget or a score that could
+    overflow before the scan, and an argmin whose score its variance belies.
     """
     budget, arr = _count("max_arrangements", max_arrangements), _as_matrix(X).values
     m, n = arr.shape
@@ -106,9 +107,13 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     k = 1 + (n - 2) // 2
     n_front = _arrangements(m, k - 1, budget)
     n_back = n_arrangements // n_front
-    # Centred columns keep the sums of squares small; the shift is the same
-    # for every arrangement, so each sum of squares is (m-1) * variance.
-    centred = arr - arr.mean(axis=0)
+    # Centred columns keep the sums of squares small; the shift is the same for
+    # every arrangement, so each sum of squares is (m-1) * variance.  A pair's
+    # score is at most 4 m B^2, B the sum of the columns' largest magnitudes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = arr - arr.mean(axis=0)
+        if not np.isfinite(4 * m * np.abs(centred).max(axis=0).sum() ** 2):
+            raise ValueError("the pair scores overflow: rescale the matrix")
     # front <= back and front * back <= the budget: the front is built whole.
     front = _half_sums(np.sort(centred[:, 0]), centred[:, 1:k].T, np.arange(n_front))
     front.sort(axis=1)
@@ -141,8 +146,9 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
     # q ranks arrangements; the reported minimum is the direct variance of
     # the rebuilt argmin, which is cleaner near zero.
     direct = sample_variance(out.sum(axis=1))
-    assert abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)), \
-        "oracle bookkeeping drifted from the direct variance"
+    if not abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)):
+        raise ValueError("the pair scores drift from the argmin's direct variance past 1e-9: "
+                         "its entries cancel too much to rank arrangements")
     return OracleResult(min_variance=direct, argmin_matrix=RearrangementMatrix(out),
                         arrangements_scanned=n_arrangements)
 

@@ -122,9 +122,9 @@ class FitConfig:
     """Fit loop settings.
 
     One pass = a sweep over n_sim sampled canonical partitions followed, for
-    normal margins, by sigma recalibration.  The loop stops when the
-    achieved row-sum variance and the scale both move by less than rel_tol
-    between passes.
+    normal margins, by sigma recalibration.  From the second pass on, the loop
+    settles once the row-sum variance v and the scale s moved from the last
+    pass's v' and s' by at most max(rel_tol * v', 1e-18) and max(rel_tol * |s'|, 1e-18).
     """
 
     n_sim: Optional[int] = None
@@ -241,33 +241,38 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
-def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, scale: float = 1.0,
-            var_target: Optional[float] = None) -> tuple[list, float, int, str]:
+def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: str,
+            scale: float = 1.0, walk: bool = False) -> tuple[list, float, int, str]:
     """The one pass loop of both target-law workflows, on column-major ``arr`` in place.
 
     ``arr`` holds the margin columns, then the negated target in descending
-    order.  Given ``var_target`` (the normal walk), each pass then rescales the
-    margin columns and ``scale`` so the margin sums keep that variance; those
-    columns must hold one multiset, as each ``scale * unit_grid`` does.  Returns
-    every column's tracked ascending order, the scale, the passes and the stop
-    reason (see FitReport); ValueError if the start's row-sum variance overflows.
+    order.  For the normal ``walk``, each pass then rescales the margin columns
+    and ``scale`` so the margin sums keep the target column's sample variance;
+    those columns must hold one multiset, as each ``scale * unit_grid`` does.
+    Returns every column's tracked ascending order, the scale, the passes and
+    the stop reason (see FitReport); ValueError naming ``given``, what the
+    caller built ``arr`` from, unless its row-sum variance is finite.
     """
-    _row_sum_variance(arr)
+    _row_sum_variance(arr, given)
     n = arr.shape[1] - 1
+    # The walk aims at the target grid's own variance, O(1/m) below the law's:
+    # the sweep can at best couple the margin sums to the grid, so against the
+    # law's the rescale ratio stays off 1 and the scale inflates for ever.
+    var_target = sample_variance(arr[:, n]) if walk else None
     # Ascending argsort of every column, kept current by _ordered_move, and
     # whether it repeats a value: a move keeps each column's values, and a
     # rescale by a positive ratio keeps the orders but may merge two values,
     # so the walk reads its margins' ties again off one sorted copy.
     order = [np.argsort(arr[:, j], kind="stable") for j in range(n + 1)]
     tied = [bool(np.any(v[1:] == v[:-1])) for v in (arr[o, j] for j, o in enumerate(order))]
-    ranked = arr[order[0], 0] if var_target is not None else None
+    ranked = arr[order[0], 0] if walk else None
     cols = list(arr.T)
     n_sim = _resolve_n_sim(cfg.n_sim, n + 1)
     prev_var, prev_scale = np.inf, scale
     for passes in range(1, cfg.max_passes + 1):
         for mask in _pass_masks(n + 1, n_sim, rng):
             _ordered_move(arr, cols, order, tied, *_split_of_mask(mask, n + 1))
-        if var_target is not None:
+        if walk:
             v = sample_variance(_row_sums(arr[:, :n]))
             if v == 0.0:
                 return order, scale, passes, "degenerate"
@@ -312,14 +317,6 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         scale = float(np.max(np.abs(target_grid)) / (n * unit_grid[-1]))
     else:
         scale = _NORMAL_START_SIGMA if walk else 1.0
-    # The recalibration constant aims at the sample variance of the
-    # discretized target, not the law's analytic variance.  The sweep can
-    # at best couple the margin sums to the target grid, whose variance
-    # sits O(1/m) below the analytic value, so aiming at the analytic
-    # number leaves the per-pass rescale ratio bounded away from 1 and the
-    # scale inflates without an absorbing state.  Against the grid's own
-    # variance the settled coupling makes the ratio exactly 1.
-    var_target = sample_variance(target_grid) if walk else None
 
     arr = np.empty((m, n + 1), dtype=np.float64, order="F")
     # A fixed-scale fit starts from one seeded shuffle of each margin column;
@@ -328,7 +325,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
     arr[:, n] = -target_grid
     del target_grid  # the matrix holds it
-    order, scale, passes, stop_reason = _settle(arr, cfg, rng, scale, var_target)
+    order, scale, passes, stop_reason = _settle(arr, cfg, rng, "the margins or target law", scale, walk)
 
     if walk:
         # Each margin column becomes one multiply of the pristine unit grid,
@@ -374,14 +371,16 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
             raise ValueError(f"{name}_quantiles must be a vector, got ndim={tab.ndim}")
     if not fp.size == fg.size == fs.size:
         raise ValueError(f"quantile table lengths differ: fp={fp.size} fg={fg.size} fs={fs.size}")
+    if fp.size < 2:
+        raise ValueError(f"quantile tables need at least 2 values, got {fp.size}")
     cfg = config or FitConfig()
     rng = np.random.default_rng(cfg.rng_seed)
     # The tables as given can stall far from a compatible join, so a seeded
     # shuffle of the two asset columns runs too; ties keep the given start.
     target, runs = -np.sort(fs), []
     for start, a, g in (("given", fp, fg), ("shuffled", rng.permutation(fp), rng.permutation(fg))):
-        arr = np.array(RearrangementMatrix(np.column_stack([a, -g, target])).values, order="F")
-        passes, stop_reason = _settle(arr, cfg, rng)[2:]
+        arr = np.array([a, -g, target]).T  # column-major, as _settle works
+        passes, stop_reason = _settle(arr, cfg, rng, "the quantile tables")[2:]
         runs.append((sample_variance(_row_sums(arr)), start, arr, passes, stop_reason))
     residual, start, arr, passes, stop_reason = min(runs, key=lambda run: run[0])
     copula = RearrangementMatrix(np.column_stack([arr[:, 0], -arr[:, 1]]))

@@ -1,6 +1,10 @@
 """Tests for the column-wise and block rearrangement algorithms."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -17,10 +21,15 @@ from blockra import (
     TargetDistribution,
     block_ra1,
     block_ra2,
+    brute_force_minimum,
+    countermonotone_rearrange,
+    enumerate_starts,
     fit_sum_to_target,
     make_zero_sum_normal_matrix,
     mcmc_block_ra,
     multivariate_dependence_exact,
+    multivariate_dependence_sampled,
+    resolve_rate,
     sample_variance,
     spread_dependence,
     standard_ra,
@@ -446,18 +455,65 @@ def test_overflowing_row_sum_variance_rejected_up_front():
     calls = [lambda: standard_ra(X), lambda: block_ra1(X), lambda: block_ra2(X),
              lambda: spread_dependence(q, q, q / 2),
              lambda: fit_sum_to_target(MarginSpec.empirical(2, q), TargetDistribution.normal(), 50,
-                                       FitConfig(max_passes=50))]
+                                       FitConfig(max_passes=50)),
+             lambda: mcmc_block_ra(X),
+             # Every other public entry point that takes a matrix: the matrix
+             # type refuses it where each builds its input.
+             lambda: countermonotone_rearrange(X, Partition((0, 1), 4)),
+             lambda: resolve_rate(X), lambda: brute_force_minimum(X),
+             lambda: multivariate_dependence_exact(X),
+             lambda: multivariate_dependence_sampled(X, 5, 0), lambda: enumerate_starts(X)]
     for call in calls:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="row-sum variance overflows"):
                 call()
         assert not seen, [str(w.message) for w in seen]
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="not finite at the start"):
-            mcmc_block_ra(X)
-    assert not seen, [str(w.message) for w in seen]
+
+
+_OPTIMIZED_REFUSALS = """
+import json
+import numpy as np
+from blockra import (MarginSpec, TargetDistribution, brute_force_minimum, fit_sum_to_target,
+                     spread_dependence)
+
+def pair(c):
+    return np.array([[c, -c, c, -c], [-c, c, -c, c], [1, 2, 3, 4], [0.5, 0.1, 0.2, 0.3]])
+
+q = np.linspace(-1, 1, 50) * 1e307
+calls = [lambda: brute_force_minimum(np.random.default_rng(0).random((5, 4)) * 1e300),
+         lambda: brute_force_minimum(pair(1e308)), lambda: brute_force_minimum(pair(1e8)),
+         lambda: fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.normal(0, 1e300), 2000),
+         lambda: spread_dependence(q, q, q)]
+refusals = []
+for call in calls:
+    try:
+        call()
+        refusals.append(None)
+    except ValueError as exc:
+        refusals.append(str(exc))
+print(json.dumps({"debug": __debug__, "refusals": refusals}))
+"""
+
+
+def test_refusals_hold_under_python_O():
+    # python -O strips assert statements, and -W error makes any warning
+    # fail the call, so each refusal here is a named ValueError of its own.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", _OPTIMIZED_REFUSALS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["debug"] is False
+    expected = ["the row-sum variance overflows: rescale the matrix",
+                "the pair scores overflow", "the pair scores drift",
+                "the row-sum variance overflows: rescale the margins or target law",
+                "the row-sum variance overflows: rescale the quantile tables"]
+    for got, want in zip(out["refusals"], expected, strict=True):
+        assert got is not None and got.startswith(want), (got, want)
 
 
 def _reference_block_ra2(X, cfg):

@@ -41,6 +41,13 @@ def test_t3b_known_minimum_cell():
     assert cell.mean_v_bra < cell.mean_v_ra
 
 
+@pytest.mark.parametrize("table, given, m, n", [("t1b", {"m": 4}, 4, 4), ("t3b", {"n": 6}, 10, 6)])
+def test_a_single_cell_takes_its_tables_default_size(table, given, m, n):
+    # t1b fills in n = 4 and t3b m = 10.
+    assert (run_table_benchmark(table, replicates=10, rng_seed=1, **given)
+            == run_table_benchmark(table, replicates=10, rng_seed=1, m=m, n=n))
+
+
 def test_benchmark_determinism_and_jobs_merge():
     a = run_table_benchmark("tcomp", replicates=10, rng_seed=7, m=8, n=3)
     b = run_table_benchmark("tcomp", replicates=10, rng_seed=7, m=8, n=3)

@@ -340,15 +340,26 @@ def test_overflowing_row_sums_exit_1(matrix_file, capsys):
     assert "row-sum variance overflows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["measure", "mcmc"])
+@pytest.mark.parametrize("verb", ["measure", "mcmc", "ra", "bra1", "bra2", "oracle --mode brute"])
 def test_overflowing_row_sum_variance_exits_1_without_warnings(matrix_file, capsys, verb):
-    # measure used to print "row_sum_variance": Infinity, and mcmc leaked a RuntimeWarning.
+    # measure used to print "row_sum_variance": Infinity, mcmc leaked a
+    # RuntimeWarning and oracle exited on its bookkeeping assertion.
     path = matrix_file(np.random.default_rng(0).normal(size=(6, 4)) * 3e155)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main([verb, "--input", path]) == 1
+        assert main([*verb.split(), "--input", path]) == 1
     assert not seen, [str(w.message) for w in seen]
     assert "row-sum variance overflows" in capsys.readouterr().err
+
+
+def test_oracle_refuses_overflowing_pair_scores_with_exit_1(matrix_file, capsys):
+    c = 1e308
+    path = matrix_file(np.array([[c, -c, c, -c], [-c, c, -c, c], [1, 2, 3, 4], [0.5, 0.1, 0.2, 0.3]]))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["oracle", "--input", path]) == 1
+    assert not seen, [str(w.message) for w in seen]
+    assert "the pair scores overflow" in capsys.readouterr().err
 
 
 def test_fit_sum_reruns_bit_identical_and_keeps_margins(tmp_path, capsys):

@@ -57,6 +57,11 @@ def test_measure_on_ra_stuck_matrix(ra_stuck_4x4):
     assert sorted(values)[1] == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_split_scores_repr_is_the_built_dicts(ra_stuck_4x4):
+    scores = multivariate_dependence_exact(ra_stuck_4x4).per_partition
+    assert repr(scores) == repr(dict(scores.items()))
+
+
 def test_sampled_estimator_is_unbiased_for_exact():
     # One draw is uniform over canonical splits, so averaging the
     # per-partition values over the whole sample space recovers rho.

@@ -51,6 +51,13 @@ def _stable_first_ranks(v):
     return propose_permutation(-np.asarray(v, dtype=float), 1.0, _NoNoise()) + 1
 
 
+def test_propose_permutation_on_one_value_draws_nothing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert propose_permutation(np.array([3.0]), 1.0, rng).tolist() == [0]
+    assert rng.bit_generator.state == state
+
+
 def _midranks_of(v):
     row = np.asarray(v, dtype=float)[None, :]
     order = row.argsort(axis=1)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,34 @@ def test_an_over_budget_input_is_refused_by_the_budget():
     with pytest.raises(ValueError, match="budget") as err:
         brute_force_minimum(np.zeros((1000, 4)))
     assert "digits" not in str(err.value) and "(1000!)^2" in str(err.value)
+
+
+def _opposed_pair_start(c):
+    # Two rows of +-c that cancel in every row sum, with two ordinary rows.
+    return np.array([[c, -c, c, -c], [-c, c, -c, c], [1, 2, 3, 4], [0.5, 0.1, 0.2, 0.3]])
+
+
+@pytest.mark.parametrize("X, message", [
+    (np.random.default_rng(0).random((5, 4)) * 1e300, "the row-sum variance overflows"),
+    (_opposed_pair_start(1e308), "the pair scores overflow"),
+    (_opposed_pair_start(1e8), "the pair scores drift"),
+], ids=["row-sum-variance", "pair-scores", "cancellation"])
+def test_inputs_float64_cannot_score_are_refused_by_name_without_warnings(X, message):
+    # Each used to end in the bookkeeping assertion, the first two after
+    # RuntimeWarnings.  At c = 1e8 the scores' rounding (about 2e2) ranks the
+    # arrangements wrongly: without the check the oracle reports 1.5292, and
+    # direct enumeration of all (4!)^3 arrangements finds 1.4625.
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            brute_force_minimum(X)
+    assert not seen, [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("X", [np.random.default_rng(0).random((5, 4)) * 1e153,
+                               _opposed_pair_start(1e3)], ids=["random", "opposed-pair"])
+def test_large_but_scorable_inputs_still_scan(X):
+    res = brute_force_minimum(X)
+    assert np.isfinite(res.min_variance)
+    assert res.min_variance <= sample_variance(X.sum(axis=1))
+    assert res.min_variance == sample_variance(res.argmin_matrix.values.sum(axis=1))
