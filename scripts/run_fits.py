@@ -14,7 +14,7 @@ its own worker process and prints the lines in case order) reads that case's
 own peak.  Defaults reproduce both at m=10^6: U->N took about 4 s (16
 passes, from its seeded shuffle) and N->U about 28 s (154 passes) on a
 2-core Xeon, both `indistinguishable`; run one to a process, U->N peaked at
-163 MB and N->U at 177 MB of RSS.
+140 MB and N->U at 140 MB of RSS.
 """
 
 import argparse

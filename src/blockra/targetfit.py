@@ -184,14 +184,18 @@ def _ascending(values: np.ndarray, hint: np.ndarray, by_hint: bool = False) -> n
         q = kv.argsort()
     else:  # with no descent the hint is the sort
         q = kv.argsort(kind="stable") if descents else np.arange(kv.size)
-    sv, p = (kv.take(q), hint.take(q)) if descents else (kv, hint)
+    sv = kv.take(q) if descents else kv
     tie = sv[1:] == sv[:-1]
-    if tie.any():
-        run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # the slots of tied values
-        rows = p.take(run)
-        group = np.cumsum(~np.r_[False, tie].take(run))
-        p = p.copy()  # p may be the hint itself
-        p[run] = rows.take(np.argsort(group * p.size + (q.take(run) if by_hint else rows)))
+    del kv, sv  # each working array goes once read
+    p = hint.take(q) if descents else hint
+    if not tie.any():
+        return p
+    run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # the slots of tied values
+    rows, group = p.take(run), np.cumsum(~np.r_[False, tie].take(run))
+    rank = q.take(run) if by_hint else rows
+    del q, tie
+    p = p.copy()  # p may be the hint itself
+    p[run] = rows.take(np.argsort(group * p.size + rank))
     return p
 
 
@@ -218,15 +222,18 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: np.n
         r = _ascending(np.negative(s, out=s if comp.size > 1 else None), hint)
         del s
     p = hint if lone and not tied[pi[0]] else _ascending(t, r, by_hint=True)
-    del t  # the rewrite below holds no block sums
-    moved = np.flatnonzero(p != r)  # the move takes row r[k] to row p[k]
-    if not moved.size:
+    del t, hint  # the rewrite below holds no block sums
+    moved = p != r  # the move takes row r[k] to row p[k]
+    moves = np.count_nonzero(moved)
+    if not moves:
         return
-    rows, src = (p, r) if 2 * moved.size > p.size else (p.take(moved), r.take(moved))
+    if 2 * moves <= p.size:  # rewrite only the displaced rows
+        p, r = p[moved], r[moved]
     for j in comp.tolist():
-        cols[j][rows] = cols[j].take(src)
-    inv = np.arange(p.size)
-    inv[src] = rows
+        cols[j][p] = cols[j].take(r)
+    inv = np.arange(arr.shape[0])
+    inv[r] = p
+    del p, r
     for j in comp.tolist():
         order[j] = inv.take(order[j])
 
@@ -248,7 +255,9 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
     ``arr`` holds the margin columns, then the negated target in descending
     order.  For the normal ``walk``, each pass then rescales the margin columns
     and ``scale`` so the margin sums keep the target column's sample variance;
-    those columns must hold one multiset, as each ``scale * unit_grid`` does.
+    those columns must hold one multiset, as each ``scale * unit_grid`` does,
+    and their ties are read again off column 0 along its order.  Beside ``arr``
+    the loop holds each column's order and one move's arrays until read.
     Returns every column's tracked ascending order, the scale, the passes and
     the stop reason (see FitReport); ValueError naming ``given``, what the
     caller built ``arr`` from, unless its row-sum variance is finite.
@@ -262,10 +271,9 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
     # Ascending argsort of every column, kept current by _ordered_move, and
     # whether it repeats a value: a move keeps each column's values, and a
     # rescale by a positive ratio keeps the orders but may merge two values,
-    # so the walk reads its margins' ties again off one sorted copy.
+    # so the walk reads its margins' ties again after every rescale.
     order = [np.argsort(arr[:, j], kind="stable") for j in range(n + 1)]
     tied = [bool(np.any(v[1:] == v[:-1])) for v in (arr[o, j] for j, o in enumerate(order))]
-    ranked = arr[order[0], 0] if walk else None
     cols = list(arr.T)
     n_sim = _resolve_n_sim(cfg.n_sim, n + 1)
     prev_var, prev_scale = np.inf, scale
@@ -278,9 +286,8 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
                 return order, scale, passes, "degenerate"
             ratio = float(np.sqrt(var_target / v))
             scale *= ratio
-            for block in (arr[:, :n], ranked):
-                block *= ratio
-            tied[:n] = [bool(np.any(ranked[1:] == ranked[:-1]))] * n
+            arr[:, :n] *= ratio
+            tied[:n] = [bool(np.any(np.diff(cols[0].take(order[0])) == 0))] * n
         var_all = sample_variance(_row_sums(arr))
         # The first pass has no previous variance to settle against.
         var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
@@ -310,7 +317,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     n = margins.n
     rng = np.random.default_rng(cfg.rng_seed)
 
-    unit_grid = discretize_quantiles(margins.unit_law(), m)
+    unit_grid = discretize_quantiles(margins.unit_law(), m)  # rebuilt for the walk's rewrite
     target_grid = discretize_quantiles(target, m)
     walk = margins.family == "normal"
     if margins.family == "uniform-symmetric":
@@ -324,14 +331,14 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
     for j in range(n):
         arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
     arr[:, n] = -target_grid
-    del target_grid  # the matrix holds it
+    del unit_grid, target_grid  # the matrix holds both
     order, scale, passes, stop_reason = _settle(arr, cfg, rng, "the margins or target law", scale, walk)
 
     if walk:
         # Each margin column becomes one multiply of the pristine unit grid,
         # killing the drift accumulated by in-place ratio multiplies and
         # making sorted column values exact.
-        scaled = scale * unit_grid
+        scaled = scale * discretize_quantiles(margins.unit_law(), m)
         for j in range(n):
             arr[order[j], j] = scaled
     del order  # the verdict reads only the margin sums
@@ -377,9 +384,14 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
     rng = np.random.default_rng(cfg.rng_seed)
     # The tables as given can stall far from a compatible join, so a seeded
     # shuffle of the two asset columns runs too; ties keep the given start.
-    target, runs = -np.sort(fs), []
-    for start, a, g in (("given", fp, fg), ("shuffled", rng.permutation(fp), rng.permutation(fg))):
-        arr = np.array([a, -g, target]).T  # column-major, as _settle works
+    # Both column-major starts are filled before either run draws from rng.
+    given, shuffled = starts = [np.empty((fp.size, 3), order="F") for _ in range(2)]
+    given[:, 0], shuffled[:, 0] = fp, rng.permutation(fp)
+    np.negative(fg, out=given[:, 1])
+    np.negative(rng.permutation(fg), out=shuffled[:, 1])
+    np.negative(np.sort(fs), out=given[:, 2])
+    shuffled[:, 2], runs = given[:, 2], []
+    for start, arr in zip(("given", "shuffled"), starts):
         passes, stop_reason = _settle(arr, cfg, rng, "the quantile tables")[2:]
         runs.append((sample_variance(_row_sums(arr)), start, arr, passes, stop_reason))
     residual, start, arr, passes, stop_reason = min(runs, key=lambda run: run[0])

@@ -248,27 +248,71 @@ def test_the_sort_gate_changes_no_result(case, monkeypatch):
     assert getattr(a, field).values.tobytes() == getattr(b, field).values.tobytes()
 
 
+def _peak_arrays(run, m):
+    """Traced peak of ``run()`` in arrays of m doubles, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * m), result
+
+
 @pytest.mark.parametrize("margin_law, target_law", [("uniform", "normal"), ("normal", "uniform")])
-def test_a_fit_holds_at_most_sixteen_arrays_of_m_doubles(margin_law, target_law):
-    # The matrix, its tracked orders, the unit grid, the walk's one sorted
-    # copy and a move's working arrays.  With a sorted copy of every column,
-    # complement sums built on every move and the grids and orders held to
-    # the end, U->N peaked at 18.8 such arrays and N->U at 18.1.
+def test_a_fit_holds_at_most_eleven_arrays_of_m_doubles(margin_law, target_law):
+    # The matrix, its tracked orders and one move's working arrays, each
+    # dropped once read.  Holding the unit grid, the walk's sorted copy of its
+    # margins and every move temporary to the end, U->N peaked at 13.8 such
+    # arrays and N->U at 14.1; before that, with a sorted copy of every
+    # column and complement sums built on every move, at 18.8 and 18.1.
     margins, target = _LAWS[margin_law][0](2), _LAWS[target_law][1]
     def fit(m):
         return fit_sum_to_target(margins, target, m, FitConfig(rng_seed=59), thresholds=WIDE_THRESHOLDS)
     fit(100)  # lazy imports and caches stay out of the trace
     m = 10**5
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rep = fit(m)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, rep = _peak_arrays(lambda: fit(m), m)
     assert rep.stop_reason == "settled"
-    assert peak <= 16 * 8 * m, f"peak of {peak / (8 * m):.2f} arrays of m doubles"
+    assert peak <= 11, f"peak of {peak:.2f} arrays of m doubles"
+
+
+def test_spread_holds_at_most_fourteen_arrays_of_m_doubles():
+    # Both start matrices, filled before either run, one run's tracked
+    # orders and one move's working arrays.  Keeping the shuffled tables,
+    # the negated second table, the sorted target and a stacked copy of each
+    # start through both runs, spread peaked at 18.0 such arrays.
+    m = 10**5
+    fp, fg, fs = (discretize_quantiles(TargetDistribution.normal(0.0, sd), m)
+                  for sd in _SPREAD_LAWS["compatible"])
+    spread_dependence(fp[::1000], fg[::1000], fs[::1000])  # lazy imports stay out of the trace
+    peak, res = _peak_arrays(lambda: spread_dependence(fp, fg, fs, FitConfig(rng_seed=1)), m)
+    assert (res.start, res.stop_reason) == ("shuffled", "settled")
+    assert peak <= 14, f"peak of {peak:.2f} arrays of m doubles"
+
+
+@pytest.mark.parametrize("case", ["normal-walk", "tie-heavy"])
+def test_every_move_sees_each_columns_true_tie_flag(case, monkeypatch):
+    # The walk reads its margins' ties again after every rescale, which may
+    # merge two values; the tie-heavy fit repeats values in every column.
+    real_move, moves = targetfit._ordered_move, []
+
+    def spy(arr, cols, order, tied, pi, comp):
+        for j in range(arr.shape[1]):
+            assert tied[j] == bool(np.any(np.diff(np.sort(arr[:, j])) == 0)), (len(moves), j)
+        moves.append(tied[:])
+        real_move(arr, cols, order, tied, pi, comp)
+
+    monkeypatch.setattr(targetfit, "_ordered_move", spy)
+    if case == "normal-walk":
+        rep, splits = fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.uniform(-1.0, 1.0),
+                                        2000, FitConfig(rng_seed=5), thresholds=WIDE_THRESHOLDS), 3
+        assert rep.iterations > 1  # moves after at least one rescale
+    else:
+        rep, splits = _gate_cases()["tie-heavy"](), 7
+        assert all(all(flags) for flags in moves)
+    assert len(moves) == splits * rep.iterations  # every split of every pass was checked
 
 
 def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
