@@ -28,7 +28,7 @@ from .dependence import (
     spearman,
 )
 from .gof import _GRID_POINTS, TargetDistribution, default_thresholds, median_threshold, verdict
-from .matrix import read_matrix_csv, sample_variance, write_matrix_csv
+from .matrix import read_matrix_csv, write_matrix_csv
 from .mcmc import McmcConfig, mcmc_block_ra, resolve_rate
 from .oracle import (
     _MAX_ARRANGEMENTS,
@@ -144,19 +144,18 @@ def _cmd_rearrange(args: argparse.Namespace) -> dict:
 def _cmd_mcmc(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
     cfg = _config(McmcConfig, args)
-    start_objective = sample_variance(mat.values.sum(axis=1))
     trace = mcmc_block_ra(mat, cfg)
     if args.matrix_out:
         write_matrix_csv(trace.best_matrix, args.matrix_out)
     if args.trace_out:
-        _write_trace(args.trace_out, [start_objective, *trace.objective_per_iter],
+        _write_trace(args.trace_out, [mat.row_sum_variance, *trace.objective_per_iter],
                      [False, *trace.accepted])
     body = {
         "iterations": int(trace.objective_per_iter.size),
         "best_objective": trace.best_objective,
         "acceptance_rate": float(trace.accepted.mean()) if trace.accepted.size else 0.0,
         "absorbed_at": trace.absorbed_at,
-        "start_objective": start_objective,
+        "start_objective": mat.row_sum_variance,
         "m": mat.m,
         "n": mat.n,
     }
@@ -192,13 +191,12 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     mat = make_zero_sum_normal_matrix(args.m, args.n, rng_seed=args.rng_seed)
     if args.matrix_out:
         write_matrix_csv(mat, args.matrix_out)
-    body = {"row_sum_variance": sample_variance(mat.values.sum(axis=1)), "m": args.m, "n": args.n}
+    body = {"row_sum_variance": mat.row_sum_variance, "m": args.m, "n": args.n}
     return _report(body, args)
 
 
 def _cmd_measure(args: argparse.Namespace) -> dict:
     mat = read_matrix_csv(args.input)
-    row_sum_variance = sample_variance(mat.values.sum(axis=1))
     mode = args.mode
     if mode == "auto":
         mode = "exact" if mat.n <= EXACT_PARTITION_CAP else "sampled"
@@ -207,7 +205,7 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
     else:
         report = multivariate_dependence_sampled(mat, args.n_samples, args.rng_seed)
     body = _fields(report, "per_partition")
-    body["row_sum_variance"] = row_sum_variance
+    body["row_sum_variance"] = mat.row_sum_variance
     body["m"], body["n"] = mat.m, mat.n
     return _report(body, args, mode_resolved=mode)
 

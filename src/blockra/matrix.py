@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Optional
 
@@ -33,10 +33,12 @@ class RearrangementMatrix:
     Rows index joint realizations, columns index components.  m >= 2 and
     n >= 2; a single-row matrix admits no rearrangement and is rejected.
     Invariant: entries, row sums and the row-sum variance are finite (the one
-    rule, ``_row_sum_variance``), so every entry point refuses other input here.
+    rule, ``_row_sum_variance``), so every entry point refuses other input here;
+    ``row_sum_variance`` keeps the rule's value, from the row-major ``values``.
     """
 
     values: np.ndarray
+    row_sum_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64, copy=True, order="C")
@@ -47,7 +49,7 @@ class RearrangementMatrix:
             raise ValueError(f"need at least 2 rows, got m={m}")
         if n < 2:
             raise ValueError(f"need at least 2 columns, got n={n}")
-        _row_sum_variance(arr)
+        object.__setattr__(self, "row_sum_variance", _row_sum_variance(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -329,14 +331,13 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
     if pi.n_columns != mat.n:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
-    var_before = sample_variance(arr.sum(axis=1))
     _block_move(arr, list(arr.T), np.array(pi.pi, dtype=np.intp),
                 np.array(pi.complement(), dtype=np.intp))
-    var_after = sample_variance(arr.sum(axis=1))
+    out, before = RearrangementMatrix(arr), mat.row_sum_variance
     # Rearrangement inequality guarantees this up to roundoff.
-    assert var_after <= var_before + 1e-12 * max(1.0, var_before), \
+    assert out.row_sum_variance <= before + 1e-12 * max(1.0, before), \
         "countermonotone rearrangement increased variance"
-    return RearrangementMatrix(arr)
+    return out
 
 
 def write_matrix_csv(X, path) -> None:

@@ -158,7 +158,7 @@ def resolve_rate(X, config: Optional[McmcConfig] = None) -> float:
     cfg = config or McmcConfig()
     if cfg.r is not None:
         return cfg.r
-    sd = math.sqrt(sample_variance(_as_matrix(X).values.sum(axis=1)))
+    sd = math.sqrt(_as_matrix(X).row_sum_variance)
     return _RATE_OVER_SD / sd if sd > 0 else 1e12
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RearrangementMatrix, _as_matrix, _count, counter_permutation, sample_variance
+from .matrix import RearrangementMatrix, _as_matrix, _count, counter_permutation
 
 __all__ = [
     "OracleResult",
@@ -143,14 +143,14 @@ def brute_force_minimum(X, max_arrangements: int = _MAX_ARRANGEMENTS) -> OracleR
         out[:, j] = arr[order[0], j]
     sigma = counter_permutation(out[:, :k].sum(axis=1), out[:, k:].sum(axis=1))
     out[:, k:] = out[sigma, k:]
-    # q ranks arrangements; the reported minimum is the direct variance of
-    # the rebuilt argmin, which is cleaner near zero.
-    direct = sample_variance(out.sum(axis=1))
-    if not abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, abs(direct)):
+    # q ranks arrangements; the reported minimum is the rebuilt argmin's own
+    # variance, which is cleaner near zero.
+    argmin = RearrangementMatrix(out)
+    direct = argmin.row_sum_variance
+    if not abs(direct - best_q / (m - 1)) <= 1e-9 * max(1.0, direct):
         raise ValueError("the pair scores drift from the argmin's direct variance past 1e-9: "
                          "its entries cancel too much to rank arrangements")
-    return OracleResult(min_variance=direct, argmin_matrix=RearrangementMatrix(out),
-                        arrangements_scanned=n_arrangements)
+    return OracleResult(direct, argmin, n_arrangements)
 
 
 def haus_integer_minimum(m: int, n: int) -> tuple[float, int, int]:
