@@ -66,7 +66,8 @@ class McmcConfig:
     chain start to 5 / sd(starting row sums).  Keeping the rate fixed for
     the whole run preserves uphill mobility after the objective has shrunk.
     ``absorb_tol`` is the objective level at which the state is declared
-    absorbing and the run stops.
+    absorbing and the run stops; the state's own row sums must confirm it,
+    else the chain resumes from them.
     """
 
     objective: ObjectiveSpec = ObjectiveSpec()
@@ -89,9 +90,12 @@ class ChainTrace:
     """Per-iteration record of the chain.
 
     ``objective_per_iter[k]`` is the objective of the state occupied after
-    iteration k; ``best_matrix`` is the best state actually visited
-    (including the start).  ``absorbed_at`` is the iteration count at
-    absorption, 0 when the start already absorbs, None otherwise.
+    iteration k, from the chain's running row sums; ``best_matrix`` is the
+    best state visited by that record (including the start), and
+    ``best_objective`` the objective of its own row sums (for the variance,
+    ``best_matrix.row_sum_variance``).  ``absorbed_at`` is the iteration
+    count at an absorption confirmed on the state's own row sums, 0 when the
+    start already absorbs, None otherwise.
     """
 
     objective_per_iter: np.ndarray
@@ -210,8 +214,10 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
                 if f_prop < 0:
                     raise ValueError(f"objective < 0 at iteration {it + 1}: the chain targets 1/f")
                 _permute_rows(arr, cols, comp, sigma)
-                s_cur = s_new
-                f_cur = f_prop
+                s_cur, f_cur = s_new, f_prop
+                if f_cur <= cfg.absorb_tol:  # the running sums drift: absorb on the state's own
+                    s_cur = np.ascontiguousarray(arr).sum(axis=1)
+                    f_cur = spec(s_cur)
                 accepted[it] = True
                 if f_cur < best_f:
                     best_f = f_cur
@@ -223,10 +229,11 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
                 break
 
     n_done = cfg.n_iter if absorbed_at is None else absorbed_at
+    best = RearrangementMatrix(best_arr)
     return ChainTrace(
         objective_per_iter=objectives[:n_done].copy(),
         accepted=accepted[:n_done].copy(),
-        best_objective=best_f,
-        best_matrix=RearrangementMatrix(best_arr),
+        best_objective=spec(best.values.sum(axis=1)),  # the returned matrix's own, not best_f
+        best_matrix=best,
         absorbed_at=absorbed_at,
     )

@@ -35,7 +35,8 @@ _MAX_ARRANGEMENTS = 100_000_000
 
 @dataclass(frozen=True)
 class OracleResult:
-    """``arrangements_scanned`` counts the arrangements the scan covers, (m!)^(n-2)."""
+    """``min_variance`` is ``argmin_matrix.row_sum_variance``, not the scan's pair score;
+    ``arrangements_scanned`` counts the arrangements the scan covers, (m!)^(n-2)."""
 
     min_variance: float
     argmin_matrix: RearrangementMatrix

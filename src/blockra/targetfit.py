@@ -180,19 +180,18 @@ def _ascending(values: np.ndarray, hint: np.ndarray, by_hint: bool = False) -> n
     """
     kv = values.take(hint)
     descents = np.count_nonzero(kv[1:] < kv[:-1])
-    if descents > kv.size // _WARM_SORT_DESCENT_FRACTION:
-        q = kv.argsort()
-    else:  # with no descent the hint is the sort
-        q = kv.argsort(kind="stable") if descents else np.arange(kv.size)
-    sv = kv.take(q) if descents else kv
-    tie = sv[1:] == sv[:-1]
-    del kv, sv  # each working array goes once read
-    p = hint.take(q) if descents else hint
+    q = None  # with no descent the hint is the sort
+    if descents:
+        q = kv.argsort(kind="stable" if descents <= kv.size // _WARM_SORT_DESCENT_FRACTION else None)
+        kv = kv.take(q)
+    tie = kv[1:] == kv[:-1]
+    del kv  # each working array goes once read
+    p = hint if q is None else hint.take(q)
     if not tie.any():
         return p
     run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # the slots of tied values
     rows, group = p.take(run), np.cumsum(~np.r_[False, tie].take(run))
-    rank = q.take(run) if by_hint else rows
+    rank = (run if q is None else q.take(run)) if by_hint else rows
     del q, tie
     p = p.copy()  # p may be the hint itself
     p[run] = rows.take(np.argsort(group * p.size + rank))

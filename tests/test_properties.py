@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from blockra import (
     BlockRaConfig,
     McmcConfig,
+    ObjectiveSpec,
     Partition,
     RearrangementMatrix,
     TargetDistribution,
     block_ra1,
     block_ra2,
+    brute_force_minimum,
     countermonotone_rearrange,
     ks_distance,
     mcmc_block_ra,
@@ -26,6 +29,7 @@ from blockra import (
     write_matrix_csv,
 )
 from blockra import algorithms, dependence
+from blockra.bench import _shared_values_start
 from blockra.algorithms import _screened
 from blockra.matrix import _block_move, _block_sums, _mask_sums, _split_of_mask, counter_permutation
 
@@ -300,3 +304,27 @@ def test_mcmc_chain_invariants(seed):
     assert np.array_equal(np.sort(trace.best_matrix.values, axis=0), np.sort(X, axis=0))
     floor = min(sample_variance(X.sum(axis=1)), float(np.min(trace.objective_per_iter)))
     assert trace.best_objective <= floor + 1e-15
+
+
+_HONESTY_STARTS = {
+    "shared-values": _shared_values_start,
+    "normal": lambda m, n, rng: rng.normal(size=(m, n)),
+    "tied-integer": lambda m, n, rng: rng.integers(0, 3, size=(m, n)).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HONESTY_STARTS))
+@pytest.mark.parametrize("m, n", [(4, 4), (6, 3), (5, 5)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_result_reports_the_objective_of_the_matrix_it_returns(kind, m, n, seed):
+    X = _HONESTY_STARTS[kind](m, n, np.random.default_rng([seed, m, n]))
+    for algo in (standard_ra, block_ra1, block_ra2):
+        res = algo(X, BlockRaConfig(rng_seed=seed))
+        assert float.hex(res.final_objective) == float.hex(res.final_matrix.row_sum_variance)
+    best = brute_force_minimum(X)
+    assert float.hex(best.min_variance) == float.hex(best.argmin_matrix.row_sum_variance)
+    for spec in (ObjectiveSpec(), ObjectiveSpec(np.square)):
+        trace = mcmc_block_ra(X, McmcConfig(objective=spec, n_iter=300, rng_seed=seed))
+        own = trace.best_matrix.values.sum(axis=1)
+        expected = trace.best_matrix.row_sum_variance if spec.f is None else float(np.mean(own**2))
+        assert float.hex(trace.best_objective) == float.hex(expected)
