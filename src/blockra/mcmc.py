@@ -233,7 +233,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     return ChainTrace(
         objective_per_iter=objectives[:n_done].copy(),
         accepted=accepted[:n_done].copy(),
-        best_objective=spec(best.values.sum(axis=1)),  # the returned matrix's own, not best_f
+        best_objective=spec(best.values.sum(axis=1)),  # its own: best_f is of the running sums
         best_matrix=best,
         absorbed_at=absorbed_at,
     )

@@ -303,7 +303,9 @@ def test_mcmc_chain_invariants(seed):
     trace = mcmc_block_ra(X, McmcConfig(n_iter=60, rng_seed=seed))
     assert np.array_equal(np.sort(trace.best_matrix.values, axis=0), np.sort(X, axis=0))
     floor = min(sample_variance(X.sum(axis=1)), float(np.min(trace.objective_per_iter)))
-    assert trace.best_objective <= floor + 1e-15
+    # best_objective is best_matrix's own; the per-iteration objectives come
+    # from the chain's running row sums, which drift in the last bits.
+    assert trace.best_objective <= floor * (1 + 1e-12) + 1e-15
 
 
 _HONESTY_STARTS = {

@@ -292,7 +292,7 @@ def test_spread_holds_at_most_fourteen_arrays_of_m_doubles():
     assert peak <= 14, f"peak of {peak:.2f} arrays of m doubles"
 
 
-@pytest.mark.parametrize("case", ["normal-walk", "tie-heavy"])
+@pytest.mark.parametrize("case", ["normal-walk", "merging-walk", "tie-heavy"])
 def test_every_move_sees_each_columns_true_tie_flag(case, monkeypatch):
     # The walk reads its margins' ties again after every rescale, which may
     # merge two values; the tie-heavy fit repeats values in every column.
@@ -308,39 +308,27 @@ def test_every_move_sees_each_columns_true_tie_flag(case, monkeypatch):
     if case == "normal-walk":
         rep, splits = fit_sum_to_target(MarginSpec.normal(2), TargetDistribution.uniform(-1.0, 1.0),
                                         2000, FitConfig(rng_seed=5), thresholds=WIDE_THRESHOLDS), 3
-        assert rep.iterations > 1  # moves after at least one rescale
+        passes = rep.iterations
+        assert passes > 1  # moves after at least one rescale
+    elif case == "merging-walk":
+        # Both margin columns end in five values one ulp apart just below 2.
+        # The target is wider than any arrangement of the margin sums, so the
+        # first rescale multiplies by a ratio above 1 and carries the five into
+        # a binade at least twice as coarse, where some of them round to one
+        # value: a flag left at its first reading would stay False.
+        grid = np.r_[np.linspace(-2.0, 1.0, 7), 2.0 - np.spacing(1.0) * np.arange(5, 0, -1)]
+        arr = np.empty((grid.size, 3), order="F")
+        arr[:, 0] = arr[:, 1] = grid
+        arr[:, 2] = -np.linspace(-10.0, 10.0, grid.size)  # the negated target, descending
+        _, _, passes, _ = targetfit._settle(arr, FitConfig(max_passes=2), np.random.default_rng(0),
+                                            "the margins", walk=True)
+        splits = 3
+        assert moves[0] == [False] * 3 and moves[3] == [True, True, False]  # merged by the rescale
     else:
         rep, splits = _gate_cases()["tie-heavy"](), 7
+        passes = rep.iterations
         assert all(all(flags) for flags in moves)
-    assert len(moves) == splits * rep.iterations  # every split of every pass was checked
-
-
-def test_a_walk_rescale_that_merges_margin_values_sets_their_tie_flag(monkeypatch):
-    # Both margin columns end in five values one ulp apart just below 2.
-    # The target is wider than any arrangement of the margin sums, so the
-    # first rescale multiplies by a ratio above 1; that carries the five
-    # into a binade whose spacing is at least two of their ulps, where some
-    # of them round to one value.  A flag left at its first reading (no tie)
-    # would hand the move a stale False.
-    grid = np.r_[np.linspace(-2.0, 1.0, 7), 2.0 - np.spacing(1.0) * np.arange(5, 0, -1)]
-    m = grid.size
-    arr = np.empty((m, 3), order="F")
-    arr[:, 0] = arr[:, 1] = grid
-    arr[:, 2] = -np.linspace(-10.0, 10.0, m)  # the negated target, descending
-    real_move, moves = targetfit._ordered_move, []
-
-    def spy(arr, cols, order, tied, pi, comp):
-        truth = [bool(np.any(np.diff(np.sort(arr[:, j])) == 0)) for j in range(3)]
-        moves.append((tied[:], truth))
-        real_move(arr, cols, order, tied, pi, comp)
-
-    monkeypatch.setattr(targetfit, "_ordered_move", spy)
-    targetfit._settle(arr, FitConfig(max_passes=2), np.random.default_rng(0), "the margins", walk=True)
-    assert len(moves) == 6  # two passes of the three splits
-    assert moves[0] == ([False] * 3, [False] * 3)
-    flags, truth = moves[3]  # the first move after the first rescale
-    assert truth[:2] == [True, True], "the rescale merged no margin values"
-    assert flags == truth
+    assert len(moves) == splits * passes  # every split of every pass was checked
 
 
 def test_tie_heavy_empirical_fit_is_deterministic_and_keeps_margins():
