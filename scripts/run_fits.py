@@ -11,10 +11,10 @@ and why the fit stopped (settled or out of passes), both distances against
 their m=10^6 median thresholds, the wall time and the process's peak RSS so
 far, so one case per process (--cases, or --jobs 2, which runs each case in
 its own worker process and prints the lines in case order) reads that case's
-own peak.  Defaults reproduce both at m=10^6: U->N took about 4 s (16
-passes, from its seeded shuffle) and N->U about 28 s (154 passes) on a
+own peak.  Defaults reproduce both at m=10^6: U->N took about 2 s (5
+passes, from its seeded shuffle) and N->U about 13 s (43 passes) on a
 2-core Xeon, both `indistinguishable`; run one to a process, U->N peaked at
-140 MB and N->U at 140 MB of RSS.
+134 MB and N->U at 140 MB of RSS.
 """
 
 import argparse

@@ -32,6 +32,7 @@ from .matrix import (
     _count,
     _pass_masks,
     _resolve_n_sim,
+    _rounding_bound,
     _split_masks,
     _split_of_mask,
     sample_variance,
@@ -45,9 +46,9 @@ __all__ = [
     "block_ra2",
 ]
 
-# Iterations in a row that do not lower the variance (a no-op, or a move
-# that only reorders rows whose block sums tie) before block_ra1 gives up;
-# with full enumeration the first no-op already proves it is stuck.
+# Iterations in a row that leave the variance at or above its lowest (a no-op, a
+# tie-only reorder, a rounding cycle) before block_ra1 gives up; with full
+# enumeration the first no-op already proves it is stuck.
 _STALL_LIMIT = 10
 
 # Splits block_ra2 screens at once (see _screened); chunks of 16, 64 and 128
@@ -156,8 +157,8 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     The dependence measure is rechecked every 10 iterations and before a stall
     is declared, exactly up to EXACT_PARTITION_CAP columns and sampled beyond
     (seeded off the run's generator), and the run stops once it reaches
-    ``rho_stop``.  It stalls at the first no-op under full enumeration, or
-    after _STALL_LIMIT iterations in a row that do not lower the variance.
+    ``rho_stop``.  It stalls at the first no-op under full enumeration, or after
+    _STALL_LIMIT iterations in a row that leave the variance at or above its lowest.
     """
     cfg = config or BlockRaConfig()
     arr = _as_matrix(X).values.copy()
@@ -165,7 +166,7 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
     n_sim = cfg.resolve_n_sim(n)
     full_enumeration = n_sim >= (1 << (n - 1)) - 1
     rng = np.random.default_rng(cfg.rng_seed)
-    flat = 0
+    flat, best = 0, np.inf
 
     def least_opposed():
         masks = _pass_masks(n, n_sim, rng)
@@ -174,8 +175,8 @@ def block_ra1(X, config: Optional[BlockRaConfig] = None) -> RunResult:
         return masks[int(np.argmax(scores))]
 
     def stop(sweep, moved, prev, var):
-        nonlocal flat
-        flat = flat + 1 if var >= prev else 0
+        nonlocal flat, best
+        flat, best = flat + 1 if var >= min(prev, best) else 0, min(best, prev)
         stalled = flat >= _STALL_LIMIT or (full_enumeration and not moved)
         if sweep % 10 and moved and not stalled:
             return None
@@ -199,7 +200,7 @@ def _screened(arr: np.ndarray, move: Callable[[int], bool]) -> int:
     n = arr.shape[1]
     count = (1 << (n - 1)) - 1
     # Moves keep each column's values, so the bound is the same every pass.
-    tol = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(arr).max(axis=0).sum()
+    tol = _rounding_bound(arr)
     rows, start, applied = np.arange(_SCREEN_CHUNK)[:, None], 0, 0
     while start < count:
         end = start + _SCREEN_CHUNK

@@ -248,8 +248,7 @@ def _cmd_gof(args: argparse.Namespace) -> dict:
     values = gof._sample(_read_column(args.input, "input"), sort=True)  # before any threshold
     target = getattr(TargetDistribution, args.target)()
     m = args.m if args.m is not None else int(values.size)
-    thresholds = default_thresholds(target, m, ks_asymptotic=args.ks_asymptotic,
-                                    n_replicates=args.reps, rng_seed=args.rng_seed)
+    thresholds = default_thresholds(target, m, n_replicates=args.reps, rng_seed=args.rng_seed)
     return _report(_fields(verdict(values, target, thresholds)), args, m=m)
 
 
@@ -359,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
              [law, seed])
     sp.add_argument("--input", required=True, help="single-column values CSV")
     sp.add_argument("--m", type=int, help="threshold sample size (default: input length)")
-    sp.add_argument("--ks-asymptotic", action="store_true")
 
     sp = add("thresholds", _cmd_thresholds, "simulated median threshold for one distance",
              [law, seed])

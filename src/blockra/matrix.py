@@ -147,6 +147,11 @@ def _row_sum_variance(arr: np.ndarray, given: str = "the matrix") -> float:
     return v
 
 
+def _rounding_bound(arr: np.ndarray) -> float:
+    """4 (n + 2) eps sum_j max|column j|: a bound on the rounding of any block or row sum of ``arr``."""
+    return 4 * (arr.shape[1] + 2) * np.finfo(np.float64).eps * np.abs(arr).max(axis=0).sum()
+
+
 def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarray:
     """Permutation placing block rows countermonotonically against target sums.
 

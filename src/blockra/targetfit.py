@@ -8,9 +8,9 @@ half-width whose margin sums can reach every target quantile.  Centered
 normal margins recalibrate sigma after every pass so the margin sums keep
 the target's variance.  Fixed-scale fits start from a seeded shuffle of
 each margin column, which settles in far fewer passes than the sorted,
-comonotone start: two uniforms against a normal at m = 10^5 settle in 12
-and 14 passes at seeds 59 and 101; the normal walk keeps its sorted start
-and its N->U mirror settles in 78.  The spread workflow is the same
+comonotone start: two uniforms against a normal at m = 10^5 settle in 5
+passes at seeds 59 and 101; the normal walk keeps its sorted start and its
+N->U mirror settles in 56.  The spread workflow is the same
 problem, three columns with a fixed negated target, and settles on the
 same pass loop.
 
@@ -37,7 +37,7 @@ import numpy as np
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
 from .matrix import (RearrangementMatrix, _block_sums, _count, _pass_masks, _resolve_n_sim,
-                     _row_sum_variance, _split_of_mask, sample_variance)
+                     _rounding_bound, _row_sum_variance, _split_of_mask, sample_variance)
 
 __all__ = [
     "MarginSpec",
@@ -123,8 +123,8 @@ class FitConfig:
 
     One pass = a sweep over n_sim sampled canonical partitions followed, for
     normal margins, by sigma recalibration.  From the second pass on, the loop
-    settles once the row-sum variance v and the scale s moved from the last
-    pass's v' and s' by at most max(rel_tol * v', 1e-18) and max(rel_tol * |s'|, 1e-18).
+    settles once the row-sum variance moved by at most max(rel_tol * t, 1e-18), t the
+    target column's sample variance, and the scale from s' by max(rel_tol * |s'|, 1e-18).
     """
 
     n_sim: Optional[int] = None
@@ -263,10 +263,10 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
     """
     _row_sum_variance(arr, given)
     n = arr.shape[1] - 1
-    # The walk aims at the target grid's own variance, O(1/m) below the law's:
-    # the sweep can at best couple the margin sums to the grid, so against the
-    # law's the rescale ratio stays off 1 and the scale inflates for ever.
-    var_target = sample_variance(arr[:, n]) if walk else None
+    # The settle test and the walk read the target grid's own variance, O(1/m)
+    # below the law's: the sweep can at best couple the margin sums to the grid,
+    # so against the law's the rescale ratio stays off 1 and the scale inflates.
+    var_target = sample_variance(arr[:, n])
     # Ascending argsort of every column, kept current by _ordered_move, and
     # whether it repeats a value: a move keeps each column's values, and a
     # rescale by a positive ratio keeps the orders but may merge two values,
@@ -289,7 +289,7 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
             tied[:n] = [bool(np.any(np.diff(cols[0].take(order[0])) == 0))] * n
         var_all = sample_variance(_row_sums(arr))
         # The first pass has no previous variance to settle against.
-        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * prev_var, 1e-18)
+        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * var_target, 1e-18)
         if var_settled and abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18):
             return order, scale, passes, "settled"
         prev_var, prev_scale = var_all, scale
@@ -367,8 +367,10 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
     -(spread), descending] and settles it on the fit's pass loop; the joint
     sample is the first column paired with the second negated back to asset
     scale, and the achieved variance reports how close asset1 - asset2 -
-    spread came to zero row by row.  An incompatible spread law just leaves
-    a positive residual.
+    spread came to zero row by row.  A seeded shuffle of the asset columns
+    runs too, and the lower residual is kept, unless the given start settles
+    within the square of ``matrix._rounding_bound``, which no start can beat.
+    An incompatible spread law just leaves a positive residual.
     """
     fp, fg, fs = tabs = [np.asarray(tab, dtype=np.float64)
                          for tab in (fp_quantiles, fg_quantiles, fs_quantiles)]
@@ -393,6 +395,8 @@ def spread_dependence(fp_quantiles, fg_quantiles, fs_quantiles,
     for start, arr in zip(("given", "shuffled"), starts):
         passes, stop_reason = _settle(arr, cfg, rng, "the quantile tables")[2:]
         runs.append((sample_variance(_row_sums(arr)), start, arr, passes, stop_reason))
+        if runs[-1][0] <= _rounding_bound(arr) ** 2:
+            break  # optimal up to the row sums' rounding: no other start can beat it
     residual, start, arr, passes, stop_reason = min(runs, key=lambda run: run[0])
     copula = RearrangementMatrix(np.column_stack([arr[:, 0], -arr[:, 1]]))
     return SpreadResult(copula, residual, start, passes, stop_reason)

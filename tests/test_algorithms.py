@@ -37,6 +37,7 @@ from blockra import (
 
 from blockra import dependence
 from blockra.algorithms import _pass_masks
+from blockra.bench import _shared_values_start
 from blockra.matrix import _block_move, _split_of_mask
 
 from conftest import (
@@ -138,6 +139,17 @@ def test_block_ra1_stalls_on_moves_that_only_reorder_ties(n_sim):
         assert res.final_objective == block_ra2(X, BlockRaConfig(rng_seed=s)).final_objective, s
         if s == 0:
             assert res.final_objective == 0.2857142857142857
+
+
+def test_block_ra1_stalls_on_a_rounding_cycle():
+    # After standard_ra this 5x4 t1b start steps between two states whose
+    # variances differ by about 6e-18.  Each downward step used to reset the
+    # stall count, so the run went on to its 1,000-iteration budget.
+    rng = np.random.default_rng([0, 8])
+    X = _shared_values_start(5, 4, rng)
+    res = block_ra1(standard_ra(X).final_matrix, BlockRaConfig(rng_seed=int(rng.integers(2**63))))
+    assert res.stop_reason == "no-improvement"
+    assert res.sweeps <= 25
 
 
 # The partitions sampled for a pass are the split bitmasks of
@@ -355,9 +367,10 @@ def _ref_block_ra1(X, cfg):
         changed = _ref_move(arr, best.pi, best.complement())
         applied += changed
         trace.append(_var(arr))
-        # A move that only reorders rows with tied block sums leaves the
-        # variance where it was and counts toward the stall like a no-op.
-        flat = flat + 1 if trace[-1] >= trace[-2] else 0
+        # A move that only reorders rows with tied block sums, or a step of a
+        # rounding cycle, leaves the variance at or above the lowest seen so
+        # far and counts toward the stall like a no-op.
+        flat = flat + 1 if trace[-1] >= min(trace[:-1]) else 0
         stalled = flat >= 10 or (full and not changed)
         if it % 10 == 0 or not changed or stalled:
             if n <= 20:

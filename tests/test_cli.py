@@ -286,8 +286,7 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     # The asymptotic KS level used to divide by sqrt(0) first.
     values = tmp_path / "v.csv"
     np.savetxt(values, np.linspace(-1.0, 1.0, 50))
-    assert main(["gof", "--input", str(values), "--target", "normal", "--m", "0",
-                 "--ks-asymptotic"]) == 1
+    assert main(["gof", "--input", str(values), "--target", "normal", "--m", "0"]) == 1
     assert capsys.readouterr().err.strip() == "error: m must be positive"
 
 
@@ -313,8 +312,7 @@ def test_gof_verb_against_perfect_sample(tmp_path, capsys):
     path = tmp_path / "sums.csv"
     np.savetxt(path, sums)
     code, doc = _run(capsys, [
-        "gof", "--input", str(path), "--target", "normal",
-        "--ks-asymptotic", "--reps", "11",
+        "gof", "--input", str(path), "--target", "normal", "--reps", "11",
     ])
     assert code == 0
     assert doc["ks_ok"] is True
@@ -427,7 +425,7 @@ VERB_OPTIONS = {
     "fit-sum": {"margins", "n", "target", "m", "rng_seed", "n_sim", "rel_tol", "max_passes",
                 "matrix_out", "emit_joint"},
     "spread": {"fp", "fg", "fs", "rng_seed", "max_passes", "emit_joint"},
-    "gof": {"input", "target", "m", "ks_asymptotic", "reps", "rng_seed"},
+    "gof": {"input", "target", "m", "reps", "rng_seed"},
     "thresholds": {"test", "target", "m", "reps", "rng_seed"},
     "bench": {"table", "replicates", "rng_seed", "m", "n", "jobs"},
 }

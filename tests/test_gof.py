@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from blockra import gof
 from blockra import (
     TargetDistribution,
     Thresholds,
@@ -92,9 +93,14 @@ def test_kolmogorov_cdf_reference_points():
     )
 
 
+def _ks_level(m):
+    """The KS level of a continuous target: the limit law's median, first-order corrected."""
+    return (float(special.kolmogi(0.5)) - 1.0 / (6.0 * np.sqrt(m))) / np.sqrt(m)
+
+
 def test_threshold_constants_at_calibrated_size():
     normal = default_thresholds(TargetDistribution.normal(), 10**6)
-    assert normal.ks == pytest.approx(8.2e-4)
+    assert normal.ks == pytest.approx(stats.kstwo.ppf(0.5, 10**6), rel=1e-6)
     assert normal.w2 == pytest.approx(3.5e-6)
     # W2 rescales with target variance, KS does not
     wide = default_thresholds(TargetDistribution.normal(0.0, 2.0), 10**6)
@@ -107,10 +113,37 @@ def test_threshold_constants_at_calibrated_size():
 
 
 def test_asymptotic_ks_threshold_scaling():
-    t = default_thresholds(
-        TargetDistribution.normal(), 10_000, ks_asymptotic=True, n_replicates=11
-    )
-    assert t.ks == pytest.approx(0.8276 / math.sqrt(10_000))
+    t = default_thresholds(TargetDistribution.normal(), 10_000, n_replicates=11)
+    assert t.ks == pytest.approx((0.8276 - 1 / (6 * math.sqrt(10_000))) / math.sqrt(10_000),
+                                 rel=1e-4)
+
+
+@pytest.mark.parametrize("m", [100, 1000, 10**4, 10**5, 10**6])
+def test_ks_threshold_is_the_exact_median_of_a_continuous_target(m):
+    # scipy's kstwo computes the exact law of D_m (Simard and L'Ecuyer, 2011).
+    assert _ks_level(m) == pytest.approx(stats.kstwo.ppf(0.5, m), rel=1e-3)
+    for target in (TargetDistribution.normal(0.3, 2.0), TargetDistribution.uniform(-1.0, 4.0)):
+        assert default_thresholds(target, m, n_replicates=11).ks == _ks_level(m)
+
+
+def test_ks_threshold_below_one_hundred_is_within_three_percent():
+    m = np.arange(2, 100)
+    assert np.all(np.abs(_ks_level(m) / stats.kstwo.ppf(0.5, m) - 1.0) <= 0.03)
+    assert _ks_level(1) == pytest.approx(0.661, abs=1e-3)  # 12% under the exact 0.75
+
+
+@pytest.mark.parametrize("seed", [59, 101])
+@pytest.mark.parametrize("target", [TargetDistribution.normal(), TargetDistribution.uniform()],
+                         ids=["normal", "uniform"])
+def test_continuous_thresholds_simulate_w2_alone_on_the_same_draws(target, seed, monkeypatch):
+    simulated = []
+    real = gof._replicate_medians
+    monkeypatch.setattr(gof, "_replicate_medians",
+                        lambda tests, *a: simulated.append(tests) or real(tests, *a))
+    t = default_thresholds(target, 2000, rng_seed=seed)
+    assert simulated == [("w2",)]
+    assert t.w2 == median_threshold("w2", target, 2000, rng_seed=seed)
+    assert t.ks == _ks_level(2000)
 
 
 def test_median_threshold_brackets_true_median():
@@ -142,25 +175,27 @@ def test_default_thresholds_match_per_statistic_replicates(target):
 
     ks = median(lambda x: ks_distance(x, target))
     w2 = median(lambda x: w2_distance(np.sort(x), target))
-    assert default_thresholds(target, m, n_replicates=reps, rng_seed=seed) == Thresholds(ks, w2)
+    # KS is distribution-free only for a continuous target; a table's stays simulated.
+    level = ks if target.family == "empirical" else _ks_level(m)
+    assert default_thresholds(target, m, n_replicates=reps, rng_seed=seed) == Thresholds(level, w2)
     assert median_threshold("ks", target, m, reps, seed) == ks
     assert median_threshold("w2", target, m, reps, seed) == w2
-    asym = default_thresholds(target, m, ks_asymptotic=True, n_replicates=reps, rng_seed=seed)
-    assert asym.w2 == w2
 
 
-@pytest.mark.parametrize("ks_asymptotic", [False, True])
+@pytest.mark.parametrize("ks_formula", [False, True])
 @pytest.mark.parametrize("m", [0, -3])
-def test_default_thresholds_reject_a_nonpositive_m(m, ks_asymptotic):
-    # The asymptotic KS level used to raise ZeroDivisionError or a math domain error.
+def test_default_thresholds_reject_a_nonpositive_m(m, ks_formula):
+    # A KS level in 1/sqrt(m) raised ZeroDivisionError or a math domain error
+    # before the size check; a table's KS level is simulated instead.
+    target = TargetDistribution.normal() if ks_formula else _TIED
     with pytest.raises(ValueError, match="m must be positive"):
-        default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=ks_asymptotic)
+        default_thresholds(target, m)
 
 
 @pytest.mark.parametrize("m", [50.5, 1e6, 10**6 + 0.5])
 @pytest.mark.parametrize("call", [
+    lambda m: default_thresholds(TargetDistribution.empirical([0.0, 1.0]), m),
     lambda m: default_thresholds(TargetDistribution.normal(), m),
-    lambda m: default_thresholds(TargetDistribution.normal(), m, ks_asymptotic=True),
     lambda m: median_threshold("ks", TargetDistribution.normal(), m),
 ], ids=["simulated", "asymptotic", "median"])
 def test_thresholds_refuse_a_non_integer_m_by_name(call, m):
@@ -169,13 +204,12 @@ def test_thresholds_refuse_a_non_integer_m_by_name(call, m):
         call(m)
 
 
-@pytest.mark.parametrize("ks_asymptotic", [False, True])
-def test_thresholds_at_the_calibrated_size_are_the_lookup_formulas_bit_for_bit(ks_asymptotic):
-    normal = default_thresholds(TargetDistribution.normal(0.3, 1.7), 10**6, ks_asymptotic=ks_asymptotic)
-    assert normal == Thresholds(ks=8.2e-4, w2=3.5e-6 * 1.7 ** 2)
-    uniform = default_thresholds(TargetDistribution.uniform(-2.0, 3.1), 10**6, ks_asymptotic=ks_asymptotic)
+def test_thresholds_at_the_calibrated_size_are_the_lookup_formulas_bit_for_bit():
+    normal = default_thresholds(TargetDistribution.normal(0.3, 1.7), 10**6)
+    assert normal == Thresholds(ks=_ks_level(10**6), w2=3.5e-6 * 1.7 ** 2)
+    uniform = default_thresholds(TargetDistribution.uniform(-2.0, 3.1), 10**6)
     half = (3.1 - -2.0) / 2.0
-    assert uniform == Thresholds(ks=8.2e-4, w2=4.7e-7 * half * half)
+    assert uniform == Thresholds(ks=_ks_level(10**6), w2=4.7e-7 * half * half)
 
 
 @pytest.mark.parametrize("build", [
@@ -282,7 +316,7 @@ def test_ks_at_the_steps_equals_the_two_term_ks_bit_for_bit(target, m):
         ref = _reference_ks(np.sort(xs), target)
         assert ks_distance(xs, target) == ref
         v = verdict(xs, target)
-        assert (v.d_ks, v.med_ks) == (ref, ref_median)
+        assert (v.d_ks, v.med_ks) == (ref, _ks_level(m))
 
 
 _TIED = TargetDistribution.empirical(np.repeat([-1.0, 0.0, 2.5], 40))
@@ -318,7 +352,7 @@ def test_verdict_builds_one_grid_and_w2_paths_never_touch_the_cdf(monkeypatch):
     calls.update(quantile=0, cdf=0)
     w2_distance(xs, target)
     median_threshold("w2", target, 50, n_replicates=11)
-    default_thresholds(target, 50, ks_asymptotic=True, n_replicates=11)
+    default_thresholds(target, 50, n_replicates=11)
     assert calls == {"quantile": 3, "cdf": 0}
 
 
@@ -344,7 +378,7 @@ def test_a_non_finite_sum_is_refused(score, bad, monkeypatch):
     (dict(n_replicates=11.5), "n_replicates"),
     (dict(n_replicates=5), "n_replicates"),
     (dict(rng_seed=-1), "rng_seed"),
-    (dict(ks_asymptotic=True, n_replicates=11.5), "n_replicates"),
+    (dict(n_replicates=11.0), "n_replicates"),
 ])
 def test_thresholds_refuse_bad_counts_by_name(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):

@@ -44,6 +44,18 @@ def matrices(max_m=8, max_n=4):
     ).flatmap(lambda shape: arrays(np.float64, shape, elements=finite))
 
 
+@pytest.mark.parametrize("m, n", [(5, 4), (10, 7)])
+def test_block_ra1_never_runs_to_its_budget_on_shared_values_starts(m, n):
+    # t1b's starts and seeds; 13 of these at 5x4 and 24 at 10x7 used to cycle
+    # between two states a few ulps apart until max-iterations.
+    for rep in range(200):
+        rng = np.random.default_rng([0, rep])
+        X = _shared_values_start(m, n, rng)
+        res = block_ra1(standard_ra(X).final_matrix,
+                        BlockRaConfig(rng_seed=int(rng.integers(2**63))))
+        assert res.stop_reason != "max-iterations", rep
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rearrangers_preserve_margins_and_never_worsen(X):
