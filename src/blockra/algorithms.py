@@ -30,11 +30,11 @@ from .matrix import (
     _block_move,
     _as_matrix,
     _count,
+    _mask_columns,
     _pass_masks,
     _resolve_n_sim,
     _rounding_bound,
     _split_masks,
-    _split_of_mask,
     sample_variance,
 )
 
@@ -112,7 +112,7 @@ def _descend(arr: np.ndarray, max_sweeps: int, sweep: Callable[[Callable[[int], 
 
     Each sweep is ``sweep(move)`` and returns the moves it applied: ``move(mask)``
     applies the block move for the split of bitmask ``mask`` (decoded here alone, by
-    ``_split_of_mask``) to ``arr`` in place and returns whether ``arr`` changed.  Then
+    ``_mask_columns``) to ``arr`` in place and returns whether ``arr`` changed.  Then
     ``stop(sweeps done, moves applied in the sweep, previous row-sum variance, new one)``
     returns the stop reason, or None to go on; after ``max_sweeps`` sweeps it is
     ``max-iterations``.
@@ -121,7 +121,7 @@ def _descend(arr: np.ndarray, max_sweeps: int, sweep: Callable[[Callable[[int], 
     trace = [sample_variance(arr.sum(axis=1))]
 
     def move(mask: int) -> bool:
-        return _block_move(arr, cols, *_split_of_mask(mask, n))
+        return _block_move(arr, cols, *_mask_columns(mask, n))
 
     for done in range(1, max_sweeps + 1):
         moved = sweep(move)

@@ -152,6 +152,18 @@ def _rounding_bound(arr: np.ndarray) -> float:
     return 4 * (arr.shape[1] + 2) * np.finfo(np.float64).eps * np.abs(arr).max(axis=0).sum()
 
 
+def _counter_orders(target: np.ndarray, block_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order_pos, order_rows)`` of ``counter_permutation``: sigma[order_pos] = order_rows.
+
+    The one tie rule: rows by block sum descending, ties by position; a stable
+    sort of the targets in that order puts positions in target order and, among
+    tied targets, the position holding the larger block sum first, so it keeps
+    it (lexsort((-block_sums, target))'s order).  Sigma is the identity iff the two are equal.
+    """
+    order_rows = np.negative(block_sums).argsort(kind="stable")
+    return order_rows.take(target.take(order_rows).argsort(kind="stable")), order_rows
+
+
 def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarray:
     """Permutation placing block rows countermonotonically against target sums.
 
@@ -160,44 +172,23 @@ def counter_permutation(target: np.ndarray, block_sums: np.ndarray) -> np.ndarra
     the current relative block assignment; tied block sums go by row index, not
     where they sit, so [[1, 1, 2], [0, 0, 3]] with pi = {0} swaps its rows every call.
     """
-    target = np.asarray(target, dtype=np.float64)
-    neg = -np.asarray(block_sums, dtype=np.float64)
-    # Rows by block sum descending, ties by position.  A stable sort of the
-    # targets in that order puts positions in target order and, among tied
-    # targets, the position currently holding the larger block sum first,
-    # so it keeps it (the same order as lexsort((neg, target))).
-    order_rows = neg.argsort(kind="stable")
-    order_pos = order_rows.take(target.take(order_rows).argsort(kind="stable"))
-    sigma = np.empty(target.size, dtype=np.intp)
+    order_pos, order_rows = _counter_orders(*(np.asarray(a, dtype=np.float64) for a in (target, block_sums)))
+    sigma = np.empty_like(order_rows)
     sigma[order_pos] = order_rows
     return sigma
-
-
-@functools.lru_cache(maxsize=8)
-def _identity_bytes(m: int) -> bytes:
-    return np.arange(m, dtype=np.intp).tobytes()
-
-
-def _mask_columns(mask: int, bits: int, offset: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Columns ``offset + j`` (j < bits) whose bit j in ``mask`` is set, then those clear."""
-    return (tuple(offset + j for j in range(bits) if mask >> j & 1),
-            tuple(offset + j for j in range(bits) if not mask >> j & 1))
 
 
 # Holds every canonical split of up to 14 columns; a full pass over more
 # decodes each split again.
 @functools.lru_cache(maxsize=8192)
-def _split_of_mask(mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(pi, comp)`` intp column indices of the split whose first block is bitmask ``mask``.
+def _mask_columns(mask: int, bits: int, offset: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Columns ``offset + j`` (j < bits) whose bit j in ``mask`` is set, then those clear.
 
-    Bit j of ``mask`` (j < n) puts column j in the first block, a clear bit
-    in the complement.  A canonical mask (below 2^(n-1)) leaves the last
-    column in the complement, as in ``Partition.from_mask``.
+    With ``bits`` = n, the ``(pi, comp)`` split of bitmask ``mask``; a canonical
+    mask (below 2^(n-1)) leaves column n-1 in ``comp``, as ``Partition.from_mask`` does.
     """
-    pair = tuple(np.array(cols, dtype=np.intp) for cols in _mask_columns(mask, n))
-    for idx in pair:
-        idx.setflags(write=False)  # shared through the cache
-    return pair
+    return (tuple(offset + j for j in range(bits) if mask >> j & 1),
+            tuple(offset + j for j in range(bits) if not mask >> j & 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +234,7 @@ def _resolve_n_sim(n_sim: Optional[int], n_columns: int) -> int:
 
 
 def _pass_masks(n: int, n_sim: int, rng: np.random.Generator):
-    """Canonical split bitmasks of one pass (see ``_split_of_mask``).
+    """Canonical split bitmasks of one pass (see ``_mask_columns``).
 
     All, in order, when n_sim covers them; else the first n_sim distinct of
     the canonical draws of :func:`_fair_masks` (n-1 fair bits, zero rejected)."""
@@ -280,43 +271,45 @@ def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
 _LOOP_COLUMNS = 8
 
 
-def _block_sums(arr: np.ndarray, cols: list, idx: np.ndarray) -> np.ndarray:
-    """Row sums over the columns ``idx`` (intp) of ``arr``; one column is a view.
+def _block_sums(arr: np.ndarray, cols: list, idx: tuple) -> np.ndarray:
+    """Row sums over the columns ``idx`` of ``arr``; one column is a view.
 
     ``cols`` is ``list(arr.T)``, in either layout.  The columns are added left
     to right, by a loop or one reduce over a C-contiguous gather; a row-major
     gather summed along its rows would add eight or more columns pairwise and
     change the last bits.
     """
-    if idx.size > _LOOP_COLUMNS:
+    if len(idx) > _LOOP_COLUMNS:
         return np.add.reduce(arr.T.take(idx, axis=0), axis=0)
     s = cols[idx[0]]
-    for j in idx[1:].tolist():
+    for j in idx[1:]:
         s = s + cols[j]
     return s
 
 
-def _permute_rows(arr: np.ndarray, cols: list, idx: np.ndarray, sigma: np.ndarray) -> None:
+def _permute_rows(arr: np.ndarray, cols: list, idx: tuple, sigma: np.ndarray) -> None:
     """Row i of the columns ``idx`` of ``arr`` takes their row ``sigma[i]``, in place."""
-    if idx.size > _LOOP_COLUMNS:
-        arr.T[idx] = arr.T.take(idx, axis=0).take(sigma, axis=1)
+    if len(idx) > _LOOP_COLUMNS:
+        arr.T[list(idx)] = arr.T.take(idx, axis=0).take(sigma, axis=1)  # a tuple would index axes
     else:
-        for j in idx.tolist():
+        for j in idx:
             cols[j][...] = cols[j][sigma]
 
 
-def _block_move(arr: np.ndarray, cols: list, pi: np.ndarray, comp: np.ndarray) -> bool:
+def _block_move(arr: np.ndarray, cols: list, pi: tuple, comp: tuple) -> bool:
     """Apply the countermonotone rearrangement to ``arr`` (columns ``cols``) in place.
 
-    ``pi`` and ``comp`` are intp column indices of the two blocks.  Rows of
+    ``pi`` and ``comp`` are the column tuples of the two blocks.  Rows of
     the complement block move jointly; the pi block is untouched.  Returns
-    True when the matrix changed, which only a sigma keeping every complement
-    sum in place can fail to do, so only then is the block gathered.
+    True when the matrix changed: equal sort orders make sigma the identity,
+    and only a sigma keeping every complement sum in place gathers the block.
     """
     s_bar = _block_sums(arr, cols, comp)
-    sigma = counter_permutation(_block_sums(arr, cols, pi), s_bar)
-    if sigma.tobytes() == _identity_bytes(sigma.size):
+    order_pos, order_rows = _counter_orders(_block_sums(arr, cols, pi), s_bar)
+    if order_pos.tobytes() == order_rows.tobytes():
         return False
+    sigma = np.empty_like(order_rows)
+    sigma[order_pos] = order_rows
     if (s_bar.take(sigma) == s_bar).all():
         block = arr.T.take(comp, axis=0)
         if (block.take(sigma, axis=1) == block).all():
@@ -336,8 +329,7 @@ def countermonotone_rearrange(X, pi: Partition) -> RearrangementMatrix:
     if pi.n_columns != mat.n:
         raise ValueError(f"partition is over {pi.n_columns} columns, matrix has {mat.n}")
     arr = np.array(mat.values, copy=True)
-    _block_move(arr, list(arr.T), np.array(pi.pi, dtype=np.intp),
-                np.array(pi.complement(), dtype=np.intp))
+    _block_move(arr, list(arr.T), pi.pi, pi.complement())
     out, before = RearrangementMatrix(arr), mat.row_sum_variance
     # Rearrangement inequality guarantees this up to roundoff.
     assert out.row_sum_variance <= before + 1e-12 * max(1.0, before), \

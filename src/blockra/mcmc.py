@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _count, _fair_masks,
-                     _permute_rows, _split_of_mask, sample_variance)
+                     _mask_columns, _permute_rows, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -204,7 +204,7 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     while absorbed_at is None and it < cfg.n_iter:
         masks, noise, uniforms = _chain_draws(rng, m, n, rate, block)
         for mask, y, u in zip(masks[:cfg.n_iter - it], noise, uniforms):
-            pi, comp = _split_of_mask(mask, n)
+            pi, comp = _mask_columns(mask, n)
             s_pi = _block_sums(arr, cols, pi)  # may view the state: never written in place
             s_bar = s_cur - s_pi
             _place(y - s_pi, s_bar, sigma)

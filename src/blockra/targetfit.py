@@ -36,8 +36,8 @@ import numpy as np
 # perfbench/workloads.py patches ks_distance and w2_distance on this
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
-from .matrix import (RearrangementMatrix, _block_sums, _count, _pass_masks, _resolve_n_sim,
-                     _rounding_bound, _row_sum_variance, _split_of_mask, sample_variance)
+from .matrix import (RearrangementMatrix, _block_sums, _count, _mask_columns, _pass_masks,
+                     _resolve_n_sim, _rounding_bound, _row_sum_variance, sample_variance)
 
 __all__ = [
     "MarginSpec",
@@ -49,10 +49,11 @@ __all__ = [
     "spread_dependence",
 ]
 
-# Starting sigma of the normal-margin walk, fixed because where the walk
-# settles depends on where it starts: two margins against U[-1,1] at
-# m = 10^4 (seed 3) settle at 0.3137 from 0.2 and at 0.3372 from 0.4, while
-# a start of 0.8 runs away to max_passes.
+# Starting sigma of the normal-margin walk against U[-1,1], fixed because where
+# the walk settles depends on where it starts: two margins against U[-1,1] at
+# m = 10^4 (seed 3) settle at 0.3137 from 0.2 and at 0.3372 from 0.4, while a
+# start of 0.8 runs away to max_passes.  Other targets scale it by their grid's
+# sd over U[-1,1]'s, so the fit of s times a target is s times the fit.
 _NORMAL_START_SIGMA = 0.4
 
 # Past m / 8 descents along its hint, a stable sort loses to numpy's default argsort.
@@ -123,8 +124,8 @@ class FitConfig:
 
     One pass = a sweep over n_sim sampled canonical partitions followed, for
     normal margins, by sigma recalibration.  From the second pass on, the loop
-    settles once the row-sum variance moved by at most max(rel_tol * t, 1e-18), t the
-    target column's sample variance, and the scale from s' by max(rel_tol * |s'|, 1e-18).
+    settles once the row-sum variance moved by at most rel_tol * t, t the target
+    column's sample variance, and the scale from s' by at most rel_tol * |s'|.
     """
 
     n_sim: Optional[int] = None
@@ -198,8 +199,8 @@ def _ascending(values: np.ndarray, hint: np.ndarray, by_hint: bool = False) -> n
     return p
 
 
-def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: np.ndarray,
-                  comp: np.ndarray) -> None:
+def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: tuple,
+                  comp: tuple) -> None:
     """``_block_move`` on the fit loop's column-major matrix: the same rows, sorted faster.
 
     ``cols`` is ``list(arr.T)``; ``order[j]``, an ascending argsort of column
@@ -212,13 +213,13 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: np.n
     without a tie, whose order it is.  Only the displaced rows are
     rewritten, in the matrix and the tracked orders.
     """
-    t, lone = _block_sums(arr, cols, pi), pi.size == 1
-    hint = order[pi[0]] if lone else order[comp[0]][::-1] if comp.size == 1 else t.argsort()
-    if not lone and comp.size == 1 and not tied[comp[0]]:
+    t, lone = _block_sums(arr, cols, pi), len(pi) == 1
+    hint = order[pi[0]] if lone else order[comp[0]][::-1] if len(comp) == 1 else t.argsort()
+    if not lone and len(comp) == 1 and not tied[comp[0]]:
         r = hint  # an untied lone complement column is read off its order, its sums unbuilt
     else:  # a one-column block is a view of the matrix, so it is negated into a copy
         s = _block_sums(arr, cols, comp)
-        r = _ascending(np.negative(s, out=s if comp.size > 1 else None), hint)
+        r = _ascending(np.negative(s, out=s if len(comp) > 1 else None), hint)
         del s
     p = hint if lone and not tied[pi[0]] else _ascending(t, r, by_hint=True)
     del t, hint  # the rewrite below holds no block sums
@@ -228,12 +229,12 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: np.n
         return
     if 2 * moves <= p.size:  # rewrite only the displaced rows
         p, r = p[moved], r[moved]
-    for j in comp.tolist():
+    for j in comp:
         cols[j][p] = cols[j].take(r)
     inv = np.arange(arr.shape[0])
     inv[r] = p
     del p, r
-    for j in comp.tolist():
+    for j in comp:
         order[j] = inv.take(order[j])
 
 
@@ -278,7 +279,7 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
     prev_var, prev_scale = np.inf, scale
     for passes in range(1, cfg.max_passes + 1):
         for mask in _pass_masks(n + 1, n_sim, rng):
-            _ordered_move(arr, cols, order, tied, *_split_of_mask(mask, n + 1))
+            _ordered_move(arr, cols, order, tied, *_mask_columns(mask, n + 1))
         if walk:
             v = sample_variance(_row_sums(arr[:, :n]))
             if v == 0.0:
@@ -289,8 +290,8 @@ def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: st
             tied[:n] = [bool(np.any(np.diff(cols[0].take(order[0])) == 0))] * n
         var_all = sample_variance(_row_sums(arr))
         # The first pass has no previous variance to settle against.
-        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * var_target, 1e-18)
-        if var_settled and abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18):
+        var_settled = passes > 1 and abs(var_all - prev_var) <= cfg.rel_tol * var_target
+        if var_settled and abs(scale - prev_scale) <= cfg.rel_tol * abs(prev_scale):
             return order, scale, passes, "settled"
         prev_var, prev_scale = var_all, scale
     return order, scale, passes, "max-passes"
@@ -315,14 +316,18 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
 
     n = margins.n
     rng = np.random.default_rng(cfg.rng_seed)
+    walk, given = margins.family == "normal", "the margins or target law"
+    if walk:  # U[-1,1]'s grid sd, from a grid dropped before the others are built
+        sd_u = np.sqrt(sample_variance(discretize_quantiles(TargetDistribution.uniform(-1.0, 1.0), m)))
 
     unit_grid = discretize_quantiles(margins.unit_law(), m)  # rebuilt for the walk's rewrite
     target_grid = discretize_quantiles(target, m)
-    walk = margins.family == "normal"
     if margins.family == "uniform-symmetric":
         scale = float(np.max(np.abs(target_grid)) / (n * unit_grid[-1]))
+    elif walk:  # the target grid's sd over U[-1,1]'s: a ratio of sds, which cannot overflow
+        scale = _NORMAL_START_SIGMA * float(np.sqrt(_row_sum_variance(target_grid[:, None], given)) / sd_u)
     else:
-        scale = _NORMAL_START_SIGMA if walk else 1.0
+        scale = 1.0
 
     arr = np.empty((m, n + 1), dtype=np.float64, order="F")
     # A fixed-scale fit starts from one seeded shuffle of each margin column;
@@ -331,7 +336,7 @@ def fit_sum_to_target(margins: MarginSpec, target: TargetDistribution, m: int,
         arr[:, j] = scale * unit_grid if walk else rng.permutation(scale * unit_grid)
     arr[:, n] = -target_grid
     del unit_grid, target_grid  # the matrix holds both
-    order, scale, passes, stop_reason = _settle(arr, cfg, rng, "the margins or target law", scale, walk)
+    order, scale, passes, stop_reason = _settle(arr, cfg, rng, given, scale, walk)
 
     if walk:
         # Each margin column becomes one multiply of the pristine unit grid,

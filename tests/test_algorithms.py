@@ -38,7 +38,7 @@ from blockra import (
 from blockra import dependence
 from blockra.algorithms import _pass_masks
 from blockra.bench import _shared_values_start
-from blockra.matrix import _block_move, _split_of_mask
+from blockra.matrix import _block_move, _mask_columns
 
 from conftest import (
     KNOWN_LIMIT_VARIANCES,
@@ -153,12 +153,12 @@ def test_block_ra1_stalls_on_a_rounding_cycle():
 
 
 # The partitions sampled for a pass are the split bitmasks of
-# algorithms._pass_masks, decoded into (pi, complement) column index arrays.
+# algorithms._pass_masks, decoded into (pi, complement) column tuples.
 def _pass_partitions(n, n_sim, seed=0):
-    splits = [_split_of_mask(k, n) for k in _pass_masks(n, n_sim, np.random.default_rng(seed))]
+    splits = [_mask_columns(k, n) for k in _pass_masks(n, n_sim, np.random.default_rng(seed))]
     for pi, comp in splits:
-        assert sorted(pi.tolist() + comp.tolist()) == list(range(n))
-    return [tuple(pi.tolist()) for pi, _ in splits]
+        assert sorted(pi + comp) == list(range(n))
+    return [pi for pi, _ in splits]
 
 
 def test_sample_partitions_covering_order():

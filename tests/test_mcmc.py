@@ -14,7 +14,7 @@ from blockra import (
     propose_permutation,
     resolve_rate,
 )
-from blockra.matrix import _block_sums, _split_of_mask, counter_permutation, sample_variance
+from blockra.matrix import _block_sums, _mask_columns, counter_permutation, sample_variance
 from blockra import mcmc
 from blockra.mcmc import _chain_draws, _gumbel_sample
 
@@ -244,7 +244,7 @@ def _ref_mcmc(X, cfg):
         if not draws:
             draws = _ref_block_draws(rng, m, n, rate)
         mask, noise, u = draws.pop(0)
-        pi, comp = _split_of_mask(mask, n)
+        pi, comp = _mask_columns(mask, n)
         s_pi = _block_sums(arr, list(arr.T), pi)
         s_bar = s_cur - s_pi
         slots = _ref_propose_permutation(s_pi, noise)

@@ -31,7 +31,7 @@ from blockra import (
 from blockra import algorithms, dependence
 from blockra.bench import _shared_values_start
 from blockra.algorithms import _screened
-from blockra.matrix import _block_move, _block_sums, _mask_sums, _split_of_mask, counter_permutation
+from blockra.matrix import _block_move, _block_sums, _mask_columns, _mask_sums, counter_permutation
 
 from conftest import ref_spearman
 
@@ -81,7 +81,7 @@ def test_block_moves_majorize_the_row_sums(X):
         before = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
         moved = _block_move(arr, cols, pi, comp)
         after = np.cumsum(np.sort(arr.sum(axis=1))[::-1])
-        assert np.all(after <= before + tol), (pi.tolist(), comp.tolist())
+        assert np.all(after <= before + tol), (pi, comp)
         return moved
 
     with mock.patch.object(algorithms, "_block_move", checked_move):
@@ -116,6 +116,26 @@ def test_counter_permutation_is_valid_and_never_increases_variance(s, t):
     assert after <= before + 1e-12
 
 
+@given(st.tuples(st.integers(2, 12), st.integers(2, 10)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(0, 2).map(float))))
+@settings(max_examples=80, deadline=None)
+def test_block_move_is_counter_permutation_applied(X):
+    # Entries 0..2 tie most block sums and sum exactly in any order; up to ten
+    # columns put blocks wider than eight on the gather path.  Every canonical
+    # split and every standard_ra column split, on a copy of X.
+    n = X.shape[1]
+    full = (1 << n) - 1
+    for k in [*range(1, 1 << (n - 1)), *(full - (1 << j) for j in range(n))]:
+        pi, comp = _mask_columns(k, n)
+        sigma = counter_permutation(X[:, list(pi)].sum(axis=1), X[:, list(comp)].sum(axis=1))
+        expected = X.copy()
+        expected[:, list(comp)] = X[np.ix_(sigma, comp)]
+        Y = X.copy()
+        moved = _block_move(Y, list(Y.T), pi, comp)
+        assert Y.tobytes() == expected.tobytes(), k
+        assert moved == (Y.tobytes() != X.tobytes()), k
+
+
 @given(matrices(max_m=6, max_n=4), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_block_move_never_increases_variance(X, seed):
@@ -147,7 +167,7 @@ def test_dependence_measure_bounds(X):
 def test_split_scores_match_per_split_loop_on_tie_heavy_matrices(X, per_chunk):
     # Entries 0..2 tie most block sums and make some constant, which score
     # -1; chunks of per_chunk splits put the ties and those splits anywhere.
-    pis = [_split_of_mask(k, X.shape[1])[0] for k in range(1, 1 << (X.shape[1] - 1))]
+    pis = [_mask_columns(k, X.shape[1])[0] for k in range(1, 1 << (X.shape[1] - 1))]
     total = X.sum(axis=1)
     ref, n_constant = [], 0
     for pi in pis:
@@ -200,7 +220,7 @@ def test_screen_certifies_only_splits_the_kernel_leaves_alone(data, chunk):
     assert all(type(k) is int for k in offered) and offered == sorted(offered)
     for k in set(range(1, 1 << (n - 1))) - set(offered):
         Y = X.copy()
-        assert not _block_move(Y, list(Y.T), *_split_of_mask(k, n)), k
+        assert not _block_move(Y, list(Y.T), *_mask_columns(k, n)), k
 
 
 @given(st.data(), st.sampled_from([1, 5, 32]))
@@ -213,8 +233,8 @@ def test_a_screened_pass_ends_where_an_unscreened_pass_does(data, chunk):
     screened, plain = X.copy(), X.copy()
     with mock.patch.object(algorithms, "_SCREEN_CHUNK", chunk):
         applied = _screened(screened, lambda k: _block_move(screened, list(screened.T),
-                                                            *_split_of_mask(k, n)))
-    assert applied == sum(_block_move(plain, list(plain.T), *_split_of_mask(k, n))
+                                                            *_mask_columns(k, n)))
+    assert applied == sum(_block_move(plain, list(plain.T), *_mask_columns(k, n))
                           for k in range(1, 1 << (n - 1)))
     assert screened.tobytes() == plain.tobytes()
 

@@ -27,7 +27,7 @@ from blockra import (
 )
 from blockra import targetfit
 from blockra.algorithms import _pass_masks
-from blockra.matrix import _block_move, _split_of_mask, counter_permutation
+from blockra.matrix import _block_move, _mask_columns, counter_permutation
 from blockra.targetfit import _NORMAL_START_SIGMA, _WARM_SORT_DESCENT_FRACTION, _ordered_move
 
 WIDE_THRESHOLDS = Thresholds(ks=1.0, w2=1.0)
@@ -51,16 +51,20 @@ def _reference_fit(margins, target, m, cfg):
     """The fit loop written plainly: fresh argsorts everywhere, row-major storage.
 
     Uniform margins sit at the support bound and start from a seeded shuffle,
-    normal margins start sorted and rescale every pass; both settle against the
-    target grid's variance.  Returns (scale, final matrix, passes, stop reason).
+    normal margins start sorted at _NORMAL_START_SIGMA times the target grid's
+    sd over U[-1, 1]'s and rescale every pass; both settle against the target
+    grid's variance, with no absolute floor.  Returns (scale, final matrix,
+    passes, stop reason).
     """
     n, n_cols = margins.n, margins.n + 1
     rng = np.random.default_rng(cfg.rng_seed)
     unit_grid = discretize_quantiles(margins.unit_law(), m)
     target_grid = discretize_quantiles(target, m)
     walk = margins.family == "normal"
-    scale = _NORMAL_START_SIGMA if walk else np.max(np.abs(target_grid)) / (n * unit_grid[-1])
     var_target = sample_variance(target_grid)
+    sd_u = np.sqrt(sample_variance(discretize_quantiles(TargetDistribution.uniform(-1.0, 1.0), m)))
+    scale = (_NORMAL_START_SIGMA * (np.sqrt(var_target) / sd_u) if walk
+             else np.max(np.abs(target_grid)) / (n * unit_grid[-1]))
     arr = np.empty((m, n_cols))
     arr[:, :n] = (scale * unit_grid)[:, None]
     if not walk:  # a fixed-scale fit shuffles each margin column once, in column order
@@ -75,7 +79,7 @@ def _reference_fit(margins, target, m, cfg):
     for _ in range(cfg.max_passes):
         passes += 1
         for mask in _pass_masks(n_cols, n_sim, rng):
-            _reference_move(arr, *_split_of_mask(mask, n_cols))
+            _reference_move(arr, *_mask_columns(mask, n_cols))
         if walk:
             v = sample_variance(arr[:, :n].sum(axis=1))
             if v == 0:
@@ -85,8 +89,8 @@ def _reference_fit(margins, target, m, cfg):
             scale *= ratio
             arr[:, :n] *= ratio
         var_all = sample_variance(arr.sum(axis=1))
-        var_settled = passes > 1 and abs(var_all - prev_var) <= max(cfg.rel_tol * var_target, 1e-18)
-        if var_settled and abs(scale - prev_scale) <= max(cfg.rel_tol * abs(prev_scale), 1e-18):
+        var_settled = passes > 1 and abs(var_all - prev_var) <= cfg.rel_tol * var_target
+        if var_settled and abs(scale - prev_scale) <= cfg.rel_tol * abs(prev_scale):
             reason = "settled"
             break
         prev_var, prev_scale = var_all, scale
@@ -212,7 +216,7 @@ def test_ordered_move_is_block_move_on_tie_heavy_starts(kind, m, n, seed, fracti
         mp.setattr(targetfit, "_WARM_SORT_DESCENT_FRACTION", fraction)
         for _ in range(3):
             for mask in range(1, 1 << n):
-                pi, comp = _split_of_mask(mask, n + 1)
+                pi, comp = _mask_columns(mask, n + 1)
                 _ordered_move(arr, list(arr.T), order, tied, pi, comp)
                 _block_move(ref, list(ref.T), pi, comp)
                 assert arr.tobytes() == ref.tobytes()
@@ -529,12 +533,31 @@ def test_uniform_to_uniform_fit_takes_the_support_bound():
     assert rep.verdict == "indistinguishable"
 
 
+@pytest.mark.parametrize("margins, law", [
+    (MarginSpec.normal(2), lambda s: TargetDistribution.uniform(-s, s)),
+    (MarginSpec.uniform_symmetric(2), lambda s: TargetDistribution.normal(0.0, s)),
+])
+def test_a_fit_of_a_scaled_target_is_the_scaled_fit(margins, law):
+    # Scaling by a power of two is exact, so the fit of s times a target takes
+    # the same passes to s times the scale, bit for bit, as long as the walk's
+    # start scales with the target and the settle tests carry no absolute floor.
+    def fit(s):
+        rep = fit_sum_to_target(margins, law(s), 2000, FitConfig(rng_seed=3),
+                                thresholds=WIDE_THRESHOLDS)
+        return rep.stop_reason, rep.iterations, rep.fitted_scale / s
+
+    base = fit(1.0)
+    assert base[0] == "settled"
+    for k in (-20, -10, -3, -1, 1, 2, 10):
+        assert fit(2.0**k) == base, k
+
+
 def test_fit_reports_degenerate_margin_sums():
-    # A constant target has no variance, so the first recalibration scales
-    # the normal margins to zero and the second pass finds constant sums.
+    # A constant target has no variance, so the normal margins start at
+    # sigma = 0 and the first pass finds constant sums.
     target = TargetDistribution.empirical(np.full(200, 0.7))
     rep = fit_sum_to_target(MarginSpec.normal(2), target, 200, thresholds=WIDE_THRESHOLDS)
-    assert (rep.stop_reason, rep.iterations, rep.fitted_scale) == ("degenerate", 2, 0.0)
+    assert (rep.stop_reason, rep.iterations, rep.fitted_scale) == ("degenerate", 1, 0.0)
 
 
 def test_empirical_margins_fit_without_rescaling():
