@@ -135,7 +135,7 @@ def _row_sum_variance(arr: np.ndarray, given: str = "the matrix") -> float:
     ValueError, with no warning, names the first of a non-finite entry, row
     sum or variance; the last asks to rescale ``given``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = arr.sum(axis=1)
+        sums = _row_sums(arr)
         v = sample_variance(sums)
     if not math.isfinite(v):
         bad = np.flatnonzero(~np.isfinite(sums)).tolist()  # a non-finite entry's row sum is too
@@ -266,34 +266,34 @@ def _mask_sums(arr: np.ndarray, masks: list[int], cells: int) -> np.ndarray:
     return first
 
 
-# A block of up to this many columns is summed and moved a column at a time,
-# a wider one by a single gather: below it, the per-column calls cost less.
-_LOOP_COLUMNS = 8
+def _block_sums(cols: list, idx: tuple) -> np.ndarray:
+    """Row sums over the columns ``idx``, added left to right; one column is a view.
 
-
-def _block_sums(arr: np.ndarray, cols: list, idx: tuple) -> np.ndarray:
-    """Row sums over the columns ``idx`` of ``arr``; one column is a view.
-
-    ``cols`` is ``list(arr.T)``, in either layout.  The columns are added left
-    to right, by a loop or one reduce over a C-contiguous gather; a row-major
-    gather summed along its rows would add eight or more columns pairwise and
-    change the last bits.
+    ``cols`` is a matrix's ``list(arr.T)``, in either layout.  The one
+    block-sum order, a column at a time at every width, is the order in which
+    ``np.add.reduce`` adds the rows of a C-contiguous gather of the block
+    (which sums a row of -0.0 to +0.0; the two zeros rank the same).
     """
-    if len(idx) > _LOOP_COLUMNS:
-        return np.add.reduce(arr.T.take(idx, axis=0), axis=0)
     s = cols[idx[0]]
     for j in idx[1:]:
         s = s + cols[j]
     return s
 
 
-def _permute_rows(arr: np.ndarray, cols: list, idx: tuple, sigma: np.ndarray) -> None:
-    """Row i of the columns ``idx`` of ``arr`` takes their row ``sigma[i]``, in place."""
-    if len(idx) > _LOOP_COLUMNS:
-        arr.T[list(idx)] = arr.T.take(idx, axis=0).take(sigma, axis=1)  # a tuple would index axes
-    else:
-        for j in idx:
-            cols[j][...] = cols[j][sigma]
+def _permute_rows(cols: list, idx: tuple, sigma: np.ndarray) -> None:
+    """Row i of the columns ``idx`` (views in ``cols``) takes their row ``sigma[i]``, in place."""
+    for j in idx:
+        cols[j][...] = cols[j][sigma]
+
+
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """Full row sums of ``arr`` in the order numpy adds the rows of a row-major array.
+
+    The package's one row-sum rule.  Rows of eight or more entries are added
+    pairwise there, so such arrays are summed from a row-major copy; shorter
+    rows are added left to right in either layout.
+    """
+    return arr.sum(axis=1) if arr.shape[1] < 8 else np.ascontiguousarray(arr).sum(axis=1)
 
 
 def _block_move(arr: np.ndarray, cols: list, pi: tuple, comp: tuple) -> bool:
@@ -304,8 +304,8 @@ def _block_move(arr: np.ndarray, cols: list, pi: tuple, comp: tuple) -> bool:
     True when the matrix changed: equal sort orders make sigma the identity,
     and only a sigma keeping every complement sum in place gathers the block.
     """
-    s_bar = _block_sums(arr, cols, comp)
-    order_pos, order_rows = _counter_orders(_block_sums(arr, cols, pi), s_bar)
+    s_bar = _block_sums(cols, comp)
+    order_pos, order_rows = _counter_orders(_block_sums(cols, pi), s_bar)
     if order_pos.tobytes() == order_rows.tobytes():
         return False
     sigma = np.empty_like(order_rows)
@@ -314,7 +314,7 @@ def _block_move(arr: np.ndarray, cols: list, pi: tuple, comp: tuple) -> bool:
         block = arr.T.take(comp, axis=0)
         if (block.take(sigma, axis=1) == block).all():
             return False
-    _permute_rows(arr, cols, comp, sigma)
+    _permute_rows(cols, comp, sigma)
     return True
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .matrix import (RearrangementMatrix, _as_matrix, _block_sums, _count, _fair_masks,
-                     _mask_columns, _permute_rows, sample_variance)
+                     _mask_columns, _permute_rows, _rounding_bound, _row_sums, sample_variance)
 
 __all__ = [
     "ObjectiveSpec",
@@ -90,7 +90,8 @@ class ChainTrace:
     """Per-iteration record of the chain.
 
     ``objective_per_iter[k]`` is the objective of the state occupied after
-    iteration k, from the chain's running row sums; ``best_matrix`` is the
+    iteration k, from the chain's running row sums, or from its own on a
+    start whose row sums cancel (see ``mcmc_block_ra``); ``best_matrix`` is the
     best state visited by that record (including the start), and
     ``best_objective`` the objective of its own row sums (for the variance,
     ``best_matrix.row_sum_variance``).  ``absorbed_at`` is the iteration
@@ -135,12 +136,8 @@ def propose_permutation(s_pi: np.ndarray, r: float, rng: np.random.Generator) ->
         return np.zeros(1, dtype=np.intp)
     w = _gumbel_sample(r, rng, m)
     w -= s_pi
-    return _place(w, np.arange(m), np.empty(m, dtype=np.intp))
-
-
-def _place(w: np.ndarray, s_bar: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The proposal rule, into ``out``: rows ascending by ``s_bar`` fill slots ascending by ``w``."""
-    out[w.argsort(kind="stable")] = s_bar.argsort(kind="stable")
+    out = np.empty(m, dtype=np.intp)
+    out[w.argsort(kind="stable")] = np.arange(m)
     return out
 
 
@@ -174,6 +171,8 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     ``_BLOCK_WORDS // (m + 2)`` iterations draws its masks, then its noise,
     then its uniforms, and every block is drawn whole.  The chain targets
     1/f, so a negative objective, at the start or accepted, raises ValueError.
+    A start whose row sums cancel, their rounding bound at least sqrt(eps)
+    times their sd, rescores every accepted state on its own row sums.
     """
     cfg = config or McmcConfig()
     mat = _as_matrix(X)
@@ -199,24 +198,30 @@ def mcmc_block_ra(X, config: Optional[McmcConfig] = None) -> ChainTrace:
     # An absorbing start runs no iteration.
     absorbed_at: Optional[int] = 0 if f_cur <= cfg.absorb_tol else None
     block = max(1, _BLOCK_WORDS // (m + 2))  # iterations whose draws fit the budget
+    # Where the row sums' rounding bound reaches sqrt(eps) times their sd, the
+    # running sums' drift would rank the states: each accepted one takes its own.
+    resync = _rounding_bound(mat.values) ** 2 >= np.finfo(np.float64).eps * mat.row_sum_variance
+    w, s_bar = ranks = np.empty((2, m))  # y - s_pi and s_cur - s_pi: one sort ranks both
     sigma = np.empty(m, dtype=np.intp)
     it = 0
     while absorbed_at is None and it < cfg.n_iter:
         masks, noise, uniforms = _chain_draws(rng, m, n, rate, block)
         for mask, y, u in zip(masks[:cfg.n_iter - it], noise, uniforms):
             pi, comp = _mask_columns(mask, n)
-            s_pi = _block_sums(arr, cols, pi)  # may view the state: never written in place
-            s_bar = s_cur - s_pi
-            _place(y - s_pi, s_bar, sigma)
+            s_pi = _block_sums(cols, pi)  # may view the state: never written in place
+            np.subtract(y, s_pi, out=w)
+            np.subtract(s_cur, s_pi, out=s_bar)
+            order = ranks.argsort(axis=1, kind="stable")
+            sigma[order[0]] = order[1]  # rows ascending by s_bar fill the slots ascending by w
             s_new = s_pi + s_bar.take(sigma)
             f_prop = spec(s_new)
             if f_prop <= 0 or u * f_prop < f_cur:  # min(1, f_cur/f_prop) Metropolis rule
                 if f_prop < 0:
                     raise ValueError(f"objective < 0 at iteration {it + 1}: the chain targets 1/f")
-                _permute_rows(arr, cols, comp, sigma)
+                _permute_rows(cols, comp, sigma)
                 s_cur, f_cur = s_new, f_prop
-                if f_cur <= cfg.absorb_tol:  # the running sums drift: absorb on the state's own
-                    s_cur = np.ascontiguousarray(arr).sum(axis=1)
+                if resync or f_cur <= cfg.absorb_tol:  # the running sums drift: decide on the state's own
+                    s_cur = _row_sums(arr)
                     f_cur = spec(s_cur)
                 accepted[it] = True
                 if f_cur < best_f:

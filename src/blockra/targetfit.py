@@ -37,7 +37,7 @@ import numpy as np
 # module, so both names stay importable here.
 from .gof import TargetDistribution, Thresholds, ks_distance, verdict, w2_distance  # noqa: F401
 from .matrix import (RearrangementMatrix, _block_sums, _count, _mask_columns, _pass_masks,
-                     _resolve_n_sim, _rounding_bound, _row_sum_variance, sample_variance)
+                     _resolve_n_sim, _rounding_bound, _row_sum_variance, _row_sums, sample_variance)
 
 __all__ = [
     "MarginSpec",
@@ -213,12 +213,12 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: tupl
     without a tie, whose order it is.  Only the displaced rows are
     rewritten, in the matrix and the tracked orders.
     """
-    t, lone = _block_sums(arr, cols, pi), len(pi) == 1
+    t, lone = _block_sums(cols, pi), len(pi) == 1
     hint = order[pi[0]] if lone else order[comp[0]][::-1] if len(comp) == 1 else t.argsort()
     if not lone and len(comp) == 1 and not tied[comp[0]]:
         r = hint  # an untied lone complement column is read off its order, its sums unbuilt
     else:  # a one-column block is a view of the matrix, so it is negated into a copy
-        s = _block_sums(arr, cols, comp)
+        s = _block_sums(cols, comp)
         r = _ascending(np.negative(s, out=s if len(comp) > 1 else None), hint)
         del s
     p = hint if lone and not tied[pi[0]] else _ascending(t, r, by_hint=True)
@@ -236,16 +236,6 @@ def _ordered_move(arr: np.ndarray, cols: list, order: list, tied: list, pi: tupl
     del p, r
     for j in comp:
         order[j] = inv.take(order[j])
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Row sums added in the order numpy adds the rows of a row-major array.
-
-    Rows of eight or more entries are added pairwise there, so such blocks
-    are summed from a row-major copy; shorter rows are added left to right
-    in either layout.
-    """
-    return block.sum(axis=1) if block.shape[1] < 8 else np.ascontiguousarray(block).sum(axis=1)
 
 
 def _settle(arr: np.ndarray, cfg: FitConfig, rng: np.random.Generator, given: str,

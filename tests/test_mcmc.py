@@ -18,7 +18,7 @@ from blockra.matrix import _block_sums, _mask_columns, counter_permutation, samp
 from blockra import mcmc
 from blockra.mcmc import _chain_draws, _gumbel_sample
 
-from conftest import SIGMA_CM_LOCAL_MIN, UNIFORM_8X3
+from conftest import SIGMA_CM_LOCAL_MIN, START_TO_LOCAL_MIN, UNIFORM_8X3
 
 
 def test_gumbel_inverse_cdf_formula():
@@ -72,7 +72,7 @@ def test_chain_absorbs_immediately_on_complete_mix(complete_mix_4x4):
 
 
 def test_chain_preserves_margins_and_tracks_best():
-    # The 16x12 start moves blocks both a column at a time and by one gather.
+    # The 16x12 start moves blocks of up to 11 columns.
     for X in (UNIFORM_8X3, np.random.default_rng(16).normal(size=(16, 12))):
         trace = mcmc_block_ra(X, McmcConfig(n_iter=500, rng_seed=7))
         assert np.array_equal(
@@ -85,18 +85,34 @@ def test_chain_preserves_margins_and_tracks_best():
         assert trace.accepted.dtype == bool
 
 
+def _cancelling_rows(c):
+    return np.array([[c, -c, c, -c], [-c, c, -c, c], [1.0, 2.0, 3.0, 4.0], [0.5, 0.1, 0.2, 0.3]])
+
+
 @pytest.mark.parametrize("c", [1e10, 1e12, 1e14, 1e15, 1e16, 1e17])
-def test_chain_reports_its_best_matrixs_own_objective(c):
+def test_chain_reports_its_best_matrixs_own_objective(c, monkeypatch):
     # The two c-rows cancel in every row sum, but the chain's running row
     # sums lose the small rows' bits as c grows: it used to report 1.1869 at
     # c = 1e15, where the returned matrix's own variance is 1.4993, and 0 at
-    # c = 1e17 with an absorption at iteration 2, where it is 3.8225.
-    X = np.array([[c, -c, c, -c], [-c, c, -c, c], [1.0, 2.0, 3.0, 4.0], [0.5, 0.1, 0.2, 0.3]])
+    # c = 1e17 with an absorption at iteration 2, where it is 3.8225.  Ranked
+    # by those sums, it also returned 1.4993 at c = 1e15 and 3.84 at 1e16
+    # after visiting states of own variance 1.4681 and 2.8958.
+    X = _cancelling_rows(c)
     cfg = McmcConfig(n_iter=2000, rng_seed=0)
+    visited = [sample_variance(X.sum(axis=1))]  # every state's own variance, the start's first
+    permute_rows = mcmc._permute_rows
+
+    def permute_and_record(cols, idx, sigma):
+        permute_rows(cols, idx, sigma)
+        visited.append(sample_variance(np.column_stack(cols).sum(axis=1)))
+
+    monkeypatch.setattr(mcmc, "_permute_rows", permute_and_record)
     trace = mcmc_block_ra(X, cfg)
     own = sample_variance(trace.best_matrix.values.sum(axis=1))
     assert float.hex(trace.best_objective) == float.hex(own)
     assert trace.absorbed_at is None or own <= cfg.absorb_tol
+    assert len(visited) == trace.accepted.sum() + 1
+    assert own == min(visited)
 
 
 def test_chain_deterministic():
@@ -245,7 +261,7 @@ def _ref_mcmc(X, cfg):
             draws = _ref_block_draws(rng, m, n, rate)
         mask, noise, u = draws.pop(0)
         pi, comp = _mask_columns(mask, n)
-        s_pi = _block_sums(arr, list(arr.T), pi)
+        s_pi = _block_sums(list(arr.T), pi)
         s_bar = s_cur - s_pi
         slots = _ref_propose_permutation(s_pi, noise)
         order_block = np.argsort(s_bar, kind="stable")
@@ -296,8 +312,8 @@ _REF_STARTS = {
     "absorbs-mid-block": (lambda: SIGMA_CM_LOCAL_MIN, {}),
     # The word budget caps each block at 5 iterations.
     "3000x3-capped-blocks": (lambda: np.random.default_rng(30).normal(size=(3000, 3)), {"n_iter": 40}),
-    # Blocks of up to 11 columns, so both the column-at-a-time and the gather path run;
-    # a row-major sum over 8 or more columns adds pairwise, in another order.
+    # Blocks of up to 11 columns, added a column at a time, while a row-major
+    # sum over 8 or more columns adds pairwise, in another order.
     "16x12-normal": (lambda: np.random.default_rng(16).normal(size=(16, 12)), {}),
 }
 
@@ -319,6 +335,28 @@ def test_chain_matches_the_reference_loop_bit_for_bit(name):
     assert trace.best_matrix.values.tobytes() == best_arr.tobytes()
     assert trace.absorbed_at == absorbed_at
     assert accepted.any() or absorbed_at == 0
+
+
+@pytest.mark.parametrize("name", sorted(_REF_STARTS) + ["cli-golden", "cancelling"])
+def test_only_a_start_that_cancels_rescores_every_accepted_state(name, monkeypatch):
+    # An ordinary start reads its own row sums only to confirm an absorption,
+    # as the reference loop does; the rows that cancel at c = 1e15 rescore
+    # every accepted state.
+    if name in _REF_STARTS:
+        make, overrides = _REF_STARTS[name]
+        X, cfg = make(), McmcConfig(**{"n_iter": 2000, "rng_seed": 11, **overrides})
+    elif name == "cli-golden":  # the chain of the golden mcmc report in tests/test_cli.py
+        X, cfg = START_TO_LOCAL_MIN, McmcConfig(n_iter=300, rng_seed=2)
+    else:
+        X, cfg = _cancelling_rows(1e15), McmcConfig(n_iter=2000, rng_seed=0)
+    calls = []
+    row_sums = mcmc._row_sums
+    monkeypatch.setattr(mcmc, "_row_sums", lambda arr: calls.append(1) or row_sums(arr))
+    trace = mcmc_block_ra(X, cfg)
+    if name == "cancelling":
+        assert len(calls) == trace.accepted.sum() > 0
+    else:
+        assert len(calls) == (trace.absorbed_at not in (None, 0))
 
 
 def test_resolve_rate_keeps_the_bits_of_numpys_std():

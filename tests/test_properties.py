@@ -31,7 +31,8 @@ from blockra import (
 from blockra import algorithms, dependence
 from blockra.bench import _shared_values_start
 from blockra.algorithms import _screened
-from blockra.matrix import _block_move, _block_sums, _mask_columns, _mask_sums, counter_permutation
+from blockra.matrix import (_block_move, _block_sums, _mask_columns, _mask_sums, _permute_rows, _row_sums,
+                            counter_permutation)
 
 from conftest import ref_spearman
 
@@ -121,8 +122,8 @@ def test_counter_permutation_is_valid_and_never_increases_variance(s, t):
 @settings(max_examples=80, deadline=None)
 def test_block_move_is_counter_permutation_applied(X):
     # Entries 0..2 tie most block sums and sum exactly in any order; up to ten
-    # columns put blocks wider than eight on the gather path.  Every canonical
-    # split and every standard_ra column split, on a copy of X.
+    # columns give blocks of up to nine columns.  Every canonical split and
+    # every standard_ra column split, on a copy of X.
     n = X.shape[1]
     full = (1 << n) - 1
     for k in [*range(1, 1 << (n - 1)), *(full - (1 << j) for j in range(n))]:
@@ -252,12 +253,42 @@ def test_mask_sums_are_block_sums_bit_for_bit(data, budget):
     cells = {"one": 1, "odd": 10 * m + 1, "all": m << n}[budget]
     got = _mask_sums(X, masks, cells)
     blocks = [np.array([j for j in range(n) if mask >> j & 1], dtype=np.intp) for mask in masks]
-    ref = np.array([_block_sums(X, list(X.T), cols) for cols in blocks])
+    ref = np.array([_block_sums(list(X.T), cols) for cols in blocks])
     F = np.asfortranarray(X)
-    assert np.array([_block_sums(F, list(F.T), cols) for cols in blocks]).tobytes() == ref.tobytes()
+    assert np.array([_block_sums(list(F.T), cols) for cols in blocks]).tobytes() == ref.tobytes()
     # A one-column block of -0.0 sums to +0.0, which ranks the same.
     assert np.array_equal(got, ref)
     assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()
+
+
+@given(st.data(), st.sampled_from(["C", "F"]))
+@settings(max_examples=200, deadline=None)
+def test_wide_blocks_sum_and_move_as_one_gather_bit_for_bit(data, order):
+    # The reference is a single gather of the block: np.add.reduce over its
+    # C-contiguous (k, m) copy adds the rows one after another, as the
+    # column loop does, and the move writes the gathered rows back at once.
+    X = np.array(_adversarial(data.draw, 9, 20), order=order)
+    m, n = X.shape
+    idx = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=9, max_size=n, unique=True))))
+    sums = _block_sums(list(X.T), idx)
+    ref = np.add.reduce(X.T.take(idx, axis=0), axis=0)
+    # The reduce starts from +0.0, so a row of -0.0 entries sums to +0.0 there
+    # and to -0.0 in the loop; the two zeros rank the same.
+    assert np.array_equal(sums, ref)
+    assert sums[ref != 0].tobytes() == ref[ref != 0].tobytes()
+    sigma = np.array(data.draw(st.permutations(range(m))), dtype=np.intp)
+    moved, gathered = X.copy(order="K"), X.copy(order="K")
+    _permute_rows(list(moved.T), idx, sigma)
+    gathered.T[list(idx)] = gathered.T.take(idx, axis=0).take(sigma, axis=1)
+    assert moved.flags.f_contiguous == (order == "F")
+    assert moved.tobytes(order="A") == gathered.tobytes(order="A")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_sums_of_a_column_major_array_are_its_row_major_copys(data):
+    X = _adversarial(data.draw, 2, 12)
+    assert _row_sums(np.asfortranarray(X)).tobytes() == X.sum(axis=1).tobytes()
 
 
 @given(st.data())
